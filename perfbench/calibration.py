@@ -12,9 +12,10 @@ loading it before `import ordlang` leaves ordlang's own import time alone.
 
 from time import perf_counter
 
-# Median time of `work` on the machine the bounds in BENCHMARK.json were set
-# on; scaled times are milliseconds at that machine's median speed.
-REFERENCE_MS = 7.0
+# Median time of `work` in a benchmark worker on the machine the bounds in
+# BENCHMARK.json were set on (a shared 2-core x86-64 machine, Python 3.11);
+# scaled times are milliseconds at that machine's median speed.
+REFERENCE_MS = 6.0
 
 
 def work() -> int:

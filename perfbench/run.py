@@ -4,19 +4,24 @@
     python3 perfbench/run.py --workload wide --seed 1 --seconds 25 --trace 0
 
 A single client runs a closed loop: one program at a time, each in a fresh
-worker forked after `import ordlang` (see worker.py), timed through the calls
-`ordlang run` makes (parse, check, run with fuel 100 000, render). Whole
-rounds of seeded programs run until `--seconds` have passed and every
-reported percentile has at least ten samples beyond it. Every output is
-checked against the answer the generator fixed; a failed program enters
-every percentile at the per-program limit. Times are scaled to reference
-speed by a calibration loop run just before each job (calibration.py).
+worker forked from an interpreter that has only imported ordlang (see
+worker.py), timed through the calls `ordlang run` makes (parse, check, run
+with fuel 100 000, render). Whole rounds of seeded programs run until
+`--seconds` have passed and every reported percentile has at least ten
+samples beyond it. Every output is checked against the answer the generator
+fixed; a failed program enters every percentile at the per-program limit.
+Times are scaled to reference speed by a calibration loop run just before
+each job (calibration.py).
 
 With `--trace 1` the run instead measures one round untraced (repeated for
 `--seconds`), then twice with every layer-boundary function of ordlang
-wrapped (see tracing.py); it reports per-layer counters and self times,
-checks that both traced passes count exactly the same, and compares each
-phase's dominant layer with the prediction recorded for the workload.
+wrapped (see tracing.py), each traced pass in its own interpreter with its
+own string hash seed; it reports per-layer counters and self times, checks
+that both traced passes count exactly the same, and compares each phase's
+dominant layer with the prediction recorded in BENCHMARK.json.
+
+Metric names and units, and each workload's prediction, are read from
+BENCHMARK.json.
 
 `--workload all` runs every workload both ways. The last line of standard
 output is one JSON object: {"correct", "attempted", "failed", "metrics"}.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -58,16 +64,12 @@ for name in sys.argv[3:]:
 print((perf_counter() - start) * speed)
 """
 
-END_TO_END = {
-    "setup_s": "s",
-    "verdict_ms.p50": "ms",
-    "verdict_ms.p90": "ms",
-    "reject_ms.p50": "ms",
-    "run_ms.p50": "ms",
-    "run_ms.p90": "ms",
-    "ok_ratio": "ratio",
-    "peak_rss_mb": "MB",
-}
+def predicted(why: str) -> dict[str, tuple[str, ...]]:
+    """The layers a workload's why names as dominant, per phase; each why
+    ends in "predicted top layer: verdict context, run core"."""
+    verdict, run = re.search(r"predicted top layer: verdict (\S+), run (\S+)$", why).groups()
+    return {"verdict": tuple(verdict.split("/")), "run": tuple(run.split("/"))}
+
 
 SUBCOMMANDS = ("check", "run", "trace", "dump-core", "dump-graph")
 
@@ -138,21 +140,22 @@ def report_failures(results) -> None:
             print(f"  {r.job.ident}: {r.detail}")
 
 
-def timed_run(workload, seed: int, seconds: int) -> tuple[dict, list]:
-    from worker import execute
+def timed_run(name: str, make_round, seed: int, seconds: int) -> tuple[dict, list]:
+    from worker import Workers
 
-    setup_s = measure_setup(sorted({job.opm for job in workload.make_round(seed, 0)}))
+    setup_s = measure_setup(sorted({job.opm for job in make_round(seed, 0)}))
     results = []
     start = time.perf_counter()
     rounds = 0
-    while time.perf_counter() - start < HARD_CAP_S:
-        for job in workload.make_round(seed, rounds):
-            results.append(execute(job))
-            if time.perf_counter() - start >= HARD_CAP_S:
+    with Workers() as workers:
+        while time.perf_counter() - start < HARD_CAP_S:
+            for job in make_round(seed, rounds):
+                results.append(workers.execute(job))
+                if time.perf_counter() - start >= HARD_CAP_S:
+                    break
+            rounds += 1
+            if time.perf_counter() - start >= seconds and enough(results):
                 break
-        rounds += 1
-        if time.perf_counter() - start >= seconds and enough(results):
-            break
     elapsed = time.perf_counter() - start
 
     s = samples(results)
@@ -170,7 +173,7 @@ def timed_run(workload, seed: int, seconds: int) -> tuple[dict, list]:
     report_failures(results)
     raw = samples(results, scaled=False)
     print(
-        f"{workload.name}: {len(results)} jobs in {rounds} rounds, {elapsed:.1f} s; samples: "
+        f"{name}: {len(results)} jobs in {rounds} rounds, {elapsed:.1f} s; samples: "
         + ", ".join(f"{k} {len(v)}" for k, v in s.items())
         + f"; median speed factor {statistics.median(r.speed for r in results):.3f}; unscaled ms: "
         + ", ".join(f"{k} p50 {statistics.median(v):.2f}" for k, v in raw.items())
@@ -216,20 +219,17 @@ def counters(trace: dict) -> dict:
     return {**trace["counts"], **{f"max:{k}": v for k, v in trace["maxes"].items()}}
 
 
-def layer_metrics(m: dict, overhead: float) -> dict[str, tuple[float, str]]:
-    """Per-layer metrics from merged traces, as name -> (value, unit)."""
+def layer_metrics(m: dict, overhead: float) -> dict[str, float]:
+    """Per-layer metrics from merged traces, by name."""
     from tracing import LAYERS, RULES
 
     c, incl, own, maxes = m["counts"], m["inclusive"], m["self"], m["maxes"]
 
-    def ms(seconds: float) -> tuple[float, str]:
-        return seconds * 1000, "ms"
+    def ms(seconds: float) -> float:
+        return seconds * 1000
 
-    def count(n: int) -> tuple[int, str]:
-        return n, "count"
-
-    def ratio(a: float, b: float, unit: str = "ratio") -> tuple[float, str]:
-        return (a / b if b else 0.0), unit
+    def ratio(a: float, b: float) -> float:
+        return a / b if b else 0.0
 
     lets = {mode: c[f"checker.lets_by_mode.{mode}"] for mode in "uol"}
     render = sum(
@@ -241,61 +241,55 @@ def layer_metrics(m: dict, overhead: float) -> dict[str, tuple[float, str]]:
         layer_self[name.split(".", 1)[0]] += seconds
     return {
         "surface.parse_ms": ms(incl["surface.parse"]),
-        "surface.tokens": count(c["surface.tokens"]),
-        "surface.surface_fv_calls": count(c["surface.surface_fv"]),
+        "surface.tokens": c["surface.tokens"],
+        "surface.surface_fv_calls": c["surface.surface_fv"],
         "surface.surface_fv_ms": ms(incl["surface.surface_fv"]),
-        "surface.rename_var_calls": count(c["surface.rename_var"]),
-        "context.subcontext_calls": count(c["context.subcontext"]),
+        "surface.rename_var_calls": c["surface.rename_var"],
+        "context.subcontext_calls": c["context.subcontext"],
         "context.subcontext_ms": ms(incl["context.subcontext"]),
         "context.subcontext_true_ratio": ratio(c["context.subcontext_true"], c["context.subcontext"]),
-        "context.interpret_calls": count(c["context.interpret"]),
+        "context.interpret_calls": c["context.interpret"],
         "context.interpret_ms": ms(incl["context.interpret"]),
-        "context.spanning_embed_calls": count(c["context.spanning_embed"]),
-        "context.restrict_calls": count(c["context.restrict"]),
+        "context.spanning_embed_calls": c["context.spanning_embed"],
+        "context.restrict_calls": c["context.restrict"],
         "context.restrict_ms": ms(incl["context.restrict"]),
-        "context.decompose_calls": count(c["context.decompose"]),
+        "context.decompose_calls": c["context.decompose"],
         "context.decompose_ms": ms(incl["context.decompose"]),
-        "context.max_ordered_bindings": count(maxes.get("context.max_ordered_bindings", 0)),
-        "opm.best_continuation_calls": count(c["opm.best_continuation"]),
+        "context.max_ordered_bindings": maxes.get("context.max_ordered_bindings", 0),
+        "opm.best_continuation_calls": c["opm.best_continuation"],
         "opm.best_continuation_ms": ms(incl["opm.best_continuation"]),
-        "opm.residual_exists_calls": count(c["opm.residual_exists"]),
+        "opm.residual_exists_calls": c["opm.residual_exists"],
         "opm.residual_exists_ms": ms(incl["opm.residual_exists"]),
-        "opm.leq_calls": count(c["opm.leq"]),
-        "opm.eq_calls": count(c["opm.eq"]),
+        "opm.leq_calls": c["opm.leq"],
+        "opm.eq_calls": c["opm.eq"],
         "opm.eq_ms": ms(incl["opm.eq"]),
-        "regex.to_dfa_calls": count(c["regex.to_dfa"]),
-        "regex.dfa_states": count(c["regex.dfa_states"]),
+        "regex.to_dfa_calls": c["regex.to_dfa"],
+        "regex.dfa_states": c["regex.dfa_states"],
         "regex.product_derivative_ms": ms(incl["regex.product_derivative"]),
         "regex.regex_from_dfa_ms": ms(incl["regex.regex_from_dfa"]),
-        "regex.continuation_chars.max": (maxes.get("regex.continuation_chars.max", 0), "chars"),
+        "regex.continuation_chars.max": maxes.get("regex.continuation_chars.max", 0),
         "checker.check_program_ms": ms(layer_self["checker"]),
-        "checker.infer_calls": count(c["checker.infer"]),
-        "checker.let_attempts_per_let": ratio(
-            lets["u"] + 2 * lets["o"] + 3 * lets["l"], sum(lets.values()), "modes/let"
-        ),
-        **{f"checker.lets_by_mode.{mode}": count(n) for mode, n in lets.items()},
-        "checker.core_nodes": count(c["checker.core_nodes"]),
-        "core.subst_calls": count(c["core.subst"]),
+        "checker.infer_calls": c["checker.infer"],
+        "checker.let_attempts_per_let": ratio(lets["u"] + 2 * lets["o"] + 3 * lets["l"], sum(lets.values())),
+        **{f"checker.lets_by_mode.{mode}": n for mode, n in lets.items()},
+        "checker.core_nodes": c["checker.core_nodes"],
+        "core.subst_calls": c["core.subst"],
         "core.subst_ms": ms(incl["core.subst"]),
-        "core.fv_visits": count(c["core.fv"]),
-        "core.fv_visits_per_step": ratio(c["core.fv"], c["interp.steps"], "visits/step"),
-        "core.pretty_calls": count(c["core.pretty"]),
+        "core.fv_visits": c["core.fv"],
+        "core.fv_visits_per_step": ratio(c["core.fv"], c["interp.steps"]),
+        "core.pretty_calls": c["core.pretty"],
         "core.pretty_ms": ms(incl["core.pretty"]),
-        "interp.steps": count(c["interp.steps"]),
+        "interp.steps": c["interp.steps"],
         "interp.step_ms": ms(own["interp.step"]),
-        **{f"interp.rules.{rule}": count(c[f"interp.rules.{rule}"]) for rule in RULES},
+        **{f"interp.rules.{rule}": c[f"interp.rules.{rule}"] for rule in RULES},
         "interp.runtime_oracle_ms": ms(incl["interp.runtime_oracle"]),
-        "interp.peak_heap_cells": (maxes.get("interp.peak_heap_cells", 0), "cells"),
+        "interp.peak_heap_cells": maxes.get("interp.peak_heap_cells", 0),
         "cli.render_ms": ms(render),
-        "cli.diag_chars": (c["cli.diag_chars"], "chars"),
+        "cli.diag_chars": c["cli.diag_chars"],
         **{f"cli.main_ms.{sub}": ms(m["main"][sub]) for sub in SUBCOMMANDS},
         **{f"{layer}.self_ms": ms(layer_self[layer]) for layer in LAYERS if layer != "checker"},
-        "trace.overhead": (overhead, "x"),
+        "trace.overhead": overhead,
     }
-
-
-def per_layer_units() -> dict[str, str]:
-    return {name: unit for name, (_, unit) in layer_metrics(merge_traces([]), 1.0).items()}
 
 
 def phase_ms(r) -> dict[str, float]:
@@ -306,12 +300,14 @@ def phase_ms(r) -> dict[str, float]:
     return {phase: (r.main_ms or 0.0) * r.speed}
 
 
-def print_shares(workload, merged: dict, traced_ms: Counter, untraced_ms: Counter) -> None:
+def print_shares(
+    name: str, expected: dict, merged: dict, traced_ms: Counter, untraced_ms: Counter
+) -> None:
     """Per-phase self-time shares of each layer, next to the prediction, and
     how much of the untraced phase time the layers' self times account for."""
     from tracing import LAYERS
 
-    print(f"{workload.name}: per-layer self time in the traced pass")
+    print(f"{name}: per-layer self time in the traced pass")
     for phase in ("verdict", "run"):
         layers = merged["layer_self"].get(f"bench.{phase}")
         if not layers:
@@ -320,10 +316,9 @@ def print_shares(workload, merged: dict, traced_ms: Counter, untraced_ms: Counte
         total = sum(layers.values())
         shares = sorted(((layers[layer] / total, layer) for layer in LAYERS), reverse=True)
         top = shares[0][1]
-        predicted = workload.predicted[phase]
-        flag = "as predicted" if top in predicted else "MISMATCH"
+        flag = "as predicted" if top in expected[phase] else "MISMATCH"
         print(
-            f"  {phase:7} predicted {'/'.join(predicted)}, measured top {top}: {flag}; "
+            f"  {phase:7} predicted {'/'.join(expected[phase])}, measured top {top}: {flag}; "
             + " ".join(f"{layer} {share:.0%}" for share, layer in shares if share >= 0.005)
         )
         overhead = traced_ms[phase] / untraced_ms[phase]
@@ -334,34 +329,45 @@ def print_shares(workload, merged: dict, traced_ms: Counter, untraced_ms: Counte
         )
 
 
-def traced_run(workload, seed: int, seconds: int) -> tuple[dict, list, bool]:
-    from worker import LIMIT_S, execute
+def traced_run(name: str, why: str, make_round, seed: int, seconds: int) -> tuple[dict, list, bool]:
+    from worker import LIMIT_S, Workers
 
-    jobs = workload.make_round(seed, 0)
+    jobs = make_round(seed, 0)
     start = time.perf_counter()
 
     def limit(most: float) -> float:  # past HARD_CAP_S, jobs get 0.1 s and fail fast
         return max(0.1, min(most, start + HARD_CAP_S - time.perf_counter()))
 
     untraced: dict[str, list] = defaultdict(list)
-    while not untraced or time.perf_counter() - start < seconds:
-        for job in jobs:
-            untraced[job.ident].append(execute(job, limit_s=limit(LIMIT_S)))
+    with Workers() as workers:
+        while not untraced or time.perf_counter() - start < seconds:
+            for job in jobs:
+                untraced[job.ident].append(workers.execute(job, limit_s=limit(LIMIT_S)))
     # Per job and phase, the median of the untraced repeats.
     untraced_ms = Counter()
     for runs in untraced.values():
         for phase in phase_ms(runs[0]):
             untraced_ms[phase] += statistics.median(phase_ms(r)[phase] for r in runs)
 
+    # Each traced pass in its own interpreter, with its own string hash seed,
+    # so that a counter that depends on set or dict order shows as a difference.
     passes = []
-    for _ in range(2):
-        passes.append([execute(job, traced=True, limit_s=limit(TRACE_LIMIT_S)) for job in jobs])
+    traced_start = time.perf_counter()
+    for hash_seed in (2 * seed + 1, 2 * seed + 2):
+        with Workers(hash_seed) as workers:
+            passes.append([workers.execute(job, traced=True, limit_s=limit(TRACE_LIMIT_S)) for job in jobs])
+    traced_s = time.perf_counter() - traced_start
     first, second = passes
-    report_failures(first)
+    report_failures(first + second)
     correct = True
+    uncounted = 0
     for a, b in zip(first, second):
-        ca, cb = (counters(r.trace) if r.trace else {} for r in (a, b))
-        if not ca or ca != cb:
+        if a.trace is None or b.trace is None:  # killed at the limit, or crashed: no counters
+            uncounted += 1
+            print(f"TRACED JOB GAVE NO COUNTERS: {a.job.ident}: {a.failure or b.failure}")
+            continue
+        ca, cb = counters(a.trace), counters(b.trace)
+        if ca != cb:
             correct = False
             diff = sorted(k for k in set(ca) | set(cb) if ca.get(k) != cb.get(k))
             print(f"COUNTERS DIFFER between traced passes for {a.job.ident}: {diff[:10]}")
@@ -371,60 +377,59 @@ def traced_run(workload, seed: int, seconds: int) -> tuple[dict, list, bool]:
                 f"untraced {untraced[a.job.ident][0].failure}"
             )
     if correct:
-        print(f"{workload.name}: counter self-test passed ({len(jobs)} jobs; two traced passes agree exactly)")
+        print(
+            f"{name}: counter self-test passed ({len(jobs) - uncounted} of {len(jobs)} jobs "
+            f"compared; two traced passes with different hash seeds agree exactly)"
+        )
 
     merged = merge_traces(first)
     traced_ms = Counter()
     for r in first:
         traced_ms.update(phase_ms(r))
     overhead = sum(traced_ms.values()) / sum(untraced_ms.values())
-    print_shares(workload, merged, traced_ms, untraced_ms)
+    print_shares(name, predicted(why), merged, traced_ms, untraced_ms)
+    print(f"{name}: two traced passes took {traced_s:.1f} s; whole run {time.perf_counter() - start:.1f} s")
 
     OUT.mkdir(exist_ok=True)
-    path = OUT / f"trace-{workload.name}-seed{seed}.json"
+    path = OUT / f"trace-{name}-seed{seed}.json"
     tree = {key: {"calls": n, "ms": incl * 1000, "self_ms": own * 1000}
             for key, (n, incl, own) in sorted(merged["tree"].items())}
-    path.write_text(json.dumps({"workload": workload.name, "seed": seed, "overhead": overhead,
+    path.write_text(json.dumps({"workload": name, "seed": seed, "overhead": overhead,
                                 "call_tree": tree}, indent=1))
-    print(f"{workload.name}: call tree written to {path.relative_to(ROOT)}")
+    print(f"{name}: call tree written to {path.relative_to(ROOT)}")
 
-    return layer_metrics(merged, overhead), first, correct
+    return layer_metrics(merged, overhead), first + second, correct
 
 
 # ---------------------------------------------------------------------------
 
-def declared(workload, units: dict[str, str], trace: bool) -> bool:
-    """Whether BENCHMARK.json declares these metrics and this workload's why."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
-    whys = {w["name"]: w["why"] for w in spec["workloads"]}
-    if names != units:
-        print(f"METRICS DIFFER from BENCHMARK.json: {sorted(set(names) ^ set(units))}")
-    if whys.get(workload.name) != workload.why:
-        print(f"WHY DIFFERS from BENCHMARK.json for {workload.name}")
-    return names == units and whys.get(workload.name) == workload.why
-
-
-def run_one(workload, seed: int, seconds: int, trace: bool) -> dict:
+def run_one(spec: dict, name: str, seed: int, seconds: int, trace: bool) -> dict:
+    """One workload's result line; metric names and units, and the
+    workload's predicted top layers, come from BENCHMARK.json (`spec`)."""
     from worker import WRONG_ANSWERS
+    from workloads import WORKLOADS
 
     if trace:
-        metrics, results, correct = traced_run(workload, seed, seconds)
-        values = {name: value for name, (value, _) in metrics.items()}
-        units = {name: unit for name, (_, unit) in metrics.items()}
+        why = next(w["why"] for w in spec["workloads"] if w["name"] == name)
+        values, results, correct = traced_run(name, why, WORKLOADS[name], seed, seconds)
     else:
-        values, results = timed_run(workload, seed, seconds)
+        values, results = timed_run(name, WORKLOADS[name], seed, seconds)
         correct = True
-        units = END_TO_END
-    correct = correct and declared(workload, units, trace)
+    units = {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
+    if set(values) != set(units):
+        correct = False
+        print(f"METRICS DIFFER from BENCHMARK.json: {sorted(set(values) ^ set(units))}")
     correct = correct and not any(r.failure in WRONG_ANSWERS for r in results)
-    for name, unit in units.items():
-        print(f"  {workload.name} {name} = {values[name]:.6g} {unit}")
+    for metric, unit in units.items():
+        print(f"  {name} {metric} = {values.get(metric, float('nan')):.6g} {unit}")
     return {
         "correct": correct,
         "attempted": len(results),
         "failed": sum(not r.ok for r in results),
-        "metrics": {name: {"value": values[name], "unit": unit} for name, unit in units.items()},
+        "metrics": {
+            metric: {"value": values[metric], "unit": unit}
+            for metric, unit in units.items() if metric in values
+        },
     }
 
 
@@ -441,12 +446,11 @@ def main() -> int:
     if not (SRC / "ordlang" / "__init__.py").is_file():
         print(f"error: ordlang sources not found under {SRC}", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(SRC))
-    import ordlang  # noqa: F401  (imported once here; workers are forked after it)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     if args.workload == "all":
         lines = [
-            run_one(WORKLOADS[name], args.seed, args.seconds, trace)
+            run_one(spec, name, args.seed, args.seconds, trace)
             for name in WORKLOADS
             for trace in (False, True)
         ]
@@ -461,7 +465,7 @@ def main() -> int:
             },
         }
     else:
-        result = run_one(WORKLOADS[args.workload], args.seed, args.seconds, bool(args.trace))
+        result = run_one(spec, args.workload, args.seed, args.seconds, bool(args.trace))
     print(json.dumps(result))
     return 0
 

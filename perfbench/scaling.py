@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Ungated scaling report over the ROADMAP Baseline program families.
 
-    python3 perfbench/scaling.py [--repeats 3]
+    python3 perfbench/scaling.py
 
 For `resources`, `ops` and `splits` at n = 16, 32 and 64 it reports the
 median time to a verdict, run time and evaluation steps (each program in a
-fresh forked worker, as in run.py), the growth from n = 32 to 64, and the
+fresh forked worker, as in run.py; median of three), the growth from n = 32 to 64, and the
 least-squares slope of log(time) against log(n). Next to them it prints the
 Baseline table recorded in ROADMAP.md for n = 64. It gates nothing; it exits
 non-zero only when a program's output is wrong.
@@ -13,7 +13,6 @@ non-zero only when a program's output is wrong.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import statistics
@@ -23,6 +22,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SIZES = (16, 32, 64)
+REPEATS = 3
 
 # ROADMAP.md "Baseline": n = 64 check s, run s, steps, 32->64 growth (check, run).
 BASELINE = {
@@ -62,36 +62,32 @@ def slope(ns, times) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
     src = ROOT / "src"
     if not (src / "ordlang" / "__init__.py").is_file():
         print(f"error: ordlang sources not found under {src}", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(src))
-    import ordlang  # noqa: F401  (workers are forked after the import)
     from workloads import Job
-    from worker import execute
+    from worker import Workers
 
     wrong = 0
     report = {}
     print(f"{'family':10} {'n':>3} {'check s':>8} {'run s':>8} {'steps':>6}")
-    for family, make in FAMILIES.items():
-        rows = []
-        for n in SIZES:
-            runs = [execute(Job(ident=f"{family}({n})", source=make(n))) for _ in range(args.repeats)]
-            for r in runs:
-                if not r.ok:
-                    wrong += 1
-                    print(f"FAILED {r.job.ident}: {r.failure}: {r.detail}")
-            good = [r for r in runs if r.ok] or runs
-            check = statistics.median(r.verdict_ms or math.nan for r in good) / 1000
-            run = statistics.median(r.run_ms or math.nan for r in good) / 1000
-            steps = good[0].steps
-            rows.append((n, check, run, steps))
-            print(f"{family:10} {n:3} {check:8.3f} {run:8.3f} {steps!s:>6}")
-        report[family] = rows
+    with Workers() as workers:
+        for family, make in FAMILIES.items():
+            rows = []
+            for n in SIZES:
+                runs = [workers.execute(Job(ident=f"{family}({n})", source=make(n))) for _ in range(REPEATS)]
+                for r in runs:
+                    if not r.ok:
+                        wrong += 1
+                        print(f"FAILED {r.job.ident}: {r.failure}: {r.detail}")
+                good = [r for r in runs if r.ok] or runs
+                check = statistics.median(r.verdict_ms or math.nan for r in good) / 1000
+                run = statistics.median(r.run_ms or math.nan for r in good) / 1000
+                steps = good[0].steps
+                rows.append((n, check, run, steps))
+                print(f"{family:10} {n:3} {check:8.3f} {run:8.3f} {steps!s:>6}")
+            report[family] = rows
     print()
     print(f"{'n=64':10} {'check s':>15} {'run s':>15} {'steps':>11} {'32->64 check':>15} "
           f"{'32->64 run':>15} {'slope check/run':>16}")

@@ -1,11 +1,15 @@
 """Run one job in a fresh worker process and check its output.
 
-The benchmark process imports ordlang but never runs it; each job runs in a
-child forked from it, so no job is served from caches (`lru_cache`s on
-`interpret`, `to_dfa`, ...) that another job filled, just as each CLI
-invocation starts a fresh process. The benchmark process starts no threads,
-so forking it is safe. The parent enforces a wall-clock limit per job by
-killing the child, and reads the child's peak RSS from `wait4`.
+The benchmark process never imports ordlang. It starts a fork server
+(`python3 worker.py <src>`, see `Workers`): a fresh interpreter that imports
+ordlang, then reads one job per line from its standard input, forks a worker
+for it, and writes the result back as one line. Each job thus runs in a
+child of an interpreter that has done nothing but `import ordlang`, so no
+job is served from caches (`lru_cache`s on `interpret`, `to_dfa`, ...) that
+another job filled, just as each CLI invocation starts a fresh process, and
+a worker's peak RSS holds nothing of the benchmark's own state. The server
+starts no threads, so forking it is safe. It enforces a wall-clock limit per
+job by killing the worker, and reads the worker's peak RSS from `wait4`.
 """
 
 from __future__ import annotations
@@ -16,16 +20,19 @@ import os
 import resource
 import select
 import signal
+import subprocess
 import sys
 import time
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
 from calibration import speed_factor
 from workloads import Job
 
+HERE = Path(__file__).resolve().parent
 FUEL = 100_000  # `ordlang run`'s default
 LIMIT_S = 10.0  # per job; a job over it is killed and counted failed
 MEMORY_LIMIT = 2 << 30  # bytes of address space per worker; beyond it, MemoryError
@@ -198,15 +205,13 @@ def _child(job: Job, traced: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parent side
+# Fork server side
 
-def execute(job: Job, traced: bool = False, limit_s: float = LIMIT_S) -> Result:
+def _fork_job(job: Job, traced: bool, limit_s: float) -> dict:
     """Fork a worker for `job`, wait at most `limit_s`, and collect its result."""
-    sys.stdout.flush()
-    sys.stderr.flush()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
-    if pid == 0:  # worker: never returns into the benchmark's own code
+    if pid == 0:  # worker: never returns into the server's loop
         status = 0
         try:
             os.close(read_fd)
@@ -243,20 +248,97 @@ def execute(job: Job, traced: bool = False, limit_s: float = LIMIT_S) -> Result:
         os.close(read_fd)
         _, status, usage = os.wait4(pid, 0)
 
-    result = Result(job, rss_mb=usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+    rss_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
     if timed_out:
-        result.failure, result.detail = "timeout", f"killed after {limit_s:g} s"
-        return result
+        return {"failure": "timeout", "detail": f"killed after {limit_s:g} s", "rss_mb": rss_mb}
     if not chunks:
-        result.failure, result.detail = "worker-crash", f"wait status {status}"
-        return result
-    out = json.loads(b"".join(chunks))
-    result.failure = out.get("failure")
-    result.detail = out.get("detail", "")
-    result.verdict_ms = out.get("verdict_ms")
-    result.run_ms = out.get("run_ms")
-    result.main_ms = out.get("main_ms")
-    result.steps = out.get("steps")
-    result.speed = out["speed"]
-    result.trace = out.get("trace")
-    return result
+        return {"failure": "worker-crash", "detail": f"wait status {status}", "rss_mb": rss_mb}
+    return {**json.loads(b"".join(chunks)), "rss_mb": rss_mb}
+
+
+def serve() -> None:
+    """The fork server's loop: one JSON request per line in, one result out.
+
+    Stray output of ordlang goes to standard error; results are written to
+    the original standard output only.
+    """
+    replies = os.fdopen(os.dup(1), "w")
+    os.dup2(2, 1)
+    import ordlang  # noqa: F401  (workers are forked after the import)
+
+    replies.write("ready\n")
+    replies.flush()
+    for line in sys.stdin:
+        request = json.loads(line)
+        job = Job(**{**request["job"], "argv": tuple(request["job"]["argv"])})
+        replies.write(json.dumps(_fork_job(job, request["traced"], request["limit_s"])) + "\n")
+        replies.flush()
+
+
+# ---------------------------------------------------------------------------
+# Benchmark side
+
+class Workers:
+    """A fork server in a fresh interpreter, with `PYTHONHASHSEED` set to
+    `hash_seed` when given; use as a context manager."""
+
+    def __init__(self, hash_seed: Optional[int] = None) -> None:
+        env = dict(os.environ)
+        if hash_seed is not None:
+            env["PYTHONHASHSEED"] = str(hash_seed)
+        # A process group of its own, so that killing it takes a running worker too.
+        self.proc = subprocess.Popen(
+            [sys.executable, str(HERE / "worker.py"), str(HERE.parent / "src")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+            start_new_session=True,
+        )
+        if self._reply(60) != "ready\n":
+            self.close()
+            raise RuntimeError("the fork server did not start")
+
+    def _reply(self, timeout_s: float) -> str:
+        ready, _, _ = select.select([self.proc.stdout], [], [], timeout_s)
+        return self.proc.stdout.readline() if ready else ""
+
+    def execute(self, job: Job, traced: bool = False, limit_s: float = LIMIT_S) -> Result:
+        request = {"job": asdict(job), "traced": traced, "limit_s": limit_s}
+        self.proc.stdin.write(json.dumps(request) + "\n")
+        self.proc.stdin.flush()
+        line = self._reply(limit_s + 30)  # the server itself stops the job at limit_s
+        if not line:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+            raise RuntimeError(f"the fork server gave no answer for {job.ident}")
+        out = json.loads(line)
+        return Result(
+            job,
+            failure=out.get("failure"),
+            detail=out.get("detail", ""),
+            verdict_ms=out.get("verdict_ms"),
+            run_ms=out.get("run_ms"),
+            main_ms=out.get("main_ms"),
+            steps=out.get("steps"),
+            speed=out.get("speed", 1.0),
+            rss_mb=out["rss_mb"],
+            trace=out.get("trace"),
+        )
+
+    def close(self) -> None:
+        """Stop the server (and any worker of it) and wait until it has ended."""
+        self.proc.stdin.close()  # the server ends at the end of its input
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+            self.proc.wait()
+        self.proc.stdout.close()
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, sys.argv[1])
+    serve()

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
@@ -42,23 +42,6 @@ class Job:
     @property
     def subcommand(self) -> str:
         return self.argv[0] if self.argv else "program"
-
-
-@dataclass(frozen=True)
-class Workload:
-    name: str
-    reason: str
-    # Layers predicted to dominate self time in the verdict and run phases.
-    predicted: dict[str, tuple[str, ...]]
-    make_round: Callable[[int, int], list[Job]]
-
-    @property
-    def why(self) -> str:
-        """The reason and prediction, as recorded in BENCHMARK.json."""
-        return (
-            f"{self.reason}; predicted top layer: "
-            f"verdict {'/'.join(self.predicted['verdict'])}, run {'/'.join(self.predicted['run'])}"
-        )
 
 
 def _rng(workload: str, seed: int, round_index: int) -> random.Random:
@@ -286,32 +269,6 @@ def corpus_round(seed: int, round_index: int) -> list[Job]:
     return jobs
 
 
-WORKLOADS = {
-    w.name: w
-    for w in (
-        Workload(
-            "wide",
-            "n = 2..14 live borrows captured by mode-o thunks, a quarter misused; the context DAG grows with n, the OPM idles",
-            {"verdict": ("context",), "run": ("core",)},
-            wide_round,
-        ),
-        Workload(
-            "borrow",
-            "one resource walking a (W1)*c(W2)*d envelope, 3 ops per phase, half with an op outside it",
-            {"verdict": ("regex", "opm"), "run": ("regex", "opm")},
-            borrow_round,
-        ),
-        Workload(
-            "deep",
-            "straight-line spines of 50..235 lets and seqs with 3 short-lived resources, 2 in 40 past the recursion point",
-            {"verdict": ("surface", "context"), "run": ("core",)},
-            deep_round,
-        ),
-        Workload(
-            "corpus",
-            "the 28 programs/ files through cli.main check/run/trace/dump-core: real, tiny, fixed per-call cost",
-            {"verdict": ("cli",), "run": ("cli",)},
-            corpus_round,
-        ),
-    )
-}
+# Why each workload was chosen, and the layer predicted to dominate it, are
+# recorded in BENCHMARK.json.
+WORKLOADS = {"wide": wide_round, "borrow": borrow_round, "deep": deep_round, "corpus": corpus_round}
