@@ -11,7 +11,7 @@ with fuel 100 000, render). Whole rounds of seeded programs run until
 samples beyond it. Every output is checked against the answer the generator
 fixed; a failed program enters every percentile at the per-program limit.
 Times are scaled to reference speed by a calibration loop run just before
-each job (calibration.py).
+and after each job (calibration.py).
 
 With `--trace 1` the run instead measures one round untraced (repeated for
 `--seconds`), then twice with every layer-boundary function of ordlang
@@ -49,19 +49,20 @@ HARD_CAP_S = 120.0  # stop a run here even mid-round, to exit well within 180 s
 TRACE_LIMIT_S = 60.0  # per job when traced
 SETUP_REPEATS = 9
 
-# Run in a fresh interpreter: calibrate, then time `import ordlang` and
-# building the OPMs, and print that time scaled to reference speed.
+# Run in a fresh interpreter: time `import ordlang` and building the OPMs,
+# and print that time scaled to reference speed.
 SETUP_CODE = """
 import sys
 sys.path[:0] = sys.argv[1:3]
 from time import perf_counter
-from calibration import speed_factor
-speed = speed_factor()
+from calibration import Speed
+speed = Speed()
 start = perf_counter()
 import ordlang
 for name in sys.argv[3:]:
     ordlang.get_opm(name)
-print((perf_counter() - start) * speed)
+elapsed = perf_counter() - start
+print(elapsed * speed.factor())
 """
 
 def predicted(why: str) -> dict[str, tuple[str, ...]]:

@@ -29,7 +29,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-from calibration import speed_factor
+from calibration import Speed
 from workloads import Job
 
 HERE = Path(__file__).resolve().parent
@@ -53,7 +53,7 @@ class Result:
     run_ms: Optional[float] = None
     main_ms: Optional[float] = None  # corpus: one whole `cli.main` call
     steps: Optional[int] = None  # evaluation steps of an accepted program
-    speed: float = 1.0  # calibration.speed_factor() measured just before the job
+    speed: float = 1.0  # calibration.Speed's factor, measured around the job
     rss_mb: float = 0.0
     trace: Optional[dict] = field(default=None, repr=False)
 
@@ -183,7 +183,8 @@ def _corpus_job(job: Job, out: dict, span) -> None:
 
 
 def _child(job: Job, traced: bool) -> dict:
-    out: dict = {"speed": speed_factor()}
+    out: dict = {}
+    speed = Speed()
     tracer = None
     if traced:
         from tracing import Tracer, instrument
@@ -199,6 +200,7 @@ def _child(job: Job, traced: bool) -> dict:
     except Exception as exc:  # a defect of the program under test, recorded as a failure
         out["failure"] = type(exc).__name__
         out["detail"] = f"in the {out.get('phase', '?')} phase: {str(exc)[:200]}"
+    out["speed"] = speed.factor()
     if tracer is not None:
         out["trace"] = tracer.summary()
     return out

@@ -87,9 +87,11 @@ def wide_round(seed: int, round_index: int) -> list[Job]:
     rng = _rng("wide", seed, round_index)
     jobs = []
     for n in _WIDE_SIZES:
-        # Per size: two regex programs, one ownership program, and one that
-        # misuses the middle resource, under each OPM for every other size.
-        for variant, opm in enumerate(["regex", "regex", "ownership", ("regex", "ownership")[n % 2]]):
+        # Per size: two regex programs, one ownership program, and a regex
+        # one that misuses the middle resource. With one OPM for every
+        # misuse, a rejection's cost rises with n alone, and the median
+        # rejection is that of the middle size rather than a mix of two.
+        for variant, opm in enumerate(["regex", "regex", "ownership", "regex"]):
             misuse = n // 2 if variant == 3 else None
             jobs.append(
                 Job(
@@ -107,33 +109,39 @@ def wide_round(seed: int, round_index: int) -> list[Job]:
 # borrow: one resource walking a multi-phase regex envelope
 
 _PHASE1_WORDS = ("r", "w", "rw", "wr")
-_PHASE2_WORDS = ["ab", "ba", "aa", "bb"]
+_PHASE2_PAIRS = list(itertools.combinations(("ab", "ba", "aa", "bb"), 2))
 # Three ops per phase: a fourth already passes 10 s on some word choices.
 # The first phase's words are the i-th, j-th and k-th of its word set for
-# each (i, j, k) below: a fixed, balanced share of every pattern, since that
-# phase decides the cost.
+# each (i, j, k) below, and the second phase's the (i mod 2)-th, ... of its
+# pair.
 _PHASE1_PATTERNS = [p for p in itertools.product(range(3), repeat=3) if sum(p) % 3 == 0]
-# Where the defect of each ill-typed program goes, in turn.
-_BAD_STEPS = range(7)
+# Where the defect of each ill-typed program goes, in turn: always after the
+# first phase, which decides the cost, so that a rejection costs about what
+# its well-typed twin does.
+_BAD_STEPS = range(3, 8)
 
 
-def borrow_program(rng: random.Random, w1: tuple[str, ...], pattern, bad_at: Optional[int]) -> str:
-    """One resource with envelope (W1)*c(W2)*d for a seeded word set W2.
+def borrow_program(
+    w1: tuple[str, ...], w2: tuple[str, str], pattern, split_at: int, bad_at: Optional[int]
+) -> str:
+    """One resource with envelope (W1)*c(W2)*d.
 
     A chain of ops and splits performs a word of the envelope: the words of
-    W1 picked by `pattern`, `c`, three seeded words of W2, `d`. Each split's
-    borrow is used up at once, so at most two bindings are live. With
-    `bad_at`, the step at that index performs `d` in the first phase or `c`
-    in the second, which no continuation admits (opm-violation).
+    W1 and of W2 picked by `pattern`, with `c` and `d` after each phase. The
+    step at index `split_at` is a split whose borrow is used up at once, so
+    at most two bindings are live. With `bad_at`, an op inserted before the
+    step at that index performs `d` in the first phase or `c` in the second,
+    which no continuation admits (opm-violation).
     """
-    w2 = rng.sample(_PHASE2_WORDS, 2)
     env = f"({'|'.join(w1)})*c({'|'.join(w2)})*d"
-    steps = [w1[i] for i in pattern] + ["c"] + [rng.choice(w2) for _ in pattern] + ["d"]
+    steps = [w1[i] for i in pattern] + ["c"] + [w2[i % 2] for i in pattern] + ["d"]
+    split = [k == split_at for k in range(len(steps))]
     if bad_at is not None:
         steps.insert(bad_at, "d" if bad_at <= len(pattern) else "c")
+        split.insert(bad_at, False)
     lines = [f"let x0 = new {{{env}}} in"]
     for k, word in enumerate(steps):
-        if rng.random() < 0.4:
+        if split[k]:
             lines.append(f"let b{k}, x{k + 1} = split {{{word}}} x{k} in")
             lines.append(f"drop (!{{{word}}} b{k});")
         else:
@@ -144,22 +152,32 @@ def borrow_program(rng: random.Random, w1: tuple[str, ...], pattern, bad_at: Opt
 
 def borrow_round(seed: int, round_index: int) -> list[Job]:
     """Each three-word subset of the first phase's words (those holding both
-    rw and wr give the longest continuations) with every pattern, once
-    well-typed and once ill-typed: rejections then cover the same range of
-    costs as acceptances."""
+    rw and wr give the longest continuations) with every pattern, and a
+    second-phase pair taken in turn, once well-typed and once with a defect:
+    rejections then cover the same range of costs as acceptances.
+
+    The envelopes and words, which decide a program's cost, are the same in
+    every round; the seed and the round number choose which step of each
+    program is a split, and the order of the jobs. So a run's mix of cheap
+    and costly programs, and with it the high percentiles, does not depend
+    on the seed.
+    """
     rng = _rng("borrow", seed, round_index)
     jobs = []
-    for left_out in _PHASE1_WORDS:
+    for slot, (left_out, (t, pattern)) in enumerate(
+        itertools.product(_PHASE1_WORDS, enumerate(_PHASE1_PATTERNS))
+    ):
         w1 = tuple(w for w in _PHASE1_WORDS if w != left_out)
-        for t, pattern in enumerate(_PHASE1_PATTERNS):
-            for bad_at in (None, _BAD_STEPS[(len(jobs) // 2) % len(_BAD_STEPS)]):
-                jobs.append(
-                    Job(
-                        ident=f"borrow/{round_index}/{left_out}/{t}/{'bad' if bad_at is not None else 'ok'}",
-                        source=borrow_program(rng, w1, pattern, bad_at),
-                        expect_kind="opm-violation" if bad_at is not None else None,
-                    )
+        w2 = _PHASE2_PAIRS[slot % len(_PHASE2_PAIRS)]
+        split_at = rng.randrange(2 * len(pattern) + 2)
+        for bad_at in (None, _BAD_STEPS[slot % len(_BAD_STEPS)]):
+            jobs.append(
+                Job(
+                    ident=f"borrow/{round_index}/{left_out}/{t}/{'bad' if bad_at is not None else 'ok'}",
+                    source=borrow_program(w1, w2, pattern, split_at, bad_at),
+                    expect_kind="opm-violation" if bad_at is not None else None,
                 )
+            )
     rng.shuffle(jobs)
     return jobs
 
@@ -167,11 +185,15 @@ def borrow_round(seed: int, round_index: int) -> list[Job]:
 # ---------------------------------------------------------------------------
 # deep: one long straight-line spine of value lets and `;`
 
-# 38 spines from 50 to 180 items, then 2 past the depth (about 195 items)
-# at which the checker raised RecursionError when this benchmark was written.
-# Spines near that depth are left out so the failing share does not depend
-# on the seed.
-_DEEP_LENGTHS = [50 + round(i * 130 / 37) for i in range(38)] + [215, 235]
+# 34 spines from 50 to 170 items, four of 180, then 2 past the depth (about
+# 195 items) at which the checker raised RecursionError when this benchmark
+# was written. Spines near that depth are left out so the failing share does
+# not depend on the seed. The four of equal length put the 90th percentiles,
+# which lie just below the two failures, inside one cluster of like times
+# rather than between the sparse times of the longest spines.
+_DEEP_GRADED = 34
+_DEEP_LENGTHS = [50 + round(i * 120 / (_DEEP_GRADED - 1)) for i in range(_DEEP_GRADED)]
+_DEEP_LENGTHS += [180] * 4 + [215, 235]
 
 
 def deep_program(rng: random.Random, length: int, bad: bool) -> str:
@@ -224,10 +246,12 @@ def deep_round(seed: int, round_index: int) -> list[Job]:
     rng = _rng("deep", seed, round_index)
     jobs = []
     for i, length in enumerate(_DEEP_LENGTHS):
-        bad = i % 4 == 0  # never one of the two longest
+        # Every fourth graded spine: nine, an odd number, so that the median
+        # rejection is one spine length's rather than between two.
+        bad = i % 4 == 0 and i < _DEEP_GRADED
         jobs.append(
             Job(
-                ident=f"deep/{round_index}/L{length}",
+                ident=f"deep/{round_index}/L{length}/{i}",
                 source=deep_program(rng, length, bad),
                 expect_kind="opm-violation" if bad else None,
             )
