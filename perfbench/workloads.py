@@ -185,15 +185,15 @@ def borrow_round(seed: int, round_index: int) -> list[Job]:
 # ---------------------------------------------------------------------------
 # deep: one long straight-line spine of value lets and `;`
 
-# 34 spines from 50 to 170 items, four of 180, then 2 past the depth (about
-# 195 items) at which the checker raised RecursionError when this benchmark
-# was written. Spines near that depth are left out so the failing share does
-# not depend on the seed. The four of equal length put the 90th percentiles,
-# which lie just below the two failures, inside one cluster of like times
-# rather than between the sparse times of the longest spines.
+# 34 spines from 50 to 170 items, five of 180, then one past the depth
+# (about 195 items) at which the checker raised RecursionError when this
+# benchmark was written. Spines near that depth are left out so the failing
+# share does not depend on the seed. The five of equal length put both 90th
+# percentiles, which lie just below the failure, inside one cluster of like
+# times rather than among the sparse times of the longest spines.
 _DEEP_GRADED = 34
 _DEEP_LENGTHS = [50 + round(i * 120 / (_DEEP_GRADED - 1)) for i in range(_DEEP_GRADED)]
-_DEEP_LENGTHS += [180] * 4 + [215, 235]
+_DEEP_LENGTHS += [180] * 5 + [215]
 
 
 def deep_program(rng: random.Random, length: int, bad: bool) -> str:
