@@ -252,10 +252,10 @@ class Checker:
             )
         arrow = rf.type
         recomb = {
-            PLAIN: cx.Seq(ctx_f, ctx_a),
-            UNORD: cx.Par(ctx_f, ctx_a),
-            RIGHT: cx.Seq(ctx_f, ctx_a),
-            LEFT: cx.Seq(ctx_a, ctx_f),
+            PLAIN: cx.seq(ctx_f, ctx_a),
+            UNORD: cx.par(ctx_f, ctx_a),
+            RIGHT: cx.seq(ctx_f, ctx_a),
+            LEFT: cx.seq(ctx_a, ctx_f),
         }[arrow.mode]
         if not cx.subcontext(ctx, recomb):
             raise self._misuse(
@@ -295,10 +295,10 @@ class Checker:
         ctx_r = cx.restrict(ctx, surface_fv(e.right))
         rl = self.infer(ctx_l, e.left)
         rr = self.infer(ctx_r, e.right)
-        if cx.subcontext(ctx, cx.Par(ctx_l, ctx_r)):
+        if cx.subcontext(ctx, cx.par(ctx_l, ctx_r)):
             ty = ProdType(False, rl.type, rr.type)
             return InferResult(ty, max(rl.effect, rr.effect), Pair(False, rl.core, rr.core))
-        if cx.subcontext(ctx, cx.Seq(ctx_l, ctx_r)):
+        if cx.subcontext(ctx, cx.seq(ctx_l, ctx_r)):
             if ord_(rl.type) and rr.effect != 0:
                 raise TypeCheckError(
                     "effect-violation",
@@ -309,7 +309,7 @@ class Checker:
             ty = ProdType(True, rl.type, rr.type)
             return InferResult(ty, max(rl.effect, rr.effect), Pair(True, rl.core, rr.core))
         raise self._misuse(
-            e.span, "pair components interleave resources", ctx, cx.Seq(ctx_l, ctx_r)
+            e.span, "pair components interleave resources", ctx, cx.seq(ctx_l, ctx_r)
         )
 
     def _infer_letpair(self, ctx: cx.Ctx, e: sf.SLetPair) -> InferResult:
@@ -346,9 +346,9 @@ class Checker:
         bx = cx.var_bind(x, rh.type.left)
         by = cx.var_bind(y, rh.type.right)
         if rh.type.ordered:
-            plug: cx.Ctx = cx.Seq(cx.Bind(bx), cx.Bind(by))
+            plug: cx.Ctx = cx.seq(cx.Bind(bx), cx.Bind(by))
         else:
-            plug = cx.Par(cx.Bind(bx), cx.Bind(by))
+            plug = cx.par(cx.Bind(bx), cx.Bind(by))
         body_ctx = cx.fill(pattern, plug)
         self.note_binding(x, body_ctx)
         self.note_binding(y, body_ctx)
@@ -375,16 +375,16 @@ class Checker:
         if (
             unr(rh.type)
             and cx.all_unr(ctx_b)
-            and cx.subcontext(ctx, cx.Seq(ctx_b, ctx_h))
+            and cx.subcontext(ctx, cx.seq(ctx_b, ctx_h))
         ):
             mode = PLAIN
-            body_ctx: cx.Ctx = cx.Seq(ctx_b, binding)
-        elif cx.subcontext(ctx, cx.Par(ctx_b, ctx_h)):
+            body_ctx: cx.Ctx = cx.seq(ctx_b, binding)
+        elif cx.subcontext(ctx, cx.par(ctx_b, ctx_h)):
             mode = UNORD
-            body_ctx = cx.Par(ctx_b, binding)
-        elif cx.subcontext(ctx, cx.Seq(ctx_h, ctx_b)):
+            body_ctx = cx.par(ctx_b, binding)
+        elif cx.subcontext(ctx, cx.seq(ctx_h, ctx_b)):
             mode = LEFT
-            body_ctx = cx.Seq(binding, ctx_b)
+            body_ctx = cx.seq(binding, ctx_b)
         else:
             raise TypeCheckError(
                 "context-misuse",
@@ -421,11 +421,11 @@ class Checker:
             var, body = self._freshen_binder(e.var, e.body, ctx)
             binding = cx.Bind(cx.var_bind(var, ty.param))
             if ty.mode == LEFT:
-                inner: cx.Ctx = cx.Seq(binding, ctx)
+                inner: cx.Ctx = cx.seq(binding, ctx)
             elif ty.mode == UNORD:
-                inner = cx.Par(ctx, binding)
+                inner = cx.par(ctx, binding)
             else:  # PLAIN and RIGHT both extend on the right
-                inner = cx.Seq(ctx, binding)
+                inner = cx.seq(ctx, binding)
             self.note_binding(var, inner)
             eff, core = self.check(inner, body, ty.result)
             if eff > ty.effect:

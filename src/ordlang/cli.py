@@ -1,6 +1,7 @@
 """Command-line driver: check, run, trace, dump-core, dump-graph.
 
-Exit codes: 0 success, 1 parse/type errors, 2 runtime violations, 64 usage.
+Exit codes: 0 success, 1 parse/type errors, unreadable files and check-time
+limits, 2 runtime violations, 64 usage.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .checker import TypeCheckError, check_program
 from .core import pretty as pretty_core
 from .interp import run, show_heap
 from .opm import get_opm, known_opms
+from .regex import StateBudgetExceeded
 from .surface import ParseError, parse
 
 USAGE_EXIT = 64
@@ -41,8 +43,8 @@ def _load_and_check(path: str, opm_name: str, as_json: bool):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(_diag(path, "io-error", 0, 0, str(exc), as_json), file=sys.stderr)
         return None
     try:
         program = parse(source, opm)
@@ -61,6 +63,9 @@ def _load_and_check(path: str, opm_name: str, as_json: bool):
             _diag(path, exc.kind, exc.span.line, exc.span.col, message, as_json),
             file=sys.stderr,
         )
+        return None
+    except (RecursionError, StateBudgetExceeded) as exc:
+        print(_diag(path, "limit-exceeded", 0, 0, str(exc), as_json), file=sys.stderr)
         return None
     return checked, opm
 

@@ -1,10 +1,13 @@
 """Bunched typing contexts and their DAG semantics.
 
 Contexts are trees over bindings with two formers: `,` (sequential, no
-exchange) and `∥` (parallel, exchange).  A context denotes a DAG over its
-ordered bindings (edges are must-use-before constraints) plus a set of
-unrestricted bindings; equivalence and the subcontext relation are defined
-on that interpretation.  Context patterns are contexts with exactly one
+exchange) and `∥` (parallel, exchange).  Contexts built here are kept up to
+the unit laws `Γ, · ≡ Γ ≡ Γ ∥ ·`: the smart constructors `seq` and `par`
+never store `·` below a former, so a tree holds only its live bindings and
+holes.  A context denotes a DAG over its ordered bindings (edges are
+must-use-before constraints) plus a set of unrestricted bindings;
+equivalence and the subcontext relation are defined on that
+interpretation.  Context patterns are contexts with exactly one
 hole; restriction and decomposition rearrange contexts up to the subcontext
 relation to isolate the bindings a subterm needs.
 """
@@ -12,7 +15,6 @@ relation to isolate the bindings a subterm needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Optional, Union
 
 from .core import CoreType, TraceType, ord_, show_type, unr
@@ -79,22 +81,22 @@ EMPTY = Empty()
 HOLE = Hole()
 
 
-def seq(*parts: Ctx) -> Ctx:
-    out: Ctx = EMPTY
-    first = True
-    for p in parts:
-        out = p if first else Seq(out, p)
-        first = False
-    return out
+def seq(left: Ctx, right: Ctx) -> Ctx:
+    """`left, right` with the unit law `Γ, · ≡ Γ ≡ ·, Γ` applied."""
+    if isinstance(left, Empty):
+        return right
+    if isinstance(right, Empty):
+        return left
+    return Seq(left, right)
 
 
-def par(*parts: Ctx) -> Ctx:
-    out: Ctx = EMPTY
-    first = True
-    for p in parts:
-        out = p if first else Par(out, p)
-        first = False
-    return out
+def par(left: Ctx, right: Ctx) -> Ctx:
+    """`left ∥ right` with the unit law `Γ ∥ · ≡ Γ ≡ · ∥ Γ` applied."""
+    if isinstance(left, Empty):
+        return right
+    if isinstance(right, Empty):
+        return left
+    return Par(left, right)
 
 
 def bindings(ctx: Ctx) -> tuple[Binding, ...]:
@@ -124,21 +126,17 @@ def fill(pattern: Ctx, ctx: Ctx) -> Ctx:
         return ctx
     if isinstance(pattern, Seq):
         if hole_count(pattern.left):
-            return Seq(fill(pattern.left, ctx), pattern.right)
-        return Seq(pattern.left, fill(pattern.right, ctx))
+            return seq(fill(pattern.left, ctx), pattern.right)
+        return seq(pattern.left, fill(pattern.right, ctx))
     if isinstance(pattern, Par):
         if hole_count(pattern.left):
-            return Par(fill(pattern.left, ctx), pattern.right)
-        return Par(pattern.left, fill(pattern.right, ctx))
+            return par(fill(pattern.left, ctx), pattern.right)
+        return par(pattern.left, fill(pattern.right, ctx))
     raise ValueError("pattern has no hole")
 
 
 def dom_vars(ctx: Ctx) -> frozenset[str]:
     return frozenset(b.name for b in bindings(ctx) if b.kind == "var")
-
-
-def dom(ctx: Ctx) -> frozenset[tuple[str, Union[str, int]]]:
-    return frozenset((b.kind, b.name) for b in bindings(ctx))
 
 
 def all_unr(ctx: Ctx) -> bool:
@@ -217,7 +215,6 @@ def graph_union(g1: GraphRep, g2: GraphRep) -> GraphRep:
     return GraphRep(g1.n + g2.n, g1.labels + g2.labels, g1.edges | shifted)
 
 
-@lru_cache(maxsize=None)
 def interpret(ctx: Ctx) -> Interp:
     if isinstance(ctx, Empty):
         return Interp(EMPTY_GRAPH, frozenset())
@@ -235,7 +232,6 @@ def interpret(ctx: Ctx) -> Interp:
     raise ValueError("cannot interpret a context pattern")
 
 
-@lru_cache(maxsize=None)
 def _label_classes(g: GraphRep) -> dict[Binding, list[int]]:
     classes: dict[Binding, list[int]] = {}
     for i, b in enumerate(g.labels):
@@ -243,30 +239,12 @@ def _label_classes(g: GraphRep) -> dict[Binding, list[int]]:
     return classes
 
 
-def _degree_sig(g: GraphRep, i: int) -> tuple[int, int]:
-    indeg = sum(1 for (a, b) in g.edges if b == i)
-    outdeg = sum(1 for (a, b) in g.edges if a == i)
-    return (indeg, outdeg)
-
-
-@lru_cache(maxsize=None)
-def _signature(g: GraphRep) -> tuple:
-    return tuple(
-        sorted((repr(g.labels[i]), _degree_sig(g, i)) for i in range(g.n))
-    )
-
-
-def _match(g1: GraphRep, g2: GraphRep, exact: bool) -> bool:
-    """Search a label-preserving bijection f with f(E1) = E2 (exact) or
-    f(E1) ⊆ E2 (spanning embedding)."""
+def spanning_embed(g1: GraphRep, g2: GraphRep) -> bool:
+    """Label-preserving bijection carrying E1 into a subset of E2."""
     if g1.n != g2.n:
         return False
     c1, c2 = _label_classes(g1), _label_classes(g2)
     if set(c1) != set(c2) or any(len(c1[k]) != len(c2[k]) for k in c1):
-        return False
-    if exact and len(g1.edges) != len(g2.edges):
-        return False
-    if exact and _signature(g1) != _signature(g2):
         return False
 
     order = sorted(range(g1.n), key=lambda i: len(c1[g1.labels[i]]))
@@ -279,11 +257,6 @@ def _match(g1: GraphRep, g2: GraphRep, exact: bool) -> bool:
                 return False
             if ((i, a) in g1.edges) and ((j, fa) not in g2.edges):
                 return False
-            if exact:
-                if ((fa, j) in g2.edges) and ((a, i) not in g1.edges):
-                    return False
-                if ((j, fa) in g2.edges) and ((i, a) not in g1.edges):
-                    return False
         return True
 
     def go(k: int) -> bool:
@@ -305,13 +278,9 @@ def _match(g1: GraphRep, g2: GraphRep, exact: bool) -> bool:
 
 
 def iso(g1: GraphRep, g2: GraphRep) -> bool:
-    """Label- and edge-set-preserving bijection exists."""
-    return _match(g1, g2, exact=True)
-
-
-def spanning_embed(g1: GraphRep, g2: GraphRep) -> bool:
-    """Label-preserving bijection carrying E1 into a subset of E2."""
-    return _match(g1, g2, exact=False)
+    """Label- and edge-set-preserving bijection exists.  Embeddings both ways
+    force |E1| = |E2|, so each of them is an isomorphism."""
+    return spanning_embed(g1, g2) and spanning_embed(g2, g1)
 
 
 def equiv(c1: Ctx, c2: Ctx) -> bool:
@@ -330,16 +299,16 @@ def subcontext(c1: Ctx, c2: Ctx) -> bool:
 # Restriction and decomposition
 
 def restrict(ctx: Ctx, names: frozenset[str]) -> Ctx:
-    """Replace variable bindings outside `names` with the empty context."""
+    """Drop the variable bindings outside `names`."""
     if isinstance(ctx, Bind):
         b = ctx.binding
         if b.kind == "var" and b.name not in names:
             return EMPTY
         return ctx
     if isinstance(ctx, Seq):
-        return Seq(restrict(ctx.left, names), restrict(ctx.right, names))
+        return seq(restrict(ctx.left, names), restrict(ctx.right, names))
     if isinstance(ctx, Par):
-        return Par(restrict(ctx.left, names), restrict(ctx.right, names))
+        return par(restrict(ctx.left, names), restrict(ctx.right, names))
     if isinstance(ctx, Empty):
         return ctx
     raise ValueError("cannot restrict a context pattern")
@@ -356,17 +325,17 @@ def pat_right(g: Ctx) -> Optional[Ctx]:
     if isinstance(g, Seq):
         if hole_count(g.right):
             d = pat_right(g.right)
-            return None if d is None else Seq(g.left, d)
+            return None if d is None else seq(g.left, d)
         if all_unr(g.right):
             d = pat_right(g.left)
-            return None if d is None else Par(d, g.right)
+            return None if d is None else par(d, g.right)
         return None
     if isinstance(g, Par):
         side, other = (g.left, g.right) if hole_count(g.left) else (g.right, g.left)
         if not all_unr(other):
             return None
         d = pat_right(side)
-        return None if d is None else Par(d, other)
+        return None if d is None else par(d, other)
     return None
 
 
@@ -377,17 +346,17 @@ def pat_left(g: Ctx) -> Optional[Ctx]:
     if isinstance(g, Seq):
         if hole_count(g.left):
             d = pat_left(g.left)
-            return None if d is None else Seq(d, g.right)
+            return None if d is None else seq(d, g.right)
         if all_unr(g.left):
             d = pat_left(g.right)
-            return None if d is None else Par(g.left, d)
+            return None if d is None else par(g.left, d)
         return None
     if isinstance(g, Par):
         side, other = (g.left, g.right) if hole_count(g.left) else (g.right, g.left)
         if not all_unr(other):
             return None
         d = pat_left(side)
-        return None if d is None else Par(d, other)
+        return None if d is None else par(d, other)
     return None
 
 
@@ -398,15 +367,15 @@ def pat_par(g: Ctx) -> Optional[Ctx]:
     if isinstance(g, Par):
         if hole_count(g.left):
             d = pat_par(g.left)
-            return None if d is None else Par(d, g.right)
+            return None if d is None else par(d, g.right)
         d = pat_par(g.right)
-        return None if d is None else Par(g.left, d)
+        return None if d is None else par(g.left, d)
     if isinstance(g, Seq):
         side, other = (g.left, g.right) if hole_count(g.left) else (g.right, g.left)
         if not all_unr(other):
             return None
         d = pat_par(side)
-        return None if d is None else Par(d, other)
+        return None if d is None else par(d, other)
     return None
 
 
@@ -417,15 +386,15 @@ def pat_closed(g: Ctx) -> Optional[tuple[Ctx, Ctx]]:
     if isinstance(g, Seq):
         if hole_count(g.left):
             r = pat_closed(g.left)
-            return None if r is None else (r[0], Seq(r[1], g.right))
+            return None if r is None else (r[0], seq(r[1], g.right))
         r = pat_closed(g.right)
-        return None if r is None else (Seq(g.left, r[0]), r[1])
+        return None if r is None else (seq(g.left, r[0]), r[1])
     if isinstance(g, Par):
         side, other = (g.left, g.right) if hole_count(g.left) else (g.right, g.left)
         if not all_unr(other):
             return None
         r = pat_closed(side)
-        return None if r is None else (Par(r[0], other), r[1])
+        return None if r is None else (par(r[0], other), r[1])
     return None
 
 
@@ -435,129 +404,72 @@ def decompose(ctx: Ctx, names: frozenset[str]) -> Optional[tuple[Ctx, Ctx]]:
 
     Fails (None) when the named bindings are inseparably interleaved with
     others.  Clauses are tried in a fixed order, so the result is
-    deterministic; unrestricted named bindings appear in both parts.
+    deterministic; unrestricted named bindings appear in both parts.  When
+    `ctx` binds none of `names`, Γ' is empty and the hole is placed parallel
+    to all of `ctx`, the placement that orders it against nothing.
     """
-    if isinstance(ctx, Empty):
-        return (HOLE, EMPTY)
+    if not (dom_vars(ctx) & names):
+        return (par(HOLE, ctx), EMPTY)
+    return _decompose(ctx, names)
+
+
+def _decompose(ctx: Ctx, names: frozenset[str]) -> Optional[tuple[Ctx, Ctx]]:
+    """`decompose` for a `ctx` that binds some of `names`."""
     if isinstance(ctx, Bind):
-        b = ctx.binding
-        if b.kind != "var" or b.name not in names:
-            return (Par(HOLE, ctx), EMPTY)
-        if b.is_ord():
+        if ctx.binding.is_ord():
             return (HOLE, ctx)
-        return (Par(HOLE, ctx), ctx)
+        return (par(HOLE, ctx), ctx)
     if isinstance(ctx, Seq):
         g1, g2 = ctx.left, ctx.right
         if not (dom_vars(g1) & names):
-            r = decompose(g2, names)
-            if r is not None:
-                return (Seq(g1, r[0]), r[1])
+            r = _decompose(g2, names)
+            return None if r is None else (seq(g1, r[0]), r[1])
         if not (dom_vars(g2) & names):
-            r = decompose(g1, names)
-            if r is not None:
-                return (Seq(r[0], g2), r[1])
-        r1, r2 = decompose(g1, names), decompose(g2, names)
+            r = _decompose(g1, names)
+            return None if r is None else (seq(r[0], g2), r[1])
+        r1, r2 = _decompose(g1, names), _decompose(g2, names)
         if r1 is not None and r2 is not None:
             gr, gl = pat_right(r1[0]), pat_left(r2[0])
             if gr is not None and gl is not None:
-                return (Seq(gr, Seq(HOLE, gl)), Seq(r1[1], r2[1]))
+                return (seq(gr, seq(HOLE, gl)), seq(r1[1], r2[1]))
         return None
     if isinstance(ctx, Par):
         g1, g2 = ctx.left, ctx.right
         if not (dom_vars(g1) & names):
-            r = decompose(g2, names)
-            if r is not None:
-                return (Par(g1, r[0]), r[1])
+            r = _decompose(g2, names)
+            return None if r is None else (par(g1, r[0]), r[1])
         if not (dom_vars(g2) & names):
-            r = decompose(g1, names)
-            if r is not None:
-                return (Par(r[0], g2), r[1])
-        r1, r2 = decompose(g1, names), decompose(g2, names)
+            r = _decompose(g1, names)
+            return None if r is None else (par(r[0], g2), r[1])
+        r1, r2 = _decompose(g1, names), _decompose(g2, names)
         if r1 is None or r2 is None:
             return None
         (p1, c1), (p2, c2) = r1, r2
         a1, a2 = pat_par(p1), pat_par(p2)
         if a1 is not None and a2 is not None:
-            return (Par(Par(a1, a2), HOLE), Par(c1, c2))
+            return (par(par(a1, a2), HOLE), par(c1, c2))
         l1, l2 = pat_left(p1), pat_left(p2)
         if l1 is not None and l2 is not None:
-            return (Seq(HOLE, Par(l1, l2)), Par(c1, c2))
+            return (seq(HOLE, par(l1, l2)), par(c1, c2))
         q1, q2 = pat_right(p1), pat_right(p2)
         if q1 is not None and q2 is not None:
-            return (Seq(Par(q1, q2), HOLE), Par(c1, c2))
+            return (seq(par(q1, q2), HOLE), par(c1, c2))
         if q1 is not None and l2 is not None:
-            return (Seq(q1, Seq(HOLE, l2)), Seq(c2, c1))
+            return (seq(q1, seq(HOLE, l2)), seq(c2, c1))
         if l1 is not None and q2 is not None:
-            return (Seq(q2, Seq(HOLE, l1)), Seq(c1, c2))
+            return (seq(q2, seq(HOLE, l1)), seq(c1, c2))
         k1, k2 = pat_closed(p1), pat_closed(p2)
         if k1 is not None and k2 is not None:
             return (
-                Seq(Par(k1[0], k2[0]), Seq(HOLE, Par(k1[1], k2[1]))),
-                Par(c1, c2),
+                seq(par(k1[0], k2[0]), seq(HOLE, par(k1[1], k2[1]))),
+                par(c1, c2),
             )
         return None
     raise ValueError("cannot decompose a context pattern")
 
 
 # ---------------------------------------------------------------------------
-# Runtime-context utilities backing the heap oracles
-
-def focus(ctx: Ctx, ident: int) -> Ctx:
-    """Erase every location binding except those for `ident`."""
-    if isinstance(ctx, Bind):
-        b = ctx.binding
-        if b.kind != "loc":
-            raise ValueError("focus applies to runtime contexts only")
-        return ctx if b.name == ident else EMPTY
-    if isinstance(ctx, Seq):
-        return Seq(focus(ctx.left, ident), focus(ctx.right, ident))
-    if isinstance(ctx, Par):
-        return Par(focus(ctx.left, ident), focus(ctx.right, ident))
-    if isinstance(ctx, Empty):
-        return ctx
-    raise ValueError("cannot focus a context pattern")
-
-
-def unique_topological_ordering(g: GraphRep) -> Optional[tuple[int, ...]]:
-    """The topological ordering when exactly one exists, else None."""
-    indeg = {i: 0 for i in range(g.n)}
-    out: dict[int, list[int]] = {i: [] for i in range(g.n)}
-    for a, b in g.edges:
-        out[a].append(b)
-        indeg[b] += 1
-    ready = [i for i in range(g.n) if indeg[i] == 0]
-    order: list[int] = []
-    while ready:
-        if len(ready) > 1:
-            return None
-        cur = ready.pop()
-        order.append(cur)
-        for nxt in out[cur]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != g.n:
-        raise ValueError("graph representation has a cycle")
-    return tuple(order)
-
-
-def usage_projection(ctx: Ctx, opm: Opm) -> Optional[Any]:
-    """Fold OPM multiplication over the bindings in the unique topological
-    order of the interpretation; None if the order is ambiguous or some
-    product is undefined."""
-    g = interpret(ctx).graph
-    order = unique_topological_ordering(g)
-    if order is None:
-        return None
-    acc = opm.unit()
-    for i in order:
-        t = g.labels[i].type
-        assert isinstance(t, TraceType)
-        acc = opm.mul(acc, t.index)
-        if acc is None:
-            return None
-    return acc
-
+# Rendering
 
 def to_dot(interp: Interp, opm: Opm, title: str = "context") -> str:
     """DOT rendering: ordered bindings as vertices, unrestricted set as a legend."""

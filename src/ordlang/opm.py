@@ -77,14 +77,12 @@ class FiniteOpm(Opm):
         unit: str,
         mul_table: dict[tuple[str, str], str],
         leq_pairs: set[tuple[str, str]],
-        aliases: Optional[dict[str, str]] = None,
     ):
         self.name = name
         self.carrier = tuple(carrier)
         self._unit = unit
         self._mul = dict(mul_table)
         self._leq = set(leq_pairs)
-        self._aliases = dict(aliases or {})
 
     def unit(self) -> str:
         return self._unit
@@ -120,7 +118,6 @@ class FiniteOpm(Opm):
 
     def parse_element(self, text: str) -> str:
         t = text.strip()
-        t = self._aliases.get(t, t)
         if t not in self.carrier:
             raise OpmError(f"not an element of the {self.name} OPM: {text!r}")
         return t

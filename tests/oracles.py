@@ -3,16 +3,21 @@
 Everything here deliberately avoids the implementation's machinery: regex
 membership is decided by structural matching (no derivatives, no automata),
 graph comparisons enumerate permutations, and context equivalence is the
-reflexive-transitive closure of the syntactic context laws.
+reflexive-transitive closure of the syntactic context laws.  The
+runtime-context utilities (`focus`, `usage_projection`) read a heap context
+one location at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Any, Optional
 
 from ordlang import context as cx
 from ordlang import regex as rx
+from ordlang.core import TraceType
+from ordlang.opm import Opm
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,88 @@ def brute_equiv(c1: cx.Ctx, c2: cx.Ctx) -> bool:
 def brute_subcontext(c1: cx.Ctx, c2: cx.Ctx) -> bool:
     i1, i2 = cx.interpret(c1), cx.interpret(c2)
     return i1.unrs >= i2.unrs and brute_spanning(i1.graph, i2.graph)
+
+
+def restrict_keeping_units(ctx: cx.Ctx, names: frozenset[str]) -> cx.Ctx:
+    """Restriction that leaves a · placeholder for every dropped variable
+    binding, so the result keeps the shape of `ctx`."""
+    if isinstance(ctx, cx.Bind):
+        b = ctx.binding
+        return cx.EMPTY if b.kind == "var" and b.name not in names else ctx
+    if isinstance(ctx, (cx.Seq, cx.Par)):
+        builder = cx.Seq if isinstance(ctx, cx.Seq) else cx.Par
+        return builder(
+            restrict_keeping_units(ctx.left, names),
+            restrict_keeping_units(ctx.right, names),
+        )
+    return ctx
+
+
+def in_unit_normal_form(ctx: cx.Ctx) -> bool:
+    """No · is stored below `,` or `∥`."""
+    if isinstance(ctx, (cx.Seq, cx.Par)):
+        return all(
+            not isinstance(side, cx.Empty) and in_unit_normal_form(side)
+            for side in (ctx.left, ctx.right)
+        )
+    return True
+
+
+def focus(ctx: cx.Ctx, ident: int) -> cx.Ctx:
+    """Erase every location binding except those for `ident`."""
+    if isinstance(ctx, cx.Bind):
+        b = ctx.binding
+        if b.kind != "loc":
+            raise ValueError("focus applies to runtime contexts only")
+        return ctx if b.name == ident else cx.EMPTY
+    if isinstance(ctx, cx.Seq):
+        return cx.seq(focus(ctx.left, ident), focus(ctx.right, ident))
+    if isinstance(ctx, cx.Par):
+        return cx.par(focus(ctx.left, ident), focus(ctx.right, ident))
+    if isinstance(ctx, cx.Empty):
+        return ctx
+    raise ValueError("cannot focus a context pattern")
+
+
+def unique_topological_ordering(g: cx.GraphRep) -> Optional[tuple[int, ...]]:
+    """The topological ordering when exactly one exists, else None."""
+    indeg = {i: 0 for i in range(g.n)}
+    out: dict[int, list[int]] = {i: [] for i in range(g.n)}
+    for a, b in g.edges:
+        out[a].append(b)
+        indeg[b] += 1
+    ready = [i for i in range(g.n) if indeg[i] == 0]
+    order: list[int] = []
+    while ready:
+        if len(ready) > 1:
+            return None
+        cur = ready.pop()
+        order.append(cur)
+        for nxt in out[cur]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    if len(order) != g.n:
+        raise ValueError("graph representation has a cycle")
+    return tuple(order)
+
+
+def usage_projection(ctx: cx.Ctx, opm: Opm) -> Optional[Any]:
+    """Fold OPM multiplication over the bindings in the unique topological
+    order of the interpretation; None if the order is ambiguous or some
+    product is undefined."""
+    g = cx.interpret(ctx).graph
+    order = unique_topological_ordering(g)
+    if order is None:
+        return None
+    acc = opm.unit()
+    for i in order:
+        t = g.labels[i].type
+        assert isinstance(t, TraceType)
+        acc = opm.mul(acc, t.index)
+        if acc is None:
+            return None
+    return acc
 
 
 def canonical_key(c: cx.Ctx):

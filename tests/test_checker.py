@@ -8,7 +8,8 @@ from ordlang.checker import Checker, TypeCheckError, check_program
 from ordlang.interp import run
 from ordlang.opm import get_opm
 
-from conftest import program_source, smoke_programs
+from conftest import PROGRAMS, program_source, smoke_programs
+from oracles import in_unit_normal_form
 
 OPM = get_opm("regex")
 SPAN = sf.Span(1, 1, 1, 1)
@@ -352,6 +353,90 @@ def test_decompose_postconditions_hold_on_every_checker_call(monkeypatch):
     for path in smoke_programs():
         check_program(sf.parse(path.read_text(), OPM), OPM)
     assert calls  # the corpus does exercise decomposition
+
+
+def test_checker_contexts_stay_in_unit_normal_form(monkeypatch):
+    # every context the checker builds holds only live bindings
+    real = cx.subcontext
+    calls = []
+
+    def checked_subcontext(c1, c2):
+        assert in_unit_normal_form(c1) and in_unit_normal_form(c2), (c1, c2)
+        calls.append(c1)
+        return real(c1, c2)
+
+    monkeypatch.setattr("ordlang.checker.cx.subcontext", checked_subcontext)
+    for path in sorted(PROGRAMS.glob("**/*.ord")):
+        try:
+            check_program(sf.parse(path.read_text(), OPM), OPM)
+        except TypeCheckError:
+            pass
+    assert calls
+
+
+def _ops_spine(n):
+    lets = "".join(f"let x{i + 1} = !{{r}} x{i} in\n" for i in range(n))
+    return f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x{n})\n"
+
+
+def _let_seq_spine(n):
+    # n items, lets and semicolons in turn, threading one resource
+    items, k = ["let x0 = new {r*c} in"], 0
+    while len(items) < n - 1:
+        if len(items) % 2:
+            items.append(f"let x{k + 1} = !{{r}} x{k} in")
+            k += 1
+        else:
+            items.append("unit;")
+    return "\n".join(items + [f"drop (!{{c}} x{k})"]) + "\n"
+
+
+def test_long_spines_check_without_recursion_error():
+    # contexts keep only live bindings, so their depth does not grow with
+    # the spine; the checker's own recursion is the remaining bound
+    checked = check_program(sf.parse(_ops_spine(200), OPM), OPM)
+    assert checked.type == co.UNIT_T
+    checked = check_program(sf.parse(_let_seq_spine(300), OPM), OPM)
+    assert checked.type == co.UNIT_T
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # `u` is dropped from f's body context; the fresh pair must not be
+        # ordered after `b` merely because `u` once followed it
+        """
+let x = new {rr} in
+let h, b = split {r} x in
+let f : Unit -[r 1]-> Unit
+    f u = drop (!{r} h); let pp, qq = split {r} (new {rr}) in
+          drop (!{r} pp); drop (!{r} qq); drop (!{r} b)
+in f unit
+""",
+        # the pair is used before `a`, which comes first in the context
+        """
+let x = new {rr} in
+let a, b = split {r} x in
+let u = new {r} in
+let z = (let pp, qq = split {r} (new {rr}) in
+         drop (!{r} pp); drop (!{r} qq); drop (!{r} a); drop (!{r} b)) in
+drop (!{r} u)
+""",
+        # the pair is used before `h`, ahead of the parallel `b`
+        """
+let x = new {rr} in
+let h, b = split {r} x in
+let pp, qq = split {r} (new {rr}) in
+drop (!{r} pp); drop (!{r} qq); drop (!{r} h); drop (!{r} b)
+""",
+    ],
+)
+def test_closed_pair_header_parallel_to_whole_context(src):
+    # a pair header with no free variables is unordered against every
+    # binding in scope, wherever that binding sits in the tree
+    checked = check_program(sf.parse(src, OPM), OPM)
+    res = run(checked.core, OPM, paranoid=True)
+    assert res.outcome == "value" and not res.config.heap and not res.violations
 
 
 def test_pair_mode_priority_over_generated_contexts():

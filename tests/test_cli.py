@@ -114,3 +114,35 @@ def test_checked_programs_never_get_stuck(capsys):
         assert invoke("check", str(path)) == 0
         assert invoke("run", str(path), "--paranoid") == 0
     capsys.readouterr()
+
+
+def _one_diagnostic(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_unreadable_file_is_io_error(capsys):
+    assert invoke("check", "/nonexistent.ord", "--json") == 1
+    obj = _one_diagnostic(capsys)
+    assert obj["kind"] == "io-error" and (obj["line"], obj["col"]) == (0, 0)
+
+
+def test_state_budget_is_limit_exceeded(tmp_path, capsys):
+    prog = tmp_path / "budget.ord"
+    prog.write_text(
+        "let x = new {(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)} in\n"
+        "drop (!{a} x)\n"
+    )
+    assert invoke("check", str(prog), "--json") == 1
+    assert _one_diagnostic(capsys)["kind"] == "limit-exceeded"
+
+
+def test_recursion_depth_is_limit_exceeded(tmp_path, capsys):
+    prog = tmp_path / "spine.ord"
+    lets = "".join(f"let x{i + 1} = !{{r}} x{i} in\n" for i in range(2000))
+    prog.write_text(f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x2000)\n")
+    assert invoke("check", str(prog), "--json") == 1
+    assert _one_diagnostic(capsys)["kind"] == "limit-exceeded"

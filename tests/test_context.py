@@ -7,7 +7,15 @@ from ordlang import core as co
 from ordlang import regex as rx
 from ordlang.opm import get_opm
 
-from oracles import brute_equiv, brute_subcontext
+from oracles import (
+    brute_equiv,
+    brute_subcontext,
+    focus,
+    in_unit_normal_form,
+    restrict_keeping_units,
+    unique_topological_ordering,
+    usage_projection,
+)
 
 OPM = get_opm("regex")
 M1 = co.TraceType(rx.sym("r"))
@@ -188,12 +196,37 @@ def test_equiv_and_subcontext_are_congruences(g, c1, c2):
 # -- restriction
 
 def test_restrict_examples():
+    # dropped bindings leave no · behind (unit laws)
     ctx = cx.Par(X, Y)
-    assert cx.restrict(ctx, frozenset({"x"})) == cx.Par(X, cx.EMPTY)
+    assert cx.restrict(ctx, frozenset({"x"})) == X
     assert cx.restrict(ctx, frozenset({"x", "y"})) == ctx
     assert cx.restrict(X, frozenset()) == cx.EMPTY
     # locations survive restriction
-    assert cx.restrict(cx.Seq(L0, X), frozenset()) == cx.Seq(L0, cx.EMPTY)
+    assert cx.restrict(cx.Seq(L0, X), frozenset()) == L0
+
+
+def test_smart_constructors_apply_unit_laws():
+    assert cx.seq(X, cx.EMPTY) == X and cx.seq(cx.EMPTY, X) == X
+    assert cx.par(X, cx.EMPTY) == X and cx.par(cx.EMPTY, X) == X
+    assert cx.seq(cx.EMPTY, cx.EMPTY) == cx.EMPTY
+    assert cx.seq(X, Y) == cx.Seq(X, Y) and cx.par(X, Y) == cx.Par(X, Y)
+    assert cx.seq(cx.HOLE, cx.EMPTY) == cx.HOLE
+
+
+names_sets = st.sets(st.sampled_from(["x", "y", "u"]), max_size=3).map(frozenset)
+
+
+@given(contexts(), names_sets, names_sets)
+@settings(max_examples=300)
+def test_restrict_fill_decompose_keep_unit_normal_form(ctx, keep, names):
+    live = cx.restrict(ctx, keep)
+    assert in_unit_normal_form(live)
+    assert cx.equiv(live, restrict_keeping_units(ctx, keep))
+    got = cx.decompose(live, names)
+    if got is not None:
+        pattern, inner = got
+        assert in_unit_normal_form(pattern) and in_unit_normal_form(inner)
+        assert in_unit_normal_form(cx.fill(pattern, inner))
 
 
 # -- decomposition
@@ -201,6 +234,13 @@ def test_restrict_examples():
 def test_decompose_single_ordered_binding():
     got = cx.decompose(X, frozenset({"x"}))
     assert got == (cx.HOLE, X)
+
+
+def test_decompose_without_names_orders_hole_against_nothing():
+    ctx = cx.Par(cx.Seq(X, Y), L0)
+    assert cx.decompose(ctx, frozenset()) == (cx.Par(cx.HOLE, ctx), cx.EMPTY)
+    assert cx.decompose(ctx, frozenset({"z"})) == (cx.Par(cx.HOLE, ctx), cx.EMPTY)
+    assert cx.decompose(cx.EMPTY, frozenset()) == (cx.HOLE, cx.EMPTY)
 
 
 def test_decompose_interleaved_pairs():
@@ -278,29 +318,30 @@ def test_pattern_extractors():
 # -- runtime-context utilities
 
 def test_focus():
-    assert cx.focus(L0, 0) == L0
-    assert cx.focus(cx.Par(L0, L1), 0) == cx.Par(L0, cx.EMPTY)
-    assert cx.focus(cx.EMPTY, 0) == cx.EMPTY
+    assert focus(L0, 0) == L0
+    assert focus(cx.Par(L0, L1), 0) == L0
+    assert focus(cx.Par(L1, cx.Seq(L0, L1)), 0) == L0
+    assert focus(cx.EMPTY, 0) == cx.EMPTY
     with pytest.raises(ValueError):
-        cx.focus(X, 0)
+        focus(X, 0)
 
 
 def test_unique_topological_ordering():
     single = cx.interpret(L0).graph
-    assert cx.unique_topological_ordering(single) == (0,)
+    assert unique_topological_ordering(single) == (0,)
     chain = cx.interpret(cx.Seq(L0, L1)).graph
-    assert cx.unique_topological_ordering(chain) == (0, 1)
+    assert unique_topological_ordering(chain) == (0, 1)
     split = cx.interpret(cx.Par(L0, L1)).graph
-    assert cx.unique_topological_ordering(split) is None
-    assert cx.unique_topological_ordering(cx.EMPTY_GRAPH) == ()
+    assert unique_topological_ordering(split) is None
+    assert unique_topological_ordering(cx.EMPTY_GRAPH) == ()
 
 
 def test_usage_projection():
     # fold over the forced order: r then c gives the word rc
-    got = cx.usage_projection(cx.Seq(L0, L0C), OPM)
+    got = usage_projection(cx.Seq(L0, L0C), OPM)
     assert got is not None and rx.equivalent(got, rx.cat(rx.sym("r"), rx.sym("c")))
-    assert OPM.eq(cx.usage_projection(cx.EMPTY, OPM), rx.EPS)
-    assert cx.usage_projection(cx.Par(L0, cx.Bind(cx.loc_bind(0, rx.sym("w")))), OPM) is None
+    assert OPM.eq(usage_projection(cx.EMPTY, OPM), rx.EPS)
+    assert usage_projection(cx.Par(L0, cx.Bind(cx.loc_bind(0, rx.sym("w")))), OPM) is None
 
 
 def test_usage_projection_undefined_product():
@@ -308,8 +349,8 @@ def test_usage_projection_undefined_product():
     a = cx.Bind(cx.loc_bind(0, "*"))
     b = cx.Bind(cx.loc_bind(0, "b"))
     # * ⊙ b is undefined in the ownership algebra
-    assert cx.usage_projection(cx.Seq(a, b), own) is None
-    assert cx.usage_projection(cx.Seq(b, a), own) == "*"
+    assert usage_projection(cx.Seq(a, b), own) is None
+    assert usage_projection(cx.Seq(b, a), own) == "*"
 
 
 def test_well_formedness():
