@@ -1,7 +1,7 @@
 """Command-line driver: check, run, trace, dump-core, dump-graph.
 
 Exit codes: 0 success, 1 parse/type errors, unreadable files and check-time
-limits, 2 runtime violations, 64 usage.
+limits, 2 runtime violations and run-time limits, 64 usage.
 """
 
 from __future__ import annotations
@@ -131,9 +131,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     # run / trace
-    paranoid = getattr(args, "paranoid", False) or args.command == "trace"
-    result = run(checked.core, opm, fuel=args.fuel, paranoid=paranoid)
-    if args.command == "trace":
+    tracing = args.command == "trace"
+    paranoid = getattr(args, "paranoid", False) or tracing
+    try:
+        result = run(checked.core, opm, fuel=args.fuel, paranoid=paranoid, trace=tracing)
+    except (RecursionError, StateBudgetExceeded) as exc:
+        print(_diag(args.file, "limit-exceeded", 0, 0, str(exc), args.json), file=sys.stderr)
+        return 2
+    if tracing:
         for s in result.steps:
             print(f"[{s.index}] {s.rule} {s.redex} | {s.heap_delta}")
     if result.outcome == "fuel-exhausted":

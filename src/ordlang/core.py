@@ -128,7 +128,9 @@ def show_type(t: CoreType, opm: Opm, prec: int = 0) -> str:
 
 @dataclass(frozen=True)
 class CoreTerm:
-    pass
+    # Free variables, stored by `fv` on first use; not a dataclass field, so
+    # equality, hashing and repr ignore it.
+    _fv = None
 
 
 @dataclass(frozen=True)
@@ -218,17 +220,23 @@ def is_value(m: CoreTerm) -> bool:
 
 
 def fv(m: CoreTerm) -> frozenset[str]:
+    """Free variables, computed once per node and stored on it."""
+    if m._fv is not None:
+        return m._fv
     if isinstance(m, Var):
-        return frozenset({m.name})
-    if isinstance(m, Lam):
-        return fv(m.body) - {m.var}
-    if isinstance(m, App):
-        return fv(m.fn) | fv(m.arg)
-    if isinstance(m, Pair):
-        return fv(m.left) | fv(m.right)
-    if isinstance(m, LetPair):
-        return fv(m.header) | (fv(m.body) - {m.x, m.y})
-    return frozenset()
+        out = frozenset({m.name})
+    elif isinstance(m, Lam):
+        out = fv(m.body) - {m.var}
+    elif isinstance(m, App):
+        out = fv(m.fn) | fv(m.arg)
+    elif isinstance(m, Pair):
+        out = fv(m.left) | fv(m.right)
+    elif isinstance(m, LetPair):
+        out = fv(m.header) | (fv(m.body) - {m.x, m.y})
+    else:
+        out = frozenset()
+    object.__setattr__(m, "_fv", out)
+    return out
 
 
 def locations(m: CoreTerm) -> tuple[int, ...]:

@@ -206,8 +206,8 @@ def runtime_oracle(cfg: Config) -> list[str]:
 class TraceStep:
     index: int
     rule: str
-    redex: str
-    heap_delta: str
+    redex: Optional[str] = None  # rendered only by run(..., trace=True)
+    heap_delta: Optional[str] = None
 
 
 @dataclass
@@ -235,20 +235,23 @@ def show_heap(heap: Heap, opm: Opm) -> str:
 
 
 def _heap_delta(before: Heap, after: Heap, opm: Opm) -> str:
+    def show(cell: HeapCell) -> str:
+        return f"({cell[0]}, {opm.show_element(cell[1])}, {opm.show_element(cell[2])})"
+
     out = []
     for ident in sorted(set(before) | set(after)):
         b, a = before.get(ident), after.get(ident)
-        if b == a:
+        # A step copies the heap and replaces only the cell it rewrites, so
+        # unchanged cells are the same object. The rewritten cell is compared
+        # as rendered: `==` would recurse through a deep trace.
+        if b is a:
             continue
         if b is None:
-            out.append(f"alloc l{ident} -> ({a[0]}, {opm.show_element(a[1])}, {opm.show_element(a[2])})")
+            out.append(f"alloc l{ident} -> {show(a)}")
         elif a is None:
             out.append(f"free l{ident}")
-        else:
-            out.append(
-                f"l{ident}: ({b[0]}, {opm.show_element(b[1])}, {opm.show_element(b[2])})"
-                f" -> ({a[0]}, {opm.show_element(a[1])}, {opm.show_element(a[2])})"
-            )
+        elif (was := show(b)) != (now := show(a)):
+            out.append(f"l{ident}: {was} -> {now}")
     return "; ".join(out) if out else "-"
 
 
@@ -257,8 +260,12 @@ def run(
     opm: Opm,
     fuel: int = 100_000,
     paranoid: bool = False,
+    trace: bool = False,
 ) -> RunResult:
-    """Iterate step from the empty heap, recording rule names and heap deltas."""
+    """Iterate step from the empty heap, recording rule names.
+
+    With `trace`, each step also records its redex and heap delta as text.
+    """
     cfg = Config(term, {}, 0)
     steps: list[TraceStep] = []
     violations: list[tuple[int, str]] = []
@@ -279,13 +286,10 @@ def run(
                 violations=violations,
             )
         assert out.rule is not None
-        steps.append(
-            TraceStep(
-                len(steps),
-                out.rule,
-                pretty(out.redex, opm).replace("\n", " "),
-                _heap_delta(cfg.heap, out.config.heap, opm),
-            )
-        )
+        record = TraceStep(len(steps), out.rule)
+        if trace:
+            record.redex = pretty(out.redex, opm).replace("\n", " ")
+            record.heap_delta = _heap_delta(cfg.heap, out.config.heap, opm)
+        steps.append(record)
         cfg = out.config
     return RunResult("fuel-exhausted", cfg, steps, violations=violations)

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from ordlang import cli
 from ordlang.cli import main
+from ordlang.regex import StateBudgetExceeded
 
 from conftest import PROGRAMS, smoke_programs
 
@@ -146,3 +150,18 @@ def test_recursion_depth_is_limit_exceeded(tmp_path, capsys):
     prog.write_text(f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x2000)\n")
     assert invoke("check", str(prog), "--json") == 1
     assert _one_diagnostic(capsys)["kind"] == "limit-exceeded"
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("limit", [RecursionError, StateBudgetExceeded])
+def test_run_time_limit_is_limit_exceeded(command, limit, monkeypatch, capsys):
+    def hit_limit(*args, **kwargs):
+        raise limit("limit hit while running")
+
+    monkeypatch.setattr(cli, "run", hit_limit)
+    assert invoke(command, str(PROGRAMS / "copy.ord"), "--json") == 2
+    obj = _one_diagnostic(capsys)
+    assert obj["kind"] == "limit-exceeded" and (obj["line"], obj["col"]) == (0, 0)
+    assert invoke(command, str(PROGRAMS / "copy.ord")) == 2
+    err = capsys.readouterr().err
+    assert "limit-exceeded" in err and "Traceback" not in err

@@ -120,6 +120,32 @@ def test_subst_avoids_capture():
     assert co.fv(out) == {"y"}
 
 
+def _fv_from_scratch(m):
+    if isinstance(m, co.Var):
+        return {m.name}
+    if isinstance(m, co.Lam):
+        return _fv_from_scratch(m.body) - {m.var}
+    if isinstance(m, co.LetPair):
+        return _fv_from_scratch(m.header) | (_fv_from_scratch(m.body) - {m.x, m.y})
+    subterms = [getattr(m, f) for f in ("fn", "arg", "left", "right") if hasattr(m, f)]
+    return set().union(*map(_fv_from_scratch, subterms))
+
+
+def test_stored_fv_leaves_equality_hash_and_repr_alone():
+    m = co.App(co.PLAIN, co.Var("x"), co.Lam(co.UNORD, "y", co.Var("y")))
+    fresh = co.App(co.PLAIN, co.Var("x"), co.Lam(co.UNORD, "y", co.Var("y")))
+    assert co.fv(m) is co.fv(m) == {"x"}
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+
+@given(terms(), values(), st.sampled_from("xyz"))
+@settings(max_examples=200)
+def test_stored_fv_matches_recomputation_after_subst(m, v, x):
+    co.fv(m)  # store fv on the input's nodes before substitution reuses them
+    out = co.subst(m, v, x)
+    assert co.fv(out) == _fv_from_scratch(out)
+
+
 @given(terms(), values(), st.sampled_from("xyz"))
 @settings(max_examples=200)
 def test_subst_void(m, v, x):

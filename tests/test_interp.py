@@ -1,11 +1,15 @@
+import sys
+
+import pytest
+
 from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
-from ordlang.checker import check_program
-from ordlang.interp import Config, run, runtime_oracle, step
+from ordlang.checker import TypeCheckError, check_program
+from ordlang.interp import Config, _heap_delta, run, runtime_oracle, step
 from ordlang.opm import get_opm
 
-from conftest import smoke_programs
+from conftest import PROGRAMS, smoke_programs
 
 OPM = get_opm("regex")
 R = rx.sym("r")
@@ -143,7 +147,7 @@ def test_run_locations_never_reused():
         drop(new(rx.EPS)),
         mode=co.UNORD,
     )
-    result = run(term, OPM)
+    result = run(term, OPM, trace=True)
     assert result.outcome == "value"
     allocs = [s for s in result.steps if s.rule == "RC-Ne"]
     assert len(allocs) == 2
@@ -188,7 +192,93 @@ def test_smoke_corpus_runs_clean():
 
 def test_trace_records_heap_deltas():
     checked = check_program(sf.parse("drop (!{r} (new {r*}))", OPM), OPM)
-    result = run(checked.core, OPM)
+    result = run(checked.core, OPM, trace=True)
     deltas = [s.heap_delta for s in result.steps if s.rule.startswith("RC-")]
     assert any("alloc l0" in d for d in deltas)
     assert any("free l0" in d for d in deltas)
+
+
+def _r_chain(length):
+    trace = R
+    for _ in range(length - 1):
+        trace = rx.Cat(R, trace)  # built directly; `cat` would recurse
+    return trace
+
+
+def test_heap_delta_skips_unchanged_cell_with_deep_trace():
+    before = {0: (0, R, _r_chain(sys.getrecursionlimit() + 100)), 1: (0, R, rx.EPS)}
+    assert _heap_delta(before, dict(before), OPM) == "-"
+    after = dict(before)
+    after[1] = (0, R, R)
+    assert _heap_delta(before, after, OPM) == "l1: (0, r, eps) -> (0, r, r)"
+
+
+def test_heap_delta_of_op_on_long_trace():
+    # `==` on the two traces would recurse about twice per symbol, rendering once
+    n = sys.getrecursionlimit() // 2
+    before = {0: (0, R, _r_chain(n))}
+    delta = _heap_delta(before, {0: (0, R, _r_chain(n + 1))}, OPM)
+    assert delta == f"l0: (0, r, {'r' * n}) -> (0, r, {'r' * (n + 1)})"
+
+
+def _checked_programs():
+    for path in sorted(PROGRAMS.glob("**/*.ord")):
+        for name in ("regex", "ownership"):
+            opm = get_opm(name)
+            try:
+                checked = check_program(sf.parse(path.read_text(), opm), opm)
+            except (sf.ParseError, TypeCheckError):
+                continue
+            yield path, opm, checked
+
+
+def test_trace_flag_changes_only_the_rendered_strings():
+    seen = 0
+    for path, opm, checked in _checked_programs():
+        plain = run(checked.core, opm)
+        traced = run(checked.core, opm, trace=True)
+        label = f"{path.name} ({opm.name})"
+        assert plain.outcome == traced.outcome, label
+        assert [s.rule for s in plain.steps] == [s.rule for s in traced.steps], label
+        assert plain.gamma_rules == traced.gamma_rules, label
+        assert plain.config.term == traced.config.term, label
+        assert plain.config.heap == traced.config.heap, label
+        assert plain.violations == traced.violations, label
+        assert all(s.redex is None and s.heap_delta is None for s in plain.steps), label
+        assert all(s.redex and s.heap_delta for s in traced.steps), label
+        seen += 1
+    assert seen >= 20
+
+
+# -- cost gate: free-variable computations per step must not grow with n
+
+def _ops(n):
+    lets = "".join(f"let x{i + 1} = !{{r}} x{i} in\n" for i in range(n))
+    return f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x{n})"
+
+
+def _splits(n):
+    rounds = "".join(
+        f"let b{i}, x{i + 1} = split {{r*}} x{i} in drop (!{{r}} b{i});\n" for i in range(n)
+    )
+    return f"let x0 = new {{r*c}} in\n{rounds}drop (!{{c}} x{n})"
+
+
+@pytest.mark.parametrize("family", [_ops, _splits])
+def test_fv_calls_per_step_do_not_grow_with_n(family, monkeypatch):
+    calls = [0]
+    uncounted = co.fv
+
+    def counted(m):
+        calls[0] += 1
+        return uncounted(m)
+
+    monkeypatch.setattr(co, "fv", counted)
+    per_step = {}
+    for n in (16, 32, 64):
+        checked = check_program(sf.parse(family(n), OPM), OPM)
+        calls[0] = 0
+        result = run(checked.core, OPM)
+        assert result.outcome == "value"
+        per_step[n] = calls[0] / len(result.steps)
+    assert per_step[64] <= 1.2 * per_step[16], per_step
