@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .opm import Opm, OpmError, register_opm
 
@@ -22,40 +22,63 @@ class StateBudgetExceeded(Exception):
 # ---------------------------------------------------------------------------
 # Syntax and smart constructors
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Regex:
+    # Hash (a generated dataclass hash: that of the field tuple) and prec-0
+    # `show` string, stored on first use; not fields, so repr ignores them.
+    _hash = None
+    _shown = None
+
+    def _key(self) -> tuple:  # the field values, in field order
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return hash(self) == hash(other) and self._key() == other._key()
+
+    def __reduce__(self) -> tuple:  # rebuild from the fields: a str hash is per process
+        return (self.__class__, self._key())
+
     def __str__(self) -> str:
         return show(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Empty(Regex):
     """The empty language."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eps(Regex):
     """The language of the empty word."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sym(Regex):
     ch: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alt(Regex):
     # Canonically sorted, deduplicated, flattened; never empty or singleton.
     items: tuple[Regex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(Regex):
     inner: Regex
 
@@ -80,10 +103,6 @@ def cat(a: Regex, b: Regex) -> Regex:
     return Cat(a, b)
 
 
-def _sort_key(r: Regex) -> str:
-    return show(r)
-
-
 def alt(*parts: Regex) -> Regex:
     items: list[Regex] = []
     for p in parts:
@@ -91,7 +110,7 @@ def alt(*parts: Regex) -> Regex:
             items.extend(p.items)
         elif not isinstance(p, Empty):
             items.append(p)
-    uniq = sorted(set(items), key=_sort_key)
+    uniq = sorted(set(items), key=show)
     if not uniq:
         return EMPTY
     if len(uniq) == 1:
@@ -131,21 +150,26 @@ def symbols(r: Regex) -> frozenset[str]:
 
 def show(r: Regex, prec: int = 0) -> str:
     # precedence: alternation 0 < concatenation 1 < star 2
-    if isinstance(r, Empty):
-        return "∅"
-    if isinstance(r, Eps):
-        return "eps"
-    if isinstance(r, Sym):
-        return r.ch
-    if isinstance(r, Star):
-        return show(r.inner, 2) + "*"
-    if isinstance(r, Cat):
-        s = show(r.left, 1) + show(r.right, 1)
-        return f"({s})" if prec > 1 else s
-    if isinstance(r, Alt):
-        s = "|".join(show(p, 1) for p in r.items)
-        return f"({s})" if prec > 0 else s
-    raise AssertionError(r)
+    s = r._shown
+    if s is None:
+        if isinstance(r, Empty):
+            s = "∅"
+        elif isinstance(r, Eps):
+            s = "eps"
+        elif isinstance(r, Sym):
+            s = r.ch
+        elif isinstance(r, Star):
+            s = show(r.inner, 2) + "*"
+        elif isinstance(r, Cat):
+            s = show(r.left, 1) + show(r.right, 1)
+        elif isinstance(r, Alt):
+            s = "|".join(show(p, 1) for p in r.items)
+        else:
+            raise AssertionError(r)
+        object.__setattr__(r, "_shown", s)
+    if (prec > 1 and isinstance(r, Cat)) or (prec > 0 and isinstance(r, Alt)):
+        return f"({s})"
+    return s
 
 
 def is_empty_language(r: Regex) -> bool:
@@ -192,17 +216,6 @@ class Dfa:
     accepting: frozenset[int]
     # trans[state][symbol index] -> state; total over the alphabet
     trans: tuple[tuple[int, ...], ...]
-
-    def step(self, state: int, ch: str) -> int:
-        return self.trans[state][self.alphabet.index(ch)]
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        s = self.start
-        for ch in word:
-            if ch not in self.alphabet:
-                return False
-            s = self.step(s, ch)
-        return s in self.accepting
 
 
 DEFAULT_STATE_BUDGET = 512
@@ -297,12 +310,17 @@ def regex_from_dfa(dfa: Dfa) -> Regex:
 
 
 def product_derivative(num: Regex, den: Regex) -> Regex:
-    """The largest z with L(den)·z ⊆ L(num).
+    """The largest z with L(den)·z ⊆ L(num); the empty language if none."""
+    dfa = _continuation_dfa(num, den)
+    return EMPTY if dfa is None else regex_from_dfa(dfa)
+
+
+def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:
+    """A DFA for `product_derivative(num, den)`, every state reachable.
 
     Construction: collect the set S of num-automaton states reachable from
     its start by some word of den, then accept exactly the words that reach
-    acceptance from every state in S.  Returns the empty-language regex when
-    no continuation exists.
+    acceptance from every state in S.  None when S is empty.
     """
     if is_empty_language(den):
         raise ValueError("product derivative by the empty language")
@@ -323,7 +341,7 @@ def product_derivative(num: Regex, den: Regex) -> Regex:
                 seen.add(nxt)
                 work.append(nxt)
     if not s_set:  # unreachable given a nonempty den
-        return EMPTY
+        return None
 
     # Determinized universal acceptance from S.
     start = tuple(sorted(s_set))
@@ -347,8 +365,7 @@ def product_derivative(num: Regex, den: Regex) -> Regex:
     accepting = frozenset(
         ix for st, ix in states.items() if all(q in dn.accepting for q in st)
     )
-    out = Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
-    return regex_from_dfa(out)
+    return Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +474,9 @@ class RegexOpm(Opm):
         return equivalent(x, y)
 
     def residual_exists(self, x: Regex, y: Regex) -> bool:
-        return not is_empty_language(product_derivative(y, x))
+        # Every state of the DFA is reachable: nonempty iff some state accepts.
+        dfa = _continuation_dfa(y, x)
+        return dfa is not None and bool(dfa.accepting)
 
     def best_continuation(self, x: Regex, y: Regex) -> Optional[Regex]:
         pd = product_derivative(y, x)

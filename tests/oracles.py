@@ -109,6 +109,48 @@ def random_regex(rng, alphabet: str, depth: int) -> rx.Regex:
     return random_regex(rng, alphabet, depth - 1)
 
 
+def dfa_accepts(dfa: rx.Dfa, word) -> bool:
+    """Run a total DFA on `word`; a symbol outside its alphabet rejects."""
+    s = dfa.start
+    for ch in word:
+        if ch not in dfa.alphabet:
+            return False
+        s = dfa.trans[s][dfa.alphabet.index(ch)]
+    return s in dfa.accepting
+
+
+def naive_show(r: rx.Regex, prec: int = 0) -> str:
+    """`rx.show` rendered from scratch, reading no stored attribute."""
+    if isinstance(r, rx.Empty):
+        return "∅"
+    if isinstance(r, rx.Eps):
+        return "eps"
+    if isinstance(r, rx.Sym):
+        return r.ch
+    if isinstance(r, rx.Star):
+        return naive_show(r.inner, 2) + "*"
+    if isinstance(r, rx.Cat):
+        s = naive_show(r.left, 1) + naive_show(r.right, 1)
+        return f"({s})" if prec > 1 else s
+    if isinstance(r, rx.Alt):
+        s = "|".join(naive_show(p, 1) for p in r.items)
+        return f"({s})" if prec > 0 else s
+    raise AssertionError(r)
+
+
+def rebuild_regex(r: rx.Regex) -> rx.Regex:
+    """A fresh copy of `r`, built node by node with the raw constructors."""
+    if isinstance(r, rx.Sym):
+        return rx.Sym(r.ch)
+    if isinstance(r, rx.Cat):
+        return rx.Cat(rebuild_regex(r.left), rebuild_regex(r.right))
+    if isinstance(r, rx.Alt):
+        return rx.Alt(tuple(rebuild_regex(p) for p in r.items))
+    if isinstance(r, rx.Star):
+        return rx.Star(rebuild_regex(r.inner))
+    return type(r)()
+
+
 # ---------------------------------------------------------------------------
 # Graph and context side
 

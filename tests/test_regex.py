@@ -1,13 +1,31 @@
+import dataclasses
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlang import regex as rx
+from ordlang import surface as sf
+from ordlang.checker import check_program
+from ordlang.interp import run
 from ordlang.opm import OpmError
 
-from oracles import language_sample, naive_match, random_regex, words_upto
+from oracles import (
+    dfa_accepts,
+    language_sample,
+    naive_match,
+    naive_show,
+    random_regex,
+    rebuild_regex,
+    words_upto,
+)
+from test_interp import _ops
 
 R, W, C = rx.sym("r"), rx.sym("w"), rx.sym("c")
 RW_STAR = rx.star(rx.alt(R, W))
@@ -57,7 +75,7 @@ def test_to_dfa_single_symbol():
     dfa = rx.to_dfa(C, ("c", "r", "w"))
     assert dfa.n_states == 3  # start, accept, sink
     for word in words_upto("rwc", 4):
-        assert dfa.accepts(word) == naive_match(C, word)
+        assert dfa_accepts(dfa, word) == naive_match(C, word)
 
 
 def test_to_dfa_empty_language():
@@ -71,7 +89,7 @@ def test_to_dfa_rw_star():
     assert dfa.n_states == 2  # accepting loop plus sink for c
     assert len(dfa.accepting) == 1
     for word in words_upto("rwc", 4):
-        assert dfa.accepts(word) == naive_match(RW_STAR, word)
+        assert dfa_accepts(dfa, word) == naive_match(RW_STAR, word)
 
 
 def test_to_dfa_state_budget():
@@ -213,3 +231,105 @@ def test_normalization():
 def test_is_empty_language_on_normalized_forms():
     assert rx.is_empty_language(rx.cat(R, rx.EMPTY))
     assert not rx.is_empty_language(rx.star(rx.EMPTY))
+
+
+# ---------------------------------------------------------------------------
+# Stored hash and rendering
+
+FIELDS = {
+    rx.Empty: [], rx.Eps: [], rx.Sym: ["ch"], rx.Cat: ["left", "right"],
+    rx.Alt: ["items"], rx.Star: ["inner"],
+}
+
+
+def test_repr_and_fields_ignore_stored_attributes():
+    r = rx.cat(R, rx.star(rx.alt(W, C)))
+    hash(r), rx.show(r)
+    assert repr(r) == (
+        "Cat(left=Sym(ch='r'), right=Star(inner=Alt(items=(Sym(ch='c'), Sym(ch='w')))))"
+    )
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+@given(regexes(), regexes(), st.sampled_from(["none", "hash", "show"]), st.booleans())
+@settings(max_examples=150)
+def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
+    before = repr(r)
+    copy = rebuild_regex(r)
+    warmed = r if warm_original else copy
+    if warm == "hash":
+        hash(warmed)
+    elif warm == "show":
+        rx.show(warmed, 2)
+    assert copy is not r
+    assert copy == r and r == copy and not copy != r
+    assert hash(copy) == hash(r)
+    # the hash the generated dataclass hash gives: that of the field tuple
+    assert hash(r) == hash(tuple(getattr(r, f.name) for f in dataclasses.fields(r)))
+    assert (r == other) == (repr(r) == repr(other)) == (copy == other)
+    for p in (0, 1, 2):
+        assert rx.show(r, p) == naive_show(r, p) == rx.show(copy, p)
+    assert repr(r) == repr(copy) == before
+
+
+def test_pickled_regex_rehashes_in_a_process_with_another_hash_seed():
+    r = rx.parse_regex("(w|rw|wr)*c(ab|ba)*d")
+    code = (
+        "import pickle, sys; from ordlang import regex as rx; "
+        "r = rx.parse_regex('(w|rw|wr)*c(ab|ba)*d'); hash(r); rx.show(r); "
+        "sys.stdout.buffer.write(pickle.dumps(r))"
+    )
+    src = pathlib.Path(rx.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    loaded = pickle.loads(out.stdout)
+    assert loaded == r and hash(loaded) == hash(r) and loaded in {r}
+    assert repr(loaded) == repr(r) and rx.show(loaded) == rx.show(r)
+
+
+# ---------------------------------------------------------------------------
+# Cost gates on deterministic counters
+
+def _borrow(k):
+    """A (W1)*c(W2)*d walk with k ops per phase, the first a split borrow."""
+    steps = [*("w", "rw", "wr")[:k], "c", *("ab", "ba", "ab")[:k], "d"]
+    lets = "".join(f"let x{i + 1} = !{{{w}}} x{i} in\n" for i, w in enumerate(steps) if i)
+    return (
+        "let x0 = new {(w|rw|wr)*c(ab|ba)*d} in\n"
+        f"let b, x1 = split {{{steps[0]}}} x0 in drop (!{{{steps[0]}}} b);\n"
+        f"{lets}drop x{len(steps)}"
+    )
+
+
+def _counting(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        uncounted = getattr(rx, name)
+
+        def counted(*args, _name=name, _uncounted=uncounted):
+            calls[_name] += 1
+            return _uncounted(*args)
+
+        monkeypatch.setattr(rx, name, counted)
+    return calls
+
+
+def test_show_calls_per_alt_do_not_grow_with_ops(regex_opm, monkeypatch):
+    calls = _counting(monkeypatch, "show", "alt")
+    per_alt = {}
+    for k in (1, 2, 3):
+        rx.to_dfa.cache_clear()
+        calls.update(show=0, alt=0)
+        check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
+        per_alt[k] = calls["show"] / calls["alt"]
+    assert per_alt[3] <= 2 * per_alt[1], per_alt
+
+
+@pytest.mark.parametrize("family, n", [(_borrow, 1), (_borrow, 2), (_borrow, 3), (_ops, 32)])
+def test_run_reads_no_regex_back(family, n, regex_opm, monkeypatch):
+    checked = check_program(sf.parse(family(n), regex_opm), regex_opm)
+    calls = _counting(monkeypatch, "regex_from_dfa")
+    result = run(checked.core, regex_opm)
+    assert result.outcome == "value"
+    assert calls["regex_from_dfa"] == 0
