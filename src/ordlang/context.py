@@ -116,10 +116,6 @@ def hole_count(ctx: Ctx) -> int:
     return 0
 
 
-def is_pattern(ctx: Ctx) -> bool:
-    return hole_count(ctx) == 1
-
-
 def fill(pattern: Ctx, ctx: Ctx) -> Ctx:
     """Plug `ctx` into the unique hole of `pattern`."""
     if isinstance(pattern, Hole):
@@ -148,22 +144,6 @@ def lookup_var(ctx: Ctx, name: str) -> Optional[Binding]:
         if b.kind == "var" and b.name == name:
             return b
     return None
-
-
-def well_formed(ctx: Ctx) -> bool:
-    """Each variable has one type; ordered variable bindings occur at most once."""
-    seen: dict[str, CoreType] = {}
-    counts: dict[Binding, int] = {}
-    for b in bindings(ctx):
-        if b.kind != "var":
-            continue
-        if b.name in seen and seen[b.name] != b.type:
-            return False
-        seen[b.name] = b.type
-        counts[b] = counts.get(b, 0) + 1
-        if b.is_ord() and counts[b] > 1:
-            return False
-    return True
 
 
 def show_ctx(ctx: Ctx, opm: Opm, prec: int = 0) -> str:

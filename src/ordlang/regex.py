@@ -24,10 +24,12 @@ class StateBudgetExceeded(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Regex:
-    # Hash (a generated dataclass hash: that of the field tuple) and prec-0
-    # `show` string, stored on first use; not fields, so repr ignores them.
+    # Hash (a generated dataclass hash: that of the field tuple), prec-0
+    # `show` string and alphabet, stored on first use; not fields, so repr
+    # ignores them.
     _hash = None
     _shown = None
+    _symbols = None
 
     def _key(self) -> tuple:  # the field values, in field order
         return tuple([getattr(self, f) for f in self.__match_args__])
@@ -134,18 +136,21 @@ def seq(*parts: Regex) -> Regex:
 
 
 def symbols(r: Regex) -> frozenset[str]:
-    if isinstance(r, Sym):
-        return frozenset({r.ch})
-    if isinstance(r, Cat):
-        return symbols(r.left) | symbols(r.right)
-    if isinstance(r, Alt):
-        out: frozenset[str] = frozenset()
-        for p in r.items:
-            out |= symbols(p)
-        return out
-    if isinstance(r, Star):
-        return symbols(r.inner)
-    return frozenset()
+    """The symbols occurring in `r`, computed once per node and stored on it."""
+    out = r._symbols
+    if out is None:
+        if isinstance(r, Sym):
+            out = frozenset({r.ch})
+        elif isinstance(r, Cat):
+            out = symbols(r.left) | symbols(r.right)
+        elif isinstance(r, Alt):
+            out = frozenset().union(*[symbols(p) for p in r.items])
+        elif isinstance(r, Star):
+            out = symbols(r.inner)
+        else:
+            out = frozenset()
+        object.__setattr__(r, "_symbols", out)
+    return out
 
 
 def show(r: Regex, prec: int = 0) -> str:

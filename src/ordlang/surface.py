@@ -28,11 +28,6 @@ class Span:
         b = max((self.end_line, self.end_col), (other.end_line, other.end_col))
         return Span(a[0], a[1], b[0], b[1])
 
-    def contains(self, other: "Span") -> bool:
-        return (self.line, self.col) <= (other.line, other.col) and (
-            (other.end_line, other.end_col) <= (self.end_line, self.end_col)
-        )
-
 
 class ParseError(Exception):
     def __init__(self, message: str, span: Span, expected: tuple[str, ...] = ()):
@@ -48,6 +43,9 @@ class ParseError(Exception):
 @dataclass(frozen=True)
 class SurfaceExpr:
     span: Span
+    # Free variables, stored by `surface_fv` on first use; not a dataclass
+    # field, so equality, hashing and repr ignore it.
+    _fv = None
 
 
 @dataclass(frozen=True)
@@ -130,37 +128,45 @@ class SLam(SurfaceExpr):
 
 
 def surface_fv(e: SurfaceExpr) -> frozenset[str]:
+    """Free variables, computed once per node and stored on it."""
+    if e._fv is not None:
+        return e._fv
     if isinstance(e, SVar):
-        return frozenset({e.name})
-    if isinstance(e, (SUnit, SNew)):
-        return frozenset()
-    if isinstance(e, (SOp, SSplit)):
-        return surface_fv(e.arg)
-    if isinstance(e, SDrop):
-        return surface_fv(e.arg)
-    if isinstance(e, SApp):
-        return surface_fv(e.fn) | surface_fv(e.arg)
-    if isinstance(e, SPair):
-        return surface_fv(e.left) | surface_fv(e.right)
-    if isinstance(e, SLetPair):
-        return surface_fv(e.header) | (surface_fv(e.body) - {e.x, e.y})
-    if isinstance(e, SLet):
-        return surface_fv(e.header) | (surface_fv(e.body) - {e.x})
-    if isinstance(e, SSeq):
-        return surface_fv(e.first) | surface_fv(e.rest)
-    if isinstance(e, SAnn):
-        return surface_fv(e.expr)
-    if isinstance(e, SLam):
-        return surface_fv(e.body) - {e.var}
-    raise AssertionError(e)
+        out = frozenset({e.name})
+    elif isinstance(e, (SUnit, SNew)):
+        out = frozenset()
+    elif isinstance(e, (SOp, SSplit, SDrop)):
+        out = surface_fv(e.arg)
+    elif isinstance(e, SApp):
+        out = surface_fv(e.fn) | surface_fv(e.arg)
+    elif isinstance(e, SPair):
+        out = surface_fv(e.left) | surface_fv(e.right)
+    elif isinstance(e, SLetPair):
+        out = surface_fv(e.header) | (surface_fv(e.body) - {e.x, e.y})
+    elif isinstance(e, SLet):
+        out = surface_fv(e.header) | (surface_fv(e.body) - {e.x})
+    elif isinstance(e, SSeq):
+        out = surface_fv(e.first) | surface_fv(e.rest)
+    elif isinstance(e, SAnn):
+        out = surface_fv(e.expr)
+    elif isinstance(e, SLam):
+        out = surface_fv(e.body) - {e.var}
+    else:
+        raise AssertionError(e)
+    object.__setattr__(e, "_fv", out)
+    return out
 
 
 def rename_var(e: SurfaceExpr, old: str, new: str) -> SurfaceExpr:
-    """Rename free occurrences of `old` to `new` (stops at shadowing binders)."""
-    if isinstance(e, SVar):
-        return SVar(e.span, new) if e.name == old else e
-    if isinstance(e, (SUnit, SNew)):
+    """Rename free occurrences of `old` to `new` (stops at shadowing binders).
+
+    A subtree in which `old` is not free is returned as it is, so only the
+    paths down to the free occurrences are rebuilt.
+    """
+    if old not in surface_fv(e):
         return e
+    if isinstance(e, SVar):
+        return SVar(e.span, new)
     if isinstance(e, SOp):
         return SOp(e.span, e.index, rename_var(e.arg, old, new))
     if isinstance(e, SSplit):
@@ -183,9 +189,7 @@ def rename_var(e: SurfaceExpr, old: str, new: str) -> SurfaceExpr:
         return SSeq(e.span, rename_var(e.first, old, new), rename_var(e.rest, old, new))
     if isinstance(e, SAnn):
         return SAnn(e.span, rename_var(e.expr, old, new), e.type)
-    if isinstance(e, SLam):
-        if e.var == old:
-            return e
+    if isinstance(e, SLam):  # `old` is free, so it is not the parameter
         return SLam(e.span, e.var, rename_var(e.body, old, new))
     raise AssertionError(e)
 

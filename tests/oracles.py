@@ -10,13 +10,15 @@ one location at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from functools import lru_cache
 from typing import Any, Optional
 
 from ordlang import context as cx
 from ordlang import regex as rx
-from ordlang.core import TraceType
+from ordlang import surface as sf
+from ordlang.core import CoreType, TraceType
 from ordlang.opm import Opm
 
 
@@ -138,6 +140,19 @@ def naive_show(r: rx.Regex, prec: int = 0) -> str:
     raise AssertionError(r)
 
 
+def naive_symbols(r: rx.Regex) -> frozenset[str]:
+    """`rx.symbols` from scratch, reading no stored attribute."""
+    if isinstance(r, rx.Sym):
+        return frozenset(r.ch)
+    if isinstance(r, rx.Cat):
+        return naive_symbols(r.left) | naive_symbols(r.right)
+    if isinstance(r, rx.Alt):
+        return frozenset().union(*map(naive_symbols, r.items))
+    if isinstance(r, rx.Star):
+        return naive_symbols(r.inner)
+    return frozenset()
+
+
 def rebuild_regex(r: rx.Regex) -> rx.Regex:
     """A fresh copy of `r`, built node by node with the raw constructors."""
     if isinstance(r, rx.Sym):
@@ -212,6 +227,26 @@ def in_unit_normal_form(ctx: cx.Ctx) -> bool:
             not isinstance(side, cx.Empty) and in_unit_normal_form(side)
             for side in (ctx.left, ctx.right)
         )
+    return True
+
+
+def is_pattern(ctx: cx.Ctx) -> bool:
+    return cx.hole_count(ctx) == 1
+
+
+def well_formed(ctx: cx.Ctx) -> bool:
+    """Each variable has one type; ordered variable bindings occur at most once."""
+    seen: dict[str, CoreType] = {}
+    counts: dict[cx.Binding, int] = {}
+    for b in cx.bindings(ctx):
+        if b.kind != "var":
+            continue
+        if b.name in seen and seen[b.name] != b.type:
+            return False
+        seen[b.name] = b.type
+        counts[b] = counts.get(b, 0) + 1
+        if b.is_ord() and counts[b] > 1:
+            return False
     return True
 
 
@@ -411,3 +446,47 @@ def closure_equiv(c1: cx.Ctx, c2: cx.Ctx) -> bool:
     if c2 in cl1:
         return True
     return bool(cl1 & closure(c2))
+
+
+# ---------------------------------------------------------------------------
+# Surface side
+
+def span_contains(outer: sf.Span, inner: sf.Span) -> bool:
+    return (outer.line, outer.col) <= (inner.line, inner.col) and (
+        (inner.end_line, inner.end_col) <= (outer.end_line, outer.end_col)
+    )
+
+
+def naive_surface_fv(e: sf.SurfaceExpr) -> frozenset[str]:
+    """Free variables by a fresh walk that never reads a stored set."""
+    if isinstance(e, sf.SVar):
+        return frozenset({e.name})
+    if isinstance(e, sf.SLam):
+        return naive_surface_fv(e.body) - {e.var}
+    if isinstance(e, sf.SLet):
+        return naive_surface_fv(e.header) | (naive_surface_fv(e.body) - {e.x})
+    if isinstance(e, sf.SLetPair):
+        return naive_surface_fv(e.header) | (naive_surface_fv(e.body) - {e.x, e.y})
+    out: frozenset[str] = frozenset()
+    for f in dataclasses.fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, sf.SurfaceExpr):
+            out |= naive_surface_fv(child)
+    return out
+
+
+def naive_rename_var(e: sf.SurfaceExpr, old: str, new: str) -> sf.SurfaceExpr:
+    """Renaming of free occurrences that rebuilds every node, so the result
+    shares no node with `e` and stores no free-variable set."""
+    if isinstance(e, sf.SVar):
+        return sf.SVar(e.span, new if e.name == old else e.name)
+    bound = {sf.SLam: ("var",), sf.SLet: ("x",), sf.SLetPair: ("x", "y")}
+    shadowed = any(getattr(e, b) == old for b in bound.get(type(e), ()))
+    fields = {}
+    for f in dataclasses.fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, sf.SurfaceExpr):
+            scoped_old = "" if shadowed and f.name == "body" else old
+            child = naive_rename_var(child, scoped_old, new)
+        fields[f.name] = child
+    return type(e)(**fields)

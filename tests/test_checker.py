@@ -400,6 +400,50 @@ def test_long_spines_check_without_recursion_error():
     assert checked.type == co.UNIT_T
 
 
+def test_deepest_checked_ops_spine_stays_checked():
+    # the deepest `ops` spine known to check; the parser's and the checker's
+    # recursion down the spine set this bound, so it must not shrink
+    checked = check_program(sf.parse(_ops_spine(450), OPM), OPM)
+    assert checked.type == co.UNIT_T
+
+
+def _shadowing_spine(n):
+    # n items: value lets, semicolons and shadowing lets in turn; every
+    # shadowing let makes the checker rename the rest of the spine
+    items, k = ["let v0 = unit in"], 0
+    while len(items) < n:
+        kind = len(items) % 3
+        if kind == 0:
+            items.append(f"let v{k + 1} = v{k} in")
+            k += 1
+        elif kind == 1:
+            items.append(f"v{k};")
+        else:
+            items.append(f"let v{k} = v{k} in")
+    return "\n".join(items + [f"v{k}"])
+
+
+def test_surface_calls_per_spine_item_do_not_grow(monkeypatch):
+    calls = {"surface_fv": 0, "rename_var": 0}
+    for name in calls:
+        uncounted = getattr(sf, name)
+
+        def counted(*args, _name=name, _uncounted=uncounted):
+            calls[_name] += 1
+            return _uncounted(*args)
+
+        monkeypatch.setattr(sf, name, counted)
+    monkeypatch.setattr("ordlang.checker.surface_fv", sf.surface_fv)  # imported by name
+    per_item = {}
+    for n in (50, 200):
+        program = sf.parse(_shadowing_spine(n), OPM)
+        calls.update(surface_fv=0, rename_var=0)
+        assert check_program(program, OPM).type == co.UNIT_T
+        assert calls["rename_var"] > 0
+        per_item[n] = (calls["surface_fv"] + calls["rename_var"]) / n
+    assert per_item[200] <= 1.2 * per_item[50], per_item
+
+
 @pytest.mark.parametrize(
     "src",
     [

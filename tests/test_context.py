@@ -12,9 +12,11 @@ from oracles import (
     brute_subcontext,
     focus,
     in_unit_normal_form,
+    is_pattern,
     restrict_keeping_units,
     unique_topological_ordering,
     usage_projection,
+    well_formed,
 )
 
 OPM = get_opm("regex")
@@ -42,7 +44,7 @@ def contexts(max_leaves=4):
             st.tuples(inner, inner).map(lambda t: cx.Par(*t)),
         ),
         max_leaves=max_leaves,
-    ).filter(cx.well_formed)
+    ).filter(well_formed)
 
 
 # -- interpretation
@@ -185,7 +187,7 @@ def patterns():
 @settings(max_examples=150)
 def test_equiv_and_subcontext_are_congruences(g, c1, c2):
     f1, f2 = cx.fill(g, c1), cx.fill(g, c2)
-    if not (cx.well_formed(f1) and cx.well_formed(f2)):
+    if not (well_formed(f1) and well_formed(f2)):
         return
     if cx.equiv(c1, c2):
         assert cx.equiv(f1, f2)
@@ -276,7 +278,7 @@ def _check_postconditions(ctx, names):
     if got is None:
         return
     pattern, inner = got
-    assert cx.is_pattern(pattern)
+    assert is_pattern(pattern)
     # (a) the context weakens to the filled pattern
     assert cx.subcontext(ctx, cx.fill(pattern, inner))
     # (b) the result binds only requested names
@@ -354,12 +356,12 @@ def test_usage_projection_undefined_product():
 
 
 def test_well_formedness():
-    assert cx.well_formed(cx.Seq(X, Y))
-    assert cx.well_formed(cx.Par(U, U))  # unrestricted may repeat
-    assert not cx.well_formed(cx.Seq(X, X))  # ordered binding repeated
+    assert well_formed(cx.Seq(X, Y))
+    assert well_formed(cx.Par(U, U))  # unrestricted may repeat
+    assert not well_formed(cx.Seq(X, X))  # ordered binding repeated
     other_type = cx.Bind(cx.var_bind("x", M2))
-    assert not cx.well_formed(cx.Seq(X, other_type))  # two types for x
-    assert cx.well_formed(cx.Seq(L0, L0))  # locations may repeat
+    assert not well_formed(cx.Seq(X, other_type))  # two types for x
+    assert well_formed(cx.Seq(L0, L0))  # locations may repeat
 
 
 def test_to_dot_mentions_labels():

@@ -21,6 +21,7 @@ from oracles import (
     language_sample,
     naive_match,
     naive_show,
+    naive_symbols,
     random_regex,
     rebuild_regex,
     words_upto,
@@ -244,7 +245,7 @@ FIELDS = {
 
 def test_repr_and_fields_ignore_stored_attributes():
     r = rx.cat(R, rx.star(rx.alt(W, C)))
-    hash(r), rx.show(r)
+    hash(r), rx.show(r), rx.symbols(r)
     assert repr(r) == (
         "Cat(left=Sym(ch='r'), right=Star(inner=Alt(items=(Sym(ch='c'), Sym(ch='w')))))"
     )
@@ -252,7 +253,7 @@ def test_repr_and_fields_ignore_stored_attributes():
         assert [f.name for f in dataclasses.fields(cls)] == names
 
 
-@given(regexes(), regexes(), st.sampled_from(["none", "hash", "show"]), st.booleans())
+@given(regexes(), regexes(), st.sampled_from(["none", "hash", "show", "symbols"]), st.booleans())
 @settings(max_examples=150)
 def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
     before = repr(r)
@@ -262,6 +263,8 @@ def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
         hash(warmed)
     elif warm == "show":
         rx.show(warmed, 2)
+    elif warm == "symbols":
+        rx.symbols(warmed)
     assert copy is not r
     assert copy == r and r == copy and not copy != r
     assert hash(copy) == hash(r)
@@ -270,6 +273,7 @@ def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
     assert (r == other) == (repr(r) == repr(other)) == (copy == other)
     for p in (0, 1, 2):
         assert rx.show(r, p) == naive_show(r, p) == rx.show(copy, p)
+    assert rx.symbols(r) == naive_symbols(r) == rx.symbols(copy)
     assert repr(r) == repr(copy) == before
 
 
@@ -324,6 +328,28 @@ def test_show_calls_per_alt_do_not_grow_with_ops(regex_opm, monkeypatch):
         check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
         per_alt[k] = calls["show"] / calls["alt"]
     assert per_alt[3] <= 2 * per_alt[1], per_alt
+
+
+def test_symbols_computes_each_node_once(regex_opm, monkeypatch):
+    # the continuations read back grow with the ops per phase, so the new
+    # nodes per top-level call grow too; what must not happen is a second
+    # computation of one node's alphabet (the parent walked every regex in
+    # full on every call)
+    uncounted = rx.symbols
+    computed = []  # the nodes themselves, so that no id is reused
+
+    def counted(r):
+        if getattr(r, "_symbols", None) is None:
+            computed.append(r)
+        return uncounted(r)
+
+    monkeypatch.setattr(rx, "symbols", counted)
+    for k in (1, 3):
+        rx.to_dfa.cache_clear()
+        computed.clear()
+        check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
+        distinct = len({id(r) for r in computed})
+        assert computed and len(computed) == distinct, (k, len(computed), distinct)
 
 
 @pytest.mark.parametrize("family, n", [(_borrow, 1), (_borrow, 2), (_borrow, 3), (_ops, 32)])

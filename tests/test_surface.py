@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordlang import core as co
 from ordlang import regex as rx
@@ -6,6 +8,7 @@ from ordlang import surface as sf
 from ordlang.opm import get_opm
 
 from conftest import PROGRAMS, program_source
+from oracles import naive_rename_var, naive_surface_fv, span_contains
 
 OPM = get_opm("regex")
 
@@ -160,11 +163,14 @@ def test_lexer_tokens():
     assert kinds == ["let", "IDENT", "-[", "IDENT", "NUM", "]->", ".o", "ELEM", "!", ";", "EOF"]
 
 
+CHILD_FIELDS = ("arg", "fn", "left", "right", "header", "body", "first", "rest", "expr")
+
+
 def _spans_nested(e: sf.SurfaceExpr):
-    for name in ("arg", "fn", "left", "right", "header", "body", "first", "rest", "expr"):
+    for name in CHILD_FIELDS:
         child = getattr(e, name, None)
         if isinstance(child, sf.SurfaceExpr):
-            assert e.span.contains(child.span), (e, child)
+            assert span_contains(e.span, child.span), (e, child)
             _spans_nested(child)
 
 
@@ -179,3 +185,94 @@ def test_roundtrip_over_corpus():
         first = parse(path.read_text())
         again = parse(sf.pretty(first, OPM))
         assert alpha_eq(first, again), path.name
+
+
+# ---------------------------------------------------------------------------
+# Stored free variables and renaming
+
+SPAN = sf.Span(1, 1, 1, 1)
+NAMES = "xyz"
+
+
+def surface_terms():
+    names = st.sampled_from(NAMES)
+    leaves = st.one_of(
+        names.map(lambda n: sf.SVar(SPAN, n)),
+        st.builds(sf.SUnit, st.just(SPAN)),
+        st.builds(sf.SNew, st.just(SPAN), st.just(rx.sym("r"))),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            inner.map(lambda a: sf.SOp(SPAN, rx.sym("r"), a)),
+            inner.map(lambda a: sf.SSplit(SPAN, rx.sym("r"), a)),
+            inner.map(lambda a: sf.SDrop(SPAN, a)),
+            inner.map(lambda a: sf.SAnn(SPAN, a, co.UNIT_T)),
+            st.builds(lambda a, b: sf.SApp(SPAN, a, b), inner, inner),
+            st.builds(lambda a, b: sf.SPair(SPAN, a, b), inner, inner),
+            st.builds(lambda a, b: sf.SSeq(SPAN, a, b), inner, inner),
+            st.builds(lambda x, a: sf.SLam(SPAN, x, a), names, inner),
+            st.builds(lambda x, a, b: sf.SLet(SPAN, x, a, b), names, inner, inner),
+            st.builds(
+                lambda x, y, a, b: sf.SLetPair(SPAN, x, y, a, b), names, names, inner, inner
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _subterms(e):
+    yield e
+    for name in CHILD_FIELDS:
+        child = getattr(e, name, None)
+        if isinstance(child, sf.SurfaceExpr):
+            yield from _subterms(child)
+
+
+def _assert_stored_fv_is_exact(e):
+    for sub in _subterms(e):
+        assert sf.surface_fv(sub) == naive_surface_fv(sub), sub
+
+
+def test_stored_fv_over_corpus():
+    for path in sorted(PROGRAMS.glob("**/*.ord")):
+        _assert_stored_fv_is_exact(parse(path.read_text()))
+
+
+@given(surface_terms(), st.booleans())
+@settings(max_examples=200)
+def test_stored_fv_leaves_equality_hash_and_repr_alone(e, warm_original):
+    fresh = naive_rename_var(e, "", "")  # renames nothing: an equal, unshared tree
+    assert fresh._fv is None and e._fv is None
+    before = (repr(e), hash(e))
+    sf.surface_fv(e if warm_original else fresh)
+    assert e == fresh and fresh == e
+    assert (repr(e), hash(e)) == (repr(fresh), hash(fresh)) == before
+    _assert_stored_fv_is_exact(e)
+    _assert_stored_fv_is_exact(fresh)
+
+
+@given(surface_terms(), st.sampled_from(NAMES), st.sampled_from("xyw"), st.booleans())
+@settings(max_examples=300)
+def test_rename_matches_a_full_rebuild(e, old, new, ask_input_first):
+    # the input's sets are filled either before the rename or only by it,
+    # and the result's are asked for before or after the input's
+    if ask_input_first:
+        _assert_stored_fv_is_exact(e)
+    out = sf.rename_var(e, old, new)
+    _assert_stored_fv_is_exact(out)
+    if not ask_input_first:
+        _assert_stored_fv_is_exact(e)
+    assert out == naive_rename_var(e, old, new)
+    if old not in naive_surface_fv(e):
+        assert out is e
+
+
+def test_rename_rebuilds_only_the_path_to_free_occurrences():
+    prog = parse("let a = unit in let b = x in (a, b); x")
+    out = sf.rename_var(prog, "x", "y")
+    assert out == parse("let a = unit in let b = y in (a, b); y")
+    assert out.header is prog.header  # `let a = unit`: no x below
+    assert out.body.body.first is prog.body.body.first  # `(a, b)`
+    assert sf.rename_var(prog, "a", "q") is prog  # bound, not free
+    assert sf.rename_var(prog.body, "a", "q") is not prog.body  # free there
