@@ -3,16 +3,19 @@
 Inference covers every elimination and resource form; only lambdas are
 checked, against the arrow annotation on their let binding.  Context
 splitting is computed (restriction to free variables, decomposition for
-pair eliminations) and validated with the subcontext relation, never
-guessed.  Value lets and semicolons have no dedicated typing rule: they
-elaborate to an application of an abstraction whose mode is found by
-trying unrestricted, unordered-linear, then left-ordered, committing to
-the first mode whose context side conditions hold.
+pair eliminations), never guessed.  Each split `Γ ≲ former(Γ|A, Γ|B)` is
+decided on the context tree by `context.split_violation`, whose witness
+names the binding or the ordering edge a rejection breaks.  Value lets
+and semicolons have no dedicated typing rule: they elaborate to an
+application of an abstraction whose mode is found by trying unrestricted,
+unordered-linear, then left-ordered, committing to the first mode whose
+context side conditions hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import context as cx
@@ -94,8 +97,8 @@ class Checker:
     def __init__(self, opm: Opm):
         self.opm = opm
         self._fresh = 0
-        # Context snapshot at each binding's body, for dump-graph.
-        self.binding_contexts: dict[str, cx.Interp] = {}
+        # Context tree at each binding's body, for dump-graph.
+        self.binding_trees: dict[str, cx.Ctx] = {}
 
     # -- helpers
 
@@ -107,38 +110,44 @@ class Checker:
                 return name
 
     def note_binding(self, name: str, ctx: cx.Ctx) -> None:
-        self.binding_contexts.setdefault(name, cx.interpret(ctx))
+        self.binding_trees.setdefault(name, ctx)
 
-    def _show(self, ctx: cx.Ctx) -> str:
-        return cx.show_ctx(ctx, self.opm)
-
-    def _misuse(self, span: Span, msg: str, have: cx.Ctx, want: cx.Ctx) -> TypeCheckError:
-        return TypeCheckError(
-            "context-misuse",
-            span,
-            f"{msg}: context {self._show(have)} does not weaken to {self._show(want)}",
-        )
+    def _split(
+        self, span: Span, what: str, ctx: cx.Ctx, first: cx.Ctx, second: cx.Ctx, former
+    ) -> None:
+        """Raise context-misuse unless ctx ≲ former(first, second), naming the
+        binding or the ordering edge that the split would break."""
+        bad = cx.split_violation(ctx, first, second, former)
+        if bad is None:
+            return
+        kind, x, y = bad
+        if kind == "ordered":
+            why = f"`{cx.label(y)}` must be used after `{cx.label(x)}`"
+        elif kind == "shared":
+            why = f"`{cx.label(x)}` is used by both sides"
+        else:
+            why = f"`{cx.label(x)}` would be discarded"
+        raise TypeCheckError("context-misuse", span, f"{what}: {why}")
 
     def _freshen_binder(
-        self, name: str, body: SurfaceExpr, ctx: cx.Ctx
+        self, name: str, body: SurfaceExpr, ctx: cx.Ctx, sibling: str = ""
     ) -> tuple[str, SurfaceExpr]:
-        """Binders must be distinct from the ambient domain; rename on clash."""
-        if cx.lookup_var(ctx, name) is None:
+        """Binders must be distinct from the ambient domain; rename on clash,
+        also avoiding the name of a sibling binder of the same pattern."""
+        if name not in cx.dom_vars(ctx):
             return name, body
-        new = self.fresh(name, cx.dom_vars(ctx) | surface_fv(body))
+        new = self.fresh(name, cx.dom_vars(ctx) | surface_fv(body) | {sibling})
         return new, sf.rename_var(body, name, new)
 
     # -- inference
 
     def infer(self, ctx: cx.Ctx, e: SurfaceExpr) -> InferResult:
         if isinstance(e, sf.SUnit):
-            if not cx.subcontext(ctx, cx.EMPTY):
-                raise self._misuse(e.span, "unit consumes no resources", ctx, cx.EMPTY)
+            self._split(e.span, "unit consumes no resources", ctx, cx.EMPTY, cx.EMPTY, cx.seq)
             return InferResult(UNIT_T, 0, UNIT)
 
         if isinstance(e, sf.SNew):
-            if not cx.subcontext(ctx, cx.EMPTY):
-                raise self._misuse(e.span, "new consumes no resources", ctx, cx.EMPTY)
+            self._split(e.span, "new consumes no resources", ctx, cx.EMPTY, cx.EMPTY, cx.seq)
             return InferResult(
                 TraceType(e.index), 0, App(PLAIN, NewConst(e.index), UNIT)
             )
@@ -191,11 +200,8 @@ class Checker:
                 raise TypeCheckError(
                     "unbound-variable", e.span, f"unbound variable {e.name!r}"
                 )
-            want = cx.Bind(binding)
-            if not cx.subcontext(ctx, want):
-                raise self._misuse(
-                    e.span, f"variable {e.name!r} would discard resources", ctx, want
-                )
+            what = f"variable {e.name!r} would discard resources"
+            self._split(e.span, what, ctx, cx.Bind(binding), cx.EMPTY, cx.seq)
             return InferResult(binding.type, 0, Var(e.name))
 
         if isinstance(e, sf.SApp):
@@ -251,16 +257,10 @@ class Checker:
                 actual=show_type(rf.type, self.opm),
             )
         arrow = rf.type
-        recomb = {
-            PLAIN: cx.seq(ctx_f, ctx_a),
-            UNORD: cx.par(ctx_f, ctx_a),
-            RIGHT: cx.seq(ctx_f, ctx_a),
-            LEFT: cx.seq(ctx_a, ctx_f),
-        }[arrow.mode]
-        if not cx.subcontext(ctx, recomb):
-            raise self._misuse(
-                e.span, "application splits the context badly", ctx, recomb
-            )
+        first, second = (ctx_a, ctx_f) if arrow.mode == LEFT else (ctx_f, ctx_a)
+        former = cx.par if arrow.mode == UNORD else cx.seq
+        what = "application splits the context badly"
+        self._split(e.span, what, ctx, first, second, former)
         ra = self.infer(ctx_a, e.arg)
         if not types_equal(ra.type, arrow.param, self.opm):
             raise TypeCheckError(
@@ -295,22 +295,20 @@ class Checker:
         ctx_r = cx.restrict(ctx, surface_fv(e.right))
         rl = self.infer(ctx_l, e.left)
         rr = self.infer(ctx_r, e.right)
-        if cx.subcontext(ctx, cx.par(ctx_l, ctx_r)):
+        if cx.split_violation(ctx, ctx_l, ctx_r, cx.par) is None:
             ty = ProdType(False, rl.type, rr.type)
             return InferResult(ty, max(rl.effect, rr.effect), Pair(False, rl.core, rr.core))
-        if cx.subcontext(ctx, cx.seq(ctx_l, ctx_r)):
-            if ord_(rl.type) and rr.effect != 0:
-                raise TypeCheckError(
-                    "effect-violation",
-                    e.right.span,
-                    "second component of an ordered pair must be effect-free "
-                    "when the first carries resources",
-                )
-            ty = ProdType(True, rl.type, rr.type)
-            return InferResult(ty, max(rl.effect, rr.effect), Pair(True, rl.core, rr.core))
-        raise self._misuse(
-            e.span, "pair components interleave resources", ctx, cx.seq(ctx_l, ctx_r)
-        )
+        what = "pair components interleave resources"
+        self._split(e.span, what, ctx, ctx_l, ctx_r, cx.seq)
+        if ord_(rl.type) and rr.effect != 0:
+            raise TypeCheckError(
+                "effect-violation",
+                e.right.span,
+                "second component of an ordered pair must be effect-free "
+                "when the first carries resources",
+            )
+        ty = ProdType(True, rl.type, rr.type)
+        return InferResult(ty, max(rl.effect, rr.effect), Pair(True, rl.core, rr.core))
 
     def _infer_letpair(self, ctx: cx.Ctx, e: sf.SLetPair) -> InferResult:
         if e.x == e.y:
@@ -323,7 +321,7 @@ class Checker:
                 "decomposition-failure",
                 e.header.span,
                 f"cannot isolate {sorted(surface_fv(e.header))} in context "
-                f"{self._show(ctx)}",
+                f"{cx.show_ctx(ctx, self.opm)}",
             )
         pattern, ctx_h = split
         rh = self.infer(ctx_h, e.header)
@@ -341,8 +339,8 @@ class Checker:
                 e.header.span,
                 "let-pair header must be effect-free; bind it first",
             )
-        x, body = self._freshen_binder(e.x, e.body, cx.fill(pattern, ctx_h))
-        y, body = self._freshen_binder(e.y, body, cx.fill(pattern, ctx_h))
+        x, body = self._freshen_binder(e.x, e.body, cx.fill(pattern, ctx_h), e.y)
+        y, body = self._freshen_binder(e.y, body, cx.fill(pattern, ctx_h), x)
         bx = cx.var_bind(x, rh.type.left)
         by = cx.var_bind(y, rh.type.right)
         if rh.type.ordered:
@@ -375,23 +373,17 @@ class Checker:
         if (
             unr(rh.type)
             and cx.all_unr(ctx_b)
-            and cx.subcontext(ctx, cx.seq(ctx_b, ctx_h))
+            and cx.split_violation(ctx, ctx_b, ctx_h, cx.seq) is None
         ):
             mode = PLAIN
             body_ctx: cx.Ctx = cx.seq(ctx_b, binding)
-        elif cx.subcontext(ctx, cx.par(ctx_b, ctx_h)):
+        elif cx.split_violation(ctx, ctx_b, ctx_h, cx.par) is None:
             mode = UNORD
             body_ctx = cx.par(ctx_b, binding)
-        elif cx.subcontext(ctx, cx.seq(ctx_h, ctx_b)):
+        else:
+            self._split(span, "no binding mode fits", ctx, ctx_h, ctx_b, cx.seq)
             mode = LEFT
             body_ctx = cx.seq(binding, ctx_b)
-        else:
-            raise TypeCheckError(
-                "context-misuse",
-                span,
-                f"no binding mode fits: header uses {self._show(ctx_h)}, "
-                f"body uses {self._show(ctx_b)}, context is {self._show(ctx)}",
-            )
         self.note_binding(name, body_ctx)
         rb = self.infer(body_ctx, body)
         core = App(mode, Lam(mode, name, rb.core), rh.core)
@@ -416,7 +408,7 @@ class Checker:
                     "mode-mismatch",
                     e.span,
                     f"a non-capturing function cannot close over resources in "
-                    f"{self._show(ctx)}",
+                    f"{cx.show_ctx(ctx, self.opm)}",
                 )
             var, body = self._freshen_binder(e.var, e.body, ctx)
             binding = cx.Bind(cx.var_bind(var, ty.param))
@@ -454,7 +446,12 @@ class CheckedProgram:
     type: CoreType
     effect: Effect
     core: CoreTerm
-    binding_contexts: dict[str, cx.Interp] = field(default_factory=dict)
+    binding_trees: dict[str, cx.Ctx] = field(default_factory=dict)
+
+    @cached_property
+    def binding_contexts(self) -> dict[str, cx.Interp]:
+        """The context DAG at each binding's body, interpreted on first use."""
+        return {name: cx.interpret(ctx) for name, ctx in self.binding_trees.items()}
 
 
 def check_program(program: SurfaceExpr, opm: Opm) -> CheckedProgram:
@@ -470,5 +467,5 @@ def check_program(program: SurfaceExpr, opm: Opm) -> CheckedProgram:
             actual=show_type(result.type, opm),
         )
     return CheckedProgram(
-        result.type, result.effect, result.core, checker.binding_contexts
+        result.type, result.effect, result.core, checker.binding_trees
     )

@@ -5,11 +5,14 @@ exchange) and `∥` (parallel, exchange).  Contexts built here are kept up to
 the unit laws `Γ, · ≡ Γ ≡ Γ ∥ ·`: the smart constructors `seq` and `par`
 never store `·` below a former, so a tree holds only its live bindings and
 holes.  A context denotes a DAG over its ordered bindings (edges are
-must-use-before constraints) plus a set of unrestricted bindings;
-equivalence and the subcontext relation are defined on that
-interpretation.  Context patterns are contexts with exactly one
-hole; restriction and decomposition rearrange contexts up to the subcontext
-relation to isolate the bindings a subterm needs.
+must-use-before constraints) plus a set of unrestricted bindings.  That
+interpretation defines equivalence and the subcontext relation; `equiv` and
+`subcontext` decide them on it for any context, duplicate labels included.
+The checker's contexts have unique ordered labels (binders are freshened),
+so `split_violation` decides the splits it needs on the tree instead.
+Context patterns are contexts with exactly one hole; restriction and
+decomposition rearrange contexts up to the subcontext relation to isolate
+the bindings a subterm needs.
 """
 
 from __future__ import annotations
@@ -47,7 +50,10 @@ def loc_bind(ident: int, index: Any) -> Binding:
 
 @dataclass(frozen=True)
 class Ctx:
-    pass
+    # Ordered bindings, variable names and tidiness, stored by `_facts` on
+    # first use; not a dataclass field, so equality, hashing and repr ignore
+    # it.
+    _facts = None
 
 
 @dataclass(frozen=True)
@@ -131,19 +137,48 @@ def fill(pattern: Ctx, ctx: Ctx) -> Ctx:
     raise ValueError("pattern has no hole")
 
 
+def _facts(ctx: Ctx) -> tuple[frozenset[Binding], frozenset[str], bool]:
+    """(ordered bindings, variable names, tidy), computed once per node and
+    stored on it.  A tidy context binds only variables, has no hole and is
+    in unit normal form."""
+    if ctx._facts is not None:
+        return ctx._facts
+    if isinstance(ctx, Bind):
+        b = ctx.binding
+        names = frozenset({b.name}) if b.kind == "var" else frozenset()
+        out = (frozenset({b}) if b.is_ord() else frozenset(), names, bool(names))
+    elif isinstance(ctx, (Seq, Par)):
+        (o1, v1, t1), (o2, v2, t2) = _facts(ctx.left), _facts(ctx.right)
+        units = isinstance(ctx.left, Empty) or isinstance(ctx.right, Empty)
+        # share a side's set when the other side adds nothing
+        out = (o1 | o2 if o1 and o2 else o1 or o2, v1 | v2 if v1 and v2 else v1 or v2,
+               t1 and t2 and not units)
+    else:
+        out = (frozenset(), frozenset(), isinstance(ctx, Empty))
+    object.__setattr__(ctx, "_facts", out)
+    return out
+
+
 def dom_vars(ctx: Ctx) -> frozenset[str]:
-    return frozenset(b.name for b in bindings(ctx) if b.kind == "var")
+    return _facts(ctx)[1]
 
 
 def all_unr(ctx: Ctx) -> bool:
-    return all(b.is_unr() for b in bindings(ctx))
+    return not _facts(ctx)[0]  # a type is unrestricted iff it is not ordered
 
 
 def lookup_var(ctx: Ctx, name: str) -> Optional[Binding]:
-    for b in bindings(ctx):
-        if b.kind == "var" and b.name == name:
-            return b
-    return None
+    """The leftmost binding of `name`, found by descending through the
+    subtrees that bind it."""
+    if name not in dom_vars(ctx):
+        return None
+    while not isinstance(ctx, Bind):
+        ctx = ctx.left if name in dom_vars(ctx.left) else ctx.right
+    return ctx.binding
+
+
+def label(b: Binding) -> str:
+    return b.name if b.kind == "var" else f"l{b.name}"
 
 
 def show_ctx(ctx: Ctx, opm: Opm, prec: int = 0) -> str:
@@ -152,9 +187,7 @@ def show_ctx(ctx: Ctx, opm: Opm, prec: int = 0) -> str:
     if isinstance(ctx, Hole):
         return "[]"
     if isinstance(ctx, Bind):
-        b = ctx.binding
-        name = b.name if b.kind == "var" else f"l{b.name}"
-        return f"{name}:{show_type(b.type, opm, 3)}"
+        return f"{label(ctx.binding)}:{show_type(ctx.binding.type, opm, 3)}"
     if isinstance(ctx, Seq):
         s = f"{show_ctx(ctx.left, opm, 1)}, {show_ctx(ctx.right, opm, 1)}"
         return f"({s})" if prec > 0 else s
@@ -276,21 +309,77 @@ def subcontext(c1: Ctx, c2: Ctx) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Deciding the checker's splits on the tree
+
+Violation = tuple[str, Binding, Optional[Binding]]
+
+
+def split_violation(ctx: Ctx, first: Ctx, second: Ctx, former) -> Optional[Violation]:
+    """Decide `ctx ≲ former(first, second)` for `former` in {seq, par}.
+
+    `ctx`'s ordered bindings must be unique and include those of `first` and
+    `second` (restrictions of `ctx`, or `·`).  None when the relation holds;
+    else ("shared", x, None) for an ordered binding x of both sides,
+    ("discarded", x, None) for one of neither, or ("ordered", x, y) for a
+    `,` of `ctx` that puts x before y where the split reverses that order
+    or, under `∥`, drops it.  The pass skips every subtree whose ordered
+    bindings all lie on one side.
+    """
+    ords, a, b = _facts(ctx)[0], _facts(first)[0], _facts(second)[0]
+    if not a.isdisjoint(b):
+        return ("shared", _leftmost(ctx, a & b), None)
+    if len(a) + len(b) != len(ords):
+        return ("discarded", _leftmost(ctx, ords - a - b), None)
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if not small:
+        return None
+    # (before, after) sides that no `,` of ctx may order that way
+    bad = [(b, a)] if former is seq else [(a, b), (b, a)]
+
+    def has(o: frozenset[Binding], side: frozenset[Binding]) -> bool:
+        # every binding is on exactly one side, so test against the smaller
+        return not o.isdisjoint(small) if side is small else not o <= small
+
+    def go(node: Ctx) -> Optional[Violation]:
+        o = _facts(node)[0]
+        if not has(o, small) or not has(o, large):
+            return None
+        if isinstance(node, Seq):
+            left, right = _facts(node.left)[0], _facts(node.right)[0]
+            for before, after in bad:
+                if has(left, before) and has(right, after):
+                    x, y = _leftmost(node.left, before), _leftmost(node.right, after)
+                    return ("ordered", x, y)
+        return go(node.left) or go(node.right)
+
+    return go(ctx)
+
+
+def _leftmost(ctx: Ctx, among: frozenset[Binding]) -> Binding:
+    """The leftmost ordered binding of `ctx` in `among`."""
+    while not isinstance(ctx, Bind):
+        ctx = ctx.right if _facts(ctx.left)[0].isdisjoint(among) else ctx.left
+    return ctx.binding
+
+
+# ---------------------------------------------------------------------------
 # Restriction and decomposition
 
 def restrict(ctx: Ctx, names: frozenset[str]) -> Ctx:
-    """Drop the variable bindings outside `names`."""
-    if isinstance(ctx, Bind):
-        b = ctx.binding
-        if b.kind == "var" and b.name not in names:
-            return EMPTY
+    """Drop the variable bindings outside `names`.  A tidy subtree comes
+    back unchanged when it binds only names in `names`, and as `·` when it
+    binds none of them."""
+    _, dom, tidy = _facts(ctx)
+    if tidy and dom <= names:
+        return ctx
+    if tidy and dom.isdisjoint(names):
+        return EMPTY
+    if isinstance(ctx, Bind):  # a location: variable bindings are tidy
         return ctx
     if isinstance(ctx, Seq):
         return seq(restrict(ctx.left, names), restrict(ctx.right, names))
     if isinstance(ctx, Par):
         return par(restrict(ctx.left, names), restrict(ctx.right, names))
-    if isinstance(ctx, Empty):
-        return ctx
     raise ValueError("cannot restrict a context pattern")
 
 
@@ -456,17 +545,12 @@ def to_dot(interp: Interp, opm: Opm, title: str = "context") -> str:
     lines = [f'digraph "{title}" {{']
     g = interp.graph
     for i, b in enumerate(g.labels):
-        name = b.name if b.kind == "var" else f"l{b.name}"
-        lines.append(f'  n{i} [label="{name}:{show_type(b.type, opm, 3)}"];')
+        lines.append(f'  n{i} [label="{label(b)}:{show_type(b.type, opm, 3)}"];')
     for a, b in sorted(g.edges):
         lines.append(f"  n{a} -> n{b};")
     if interp.unrs:
         legend = "\\n".join(
-            sorted(
-                f"{b.name if b.kind == 'var' else 'l%d' % b.name}:"
-                f"{show_type(b.type, opm, 3)}"
-                for b in interp.unrs
-            )
+            sorted(f"{label(b)}:{show_type(b.type, opm, 3)}" for b in interp.unrs)
         )
         lines.append(f'  unrestricted [shape=box, label="unrestricted\\n{legend}"];')
     lines.append("}")

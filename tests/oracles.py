@@ -220,6 +220,29 @@ def restrict_keeping_units(ctx: cx.Ctx, names: frozenset[str]) -> cx.Ctx:
     return ctx
 
 
+def naive_restrict(ctx: cx.Ctx, names: frozenset[str]) -> cx.Ctx:
+    """Restriction that rebuilds every node through the smart constructors:
+    the reference for `restrict`, which returns subtrees it need not
+    change."""
+    if isinstance(ctx, cx.Bind):
+        b = ctx.binding
+        return cx.EMPTY if b.kind == "var" and b.name not in names else ctx
+    if isinstance(ctx, (cx.Seq, cx.Par)):
+        former = cx.seq if isinstance(ctx, cx.Seq) else cx.par
+        return former(naive_restrict(ctx.left, names), naive_restrict(ctx.right, names))
+    return ctx
+
+
+def rebuild_ctx(ctx: cx.Ctx) -> cx.Ctx:
+    """A fresh copy of `ctx`, built node by node with the raw constructors,
+    so no node of it carries stored facts."""
+    if isinstance(ctx, cx.Bind):
+        return cx.Bind(ctx.binding)
+    if isinstance(ctx, (cx.Seq, cx.Par)):
+        return type(ctx)(rebuild_ctx(ctx.left), rebuild_ctx(ctx.right))
+    return type(ctx)()
+
+
 def in_unit_normal_form(ctx: cx.Ctx) -> bool:
     """No · is stored below `,` or `∥`."""
     if isinstance(ctx, (cx.Seq, cx.Par)):

@@ -36,6 +36,10 @@ def ctx_of(*bindings):
     return out
 
 
+X_R = cx.Bind(cx.var_bind("x", co.TraceType(rx.sym("r"))))
+Y_W = cx.Bind(cx.var_bind("y", co.TraceType(rx.sym("w"))))
+
+
 def err_kind(fn):
     with pytest.raises(TypeCheckError) as exc:
         fn()
@@ -356,22 +360,121 @@ def test_decompose_postconditions_hold_on_every_checker_call(monkeypatch):
 
 
 def test_checker_contexts_stay_in_unit_normal_form(monkeypatch):
-    # every context the checker builds holds only live bindings
-    real = cx.subcontext
+    # every context the checker builds holds only live bindings, and its
+    # ordered labels are unique, as the tree decision of splits requires
+    real = cx.split_violation
     calls = []
 
-    def checked_subcontext(c1, c2):
-        assert in_unit_normal_form(c1) and in_unit_normal_form(c2), (c1, c2)
-        calls.append(c1)
-        return real(c1, c2)
+    def checked_split_violation(ctx, first, second, former):
+        for c in (ctx, first, second):
+            assert in_unit_normal_form(c), (ctx, first, second)
+        ords = [b for b in cx.bindings(ctx) if b.is_ord()]
+        assert len(ords) == len(set(ords)), ctx
+        calls.append(ctx)
+        return real(ctx, first, second, former)
 
-    monkeypatch.setattr("ordlang.checker.cx.subcontext", checked_subcontext)
-    for path in sorted(PROGRAMS.glob("**/*.ord")):
+    monkeypatch.setattr("ordlang.checker.cx.split_violation", checked_split_violation)
+    sources = [path.read_text() for path in sorted(PROGRAMS.glob("**/*.ord"))]
+    for src in sources + LETPAIR_CLASHES + [_resources(8), _wide(4), _wide(4, misuse=2)]:
         try:
-            check_program(sf.parse(path.read_text(), OPM), OPM)
+            check_program(sf.parse(src, OPM), OPM)
         except TypeCheckError:
             pass
     assert calls
+
+
+# pair binders that clash with the context, with a sibling binder that names
+# the clashing binder's first fresh name and is unused in the body
+LETPAIR_CLASHES = [
+    "let a = unit in let a, a0 = (new {c}, new {c}) in drop (!{c} a)",
+    "let b = unit in let b0, b = (new {c}, new {c}) in drop (!{c} b)",
+]
+
+
+@pytest.mark.parametrize("src", LETPAIR_CLASHES)
+def test_renamed_pair_binder_avoids_its_sibling(src):
+    # the unused [c] binding must not merge with its renamed sibling
+    with pytest.raises(TypeCheckError) as exc:
+        check_program(sf.parse(src, OPM), OPM)
+    assert exc.value.kind == "context-misuse"
+    assert exc.value.message.endswith("would be discarded")
+
+
+def test_renamed_pair_binder_avoids_an_unrestricted_sibling():
+    src = "let a = unit in let a, a0 = (new {c}, unit) in drop (!{c} a)"
+    core = check_program(sf.parse(src, OPM), OPM).core.fn.body
+    assert isinstance(core, co.LetPair) and (core.x, core.y) == ("a1", "a0")
+
+
+def _resources(n):
+    # n `new {r*c}` lets, then each resource used up in reverse order
+    lets = [f"let x{i} = new {{r*c}} in" for i in range(n)]
+    uses = [f"drop (!{{c}} (!{{r}} x{i}))" for i in reversed(range(n))]
+    return "\n".join(lets + ["; ".join(uses + ["unit"])])
+
+
+def _wide(n, misuse=None):
+    # n live resources, each split into a borrow captured by a mode-o thunk;
+    # thunks and remainders are then used in reverse order, except that
+    # resource `misuse` has its remainder used before its thunk
+    lines, uses = [], []
+    for i in range(n):
+        lines += [
+            f"let x{i} = new {{(r|w)*c}} in",
+            f"let b{i}, h{i} = split {{r*}} x{i} in",
+            f"let f{i} : Unit -[o 1]-> Unit",
+            f"    f{i} z = drop (!{{r}} b{i})",
+            "in",
+        ]
+        thunk, rest = f"f{i} unit", f"drop (!{{c}} h{i})"
+        uses.append((rest, thunk) if i == misuse else (thunk, rest))
+    return "\n".join(lines + ["; ".join(u for pair in reversed(uses) for u in pair)])
+
+
+def test_checker_builds_no_context_graphs(monkeypatch):
+    # the checker decides its splits on the tree: no graph is interpreted
+    # and no embedding searched, and dump-graph snapshots wait for use
+    calls = {"interpret": 0, "spanning_embed": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cx, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cx, name, counted)
+    sources = [path.read_text() for path in sorted(PROGRAMS.glob("**/*.ord"))]
+    for src in sources + [_resources(64), _wide(8)]:
+        try:
+            check_program(sf.parse(src, OPM), OPM)
+        except TypeCheckError as exc:
+            assert exc.kind == "context-misuse", exc.message
+    assert check_program(sf.parse(_wide(8), OPM), OPM).type == co.UNIT_T
+    assert calls == {"interpret": 0, "spanning_embed": 0}
+
+
+@pytest.mark.parametrize(
+    "ctx, src, message",
+    [
+        (X_R, "unit", "unit consumes no resources: `x` would be discarded"),
+        (X_R, "(x, x)", "pair components interleave resources: `x` is used by both sides"),
+        (
+            cx.Seq(X_R, Y_W),
+            "(y, x)",
+            "pair components interleave resources: `y` must be used after `x`",
+        ),
+    ],
+)
+def test_context_misuse_names_the_binding_or_edge(ctx, src, message):
+    with pytest.raises(TypeCheckError) as exc:
+        infer(ctx, src)
+    assert exc.value.kind == "context-misuse"
+    assert exc.value.message == message
+
+
+def test_context_misuse_in_a_wide_program_names_the_edge():
+    with pytest.raises(TypeCheckError) as exc:
+        check_program(sf.parse(_wide(8, misuse=4), OPM), OPM)
+    assert exc.value.kind == "context-misuse"
+    assert exc.value.message == "no binding mode fits: `h4` must be used after `f4`"
 
 
 def _ops_spine(n):

@@ -28,6 +28,14 @@ def test_check_rejects_misuse(capsys):
     assert ":6:" in err  # line of the offending expression
 
 
+def test_misuse_diagnostic_names_the_violated_edge(capsys):
+    path = str(PROGRAMS / "misuse.ord")
+    assert invoke("check", path) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:6:1: context-misuse: no binding mode fits: `x2` must be used after `f`\n"
+    )
+
+
 def test_json_diagnostics_one_object_per_line(capsys):
     assert invoke("check", str(PROGRAMS / "misuse.ord"), "--json") == 1
     lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from oracles import (
     focus,
     in_unit_normal_form,
     is_pattern,
+    naive_restrict,
+    rebuild_ctx,
     restrict_keeping_units,
     unique_topological_ordering,
     usage_projection,
@@ -229,6 +233,116 @@ def test_restrict_fill_decompose_keep_unit_normal_form(ctx, keep, names):
         pattern, inner = got
         assert in_unit_normal_form(pattern) and in_unit_normal_form(inner)
         assert in_unit_normal_form(cx.fill(pattern, inner))
+
+
+def test_restrict_still_rejects_patterns():
+    with pytest.raises(ValueError):
+        cx.restrict(cx.Seq(X, cx.HOLE), frozenset({"x"}))
+
+
+# -- deciding the checker's splits on the tree
+
+ORDERED = [cx.Bind(cx.var_bind(f"o{i}", (M1, M2)[i % 2])) for i in range(5)]
+UNRESTRICTED = [cx.Bind(cx.var_bind(f"u{i}", UA)) for i in range(2)]
+SPLIT_NAMES = [f"o{i}" for i in range(5)] + ["u0", "u1"]
+
+
+@st.composite
+def unique_label_contexts(draw):
+    """Seq/Par trees over a random selection of five ordered variables, two
+    unrestricted ones and a location, each ordered binding at most once.
+    An unrestricted binding may repeat, and a `·` may sit below a former."""
+    pool = ORDERED + UNRESTRICTED + [UNRESTRICTED[0], L0, cx.EMPTY]
+    leaves = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+
+    def build(items):
+        if len(items) == 1:
+            return items[0]
+        cut = draw(st.integers(1, len(items) - 1))
+        former = draw(st.sampled_from([cx.Seq, cx.Par]))
+        return former(build(items[:cut]), build(items[cut:]))
+
+    return build(leaves)
+
+
+split_names = st.sets(st.sampled_from(SPLIT_NAMES)).map(frozenset)
+
+
+@given(unique_label_contexts(), split_names, split_names)
+@settings(max_examples=300)
+def test_split_violation_matches_brute_force(ctx, a, b):
+    # A and B may overlap and may miss bindings of ctx
+    first, second = cx.restrict(ctx, a), cx.restrict(ctx, b)
+    ords = {x for x in cx.bindings(ctx) if x.is_ord()}
+    side_a, side_b = set(cx.bindings(first)), set(cx.bindings(second))
+    g = cx.interpret(ctx).graph
+    edges = {(g.labels[i], g.labels[j]) for i, j in g.edges}
+    for former in (cx.seq, cx.par):
+        got = cx.split_violation(ctx, first, second, former)
+        assert (got is None) == brute_subcontext(ctx, former(first, second)), former
+        if got is None:
+            continue
+        kind, x, y = got
+        if kind == "shared":
+            assert x in side_a and x in side_b
+        elif kind == "discarded":
+            assert x in ords and x not in side_a | side_b
+        else:
+            # ctx orders x before y, and the split reverses or drops that
+            assert kind == "ordered" and (x, y) in edges
+            if former is cx.seq:
+                assert x in side_b and y in side_a
+            else:
+                assert (x in side_a) != (y in side_a)
+
+
+def test_split_violation_witnesses():
+    ctx = cx.Seq(X, Y)
+    fx, fy = cx.restrict(ctx, frozenset({"x"})), cx.restrict(ctx, frozenset({"y"}))
+    assert cx.split_violation(ctx, fx, fy, cx.seq) is None
+    assert cx.split_violation(ctx, fy, fx, cx.seq) == ("ordered", X.binding, Y.binding)
+    assert cx.split_violation(ctx, fx, fy, cx.par) == ("ordered", X.binding, Y.binding)
+    assert cx.split_violation(ctx, fx, cx.EMPTY, cx.seq) == ("discarded", Y.binding, None)
+    assert cx.split_violation(ctx, ctx, fy, cx.par) == ("shared", Y.binding, None)
+    assert cx.split_violation(cx.Par(X, U), cx.EMPTY, U, cx.seq) == ("discarded", X.binding, None)
+    assert cx.split_violation(U, cx.EMPTY, cx.EMPTY, cx.seq) is None
+
+
+FIELDS = {cx.Empty: [], cx.Hole: [], cx.Bind: ["binding"], cx.Seq: ["left", "right"],
+          cx.Par: ["left", "right"]}
+
+
+def test_ctx_repr_and_fields_ignore_stored_facts():
+    ctx = cx.Seq(X, cx.Par(cx.EMPTY, U))
+    cx.restrict(ctx, frozenset({"x"}))
+    assert repr(ctx).startswith("Seq(left=Bind(binding=Binding(kind='var', name='x'")
+    assert "_facts" not in repr(ctx)
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+@given(unique_label_contexts(), split_names, st.sampled_from(["restrict", "lookup", "decide"]))
+@settings(max_examples=200)
+def test_stored_facts_leave_equality_hash_and_repr_alone(ctx, names, warm):
+    before, fresh = repr(ctx), rebuild_ctx(ctx)
+    if warm == "restrict":
+        cx.restrict(ctx, names)
+    elif warm == "lookup":
+        cx.lookup_var(ctx, "o0")
+    else:
+        cx.split_violation(ctx, cx.EMPTY, cx.EMPTY, cx.seq)
+    assert ctx == fresh and fresh == ctx and hash(ctx) == hash(fresh)
+    assert repr(ctx) == repr(fresh) == before
+    # the hash the generated dataclass hash gives: that of the field tuple
+    assert hash(ctx) == hash(tuple(getattr(ctx, f.name) for f in dataclasses.fields(ctx)))
+    # the stored facts agree with a walk over the leaves
+    leaves = cx.bindings(ctx)
+    assert cx.dom_vars(ctx) == {b.name for b in leaves if b.kind == "var"}
+    assert cx.all_unr(ctx) == all(b.is_unr() for b in leaves)
+    for name in SPLIT_NAMES:
+        want = next((b for b in leaves if b.kind == "var" and b.name == name), None)
+        assert cx.lookup_var(ctx, name) == want
+    assert cx.restrict(ctx, names) == naive_restrict(ctx, names)
 
 
 # -- decomposition
