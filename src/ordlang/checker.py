@@ -79,12 +79,6 @@ class TypeCheckError(Exception):
         self.expected = expected
         self.actual = actual
 
-    def render(self, path: str = "<input>") -> str:
-        extra = ""
-        if self.expected is not None:
-            extra = f" (expected {self.expected}, got {self.actual})"
-        return f"{path}:{self.span.line}:{self.span.col}: {self.kind}: {self.message}{extra}"
-
 
 @dataclass
 class InferResult:

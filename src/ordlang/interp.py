@@ -20,6 +20,7 @@ from .core import (
     App,
     CoreTerm,
     DropConst,
+    LEFT,
     LetPair,
     Lam,
     Loc,
@@ -56,60 +57,52 @@ class StepOutcome:
     redex: Optional[CoreTerm] = None
 
 
+# The evaluation positions of each former, in the order they are evaluated:
+# the field holding the position, and a constructor that puts a term there.
+# Left application evaluates its argument before its function part.
+_FN = ("fn", lambda m, t: App(m.mode, t, m.arg))
+_ARG = ("arg", lambda m, t: App(m.mode, m.fn, t))
+_POSITIONS = {
+    App: (_FN, _ARG),
+    Pair: (
+        ("left", lambda m, t: Pair(m.ordered, t, m.right)),
+        ("right", lambda m, t: Pair(m.ordered, m.left, t)),
+    ),
+    LetPair: (("header", lambda m, t: LetPair(m.ordered, m.x, m.y, t, m.body)),),
+}
+
+
 def _find_redex(m: CoreTerm) -> Optional[tuple[CoreTerm, Callable[[CoreTerm], CoreTerm]]]:
     """Locate the unique redex position per the evaluation-context grammar.
 
-    Left-to-right everywhere except left application, whose argument is
-    evaluated before its function part.  Returns None for values.
+    Descends into the first non-value position until a term has none: that
+    term is the redex, so free variables (and anything else non-value) sit
+    at redex position for the step function to report as stuck.  Returns
+    None for values.
     """
     if is_value(m):
         return None
-    if isinstance(m, App):
-        if m.mode == "l":
-            if not is_value(m.arg):
-                sub = _find_redex(m.arg)
-                assert sub is not None
-                inner, rebuild = sub
-                return inner, lambda t, m=m, rb=rebuild: App(m.mode, m.fn, rb(t))
-            if not is_value(m.fn):
-                sub = _find_redex(m.fn)
-                assert sub is not None
-                inner, rebuild = sub
-                return inner, lambda t, m=m, rb=rebuild: App(m.mode, rb(t), m.arg)
-            return m, lambda t: t
-        if not is_value(m.fn):
-            sub = _find_redex(m.fn)
-            assert sub is not None
-            inner, rebuild = sub
-            return inner, lambda t, m=m, rb=rebuild: App(m.mode, rb(t), m.arg)
-        if not is_value(m.arg):
-            sub = _find_redex(m.arg)
-            assert sub is not None
-            inner, rebuild = sub
-            return inner, lambda t, m=m, rb=rebuild: App(m.mode, m.fn, rb(t))
+    context = []  # (constructor, former) pairs, outermost first
+    while True:
+        positions = _POSITIONS.get(type(m), ())
+        if isinstance(m, App) and m.mode == LEFT:
+            positions = (_ARG, _FN)
+        for name, put in positions:
+            if not is_value(sub := getattr(m, name)):
+                context.append((put, m))
+                m = sub
+                break
+        else:
+            break
+    if not context:
         return m, lambda t: t
-    if isinstance(m, Pair):
-        if not is_value(m.left):
-            sub = _find_redex(m.left)
-            assert sub is not None
-            inner, rebuild = sub
-            return inner, lambda t, m=m, rb=rebuild: Pair(m.ordered, rb(t), m.right)
-        sub = _find_redex(m.right)
-        assert sub is not None
-        inner, rebuild = sub
-        return inner, lambda t, m=m, rb=rebuild: Pair(m.ordered, m.left, rb(t))
-    if isinstance(m, LetPair):
-        if not is_value(m.header):
-            sub = _find_redex(m.header)
-            assert sub is not None
-            inner, rebuild = sub
-            return inner, lambda t, m=m, rb=rebuild: LetPair(
-                m.ordered, m.x, m.y, rb(t), m.body
-            )
-        return m, lambda t: t
-    # Free variables (and anything else non-value) sit at redex position
-    # so the step function can report them as stuck.
-    return m, lambda t: t
+
+    def rebuild(t: CoreTerm) -> CoreTerm:
+        for put, former in reversed(context):
+            t = put(former, t)
+        return t
+
+    return m, rebuild
 
 
 _BETA_RULE = {"u": "RE-Beta", "o": "RE-UBeta", "r": "RE-RBeta", "l": "RE-LBeta"}

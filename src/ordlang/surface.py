@@ -9,7 +9,9 @@ serves every index algebra.  File extension: `.ord`; comments run from
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional, Union
 
 from .core import ArrowType, CoreType, ProdType, TraceType, UNIT_T
@@ -30,11 +32,10 @@ class Span:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: Span, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, span: Span):
         super().__init__(message)
         self.message = message
         self.span = span
-        self.expected = expected
 
 
 # ---------------------------------------------------------------------------
@@ -202,90 +203,55 @@ KEYWORDS = {"let", "in", "new", "split", "drop", "unit", "Unit", "ox"}
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT NUM ELEM kw/punct kinds below
+    kind: str  # IDENT NUM ELEM EOF, a keyword, or the punctuation itself
     text: str
     span: Span
 
 
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+# One lexeme after optional spaces, tried in this order; `other` and the end
+# of input make the match total. A word's first character decides its class
+# through `str.isdigit`/`isalpha`, not `\d`, which misses digits such as `²`.
+_LEXEME = re.compile(
+    r"[^\S\n]*(?:(?P<newline>\n)|(?P<comment>--[^\n]*)|(?P<elem>\{[^}]*\})|(?P<open>\{)"
+    r"|(?P<punct>-\[|\]->|\.o|[(),;:=!])|(?P<word>\w[\w']*)|(?P<other>.)|\Z)"
+)
 
 
 def lex(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def span_here(length: int) -> Span:
-        return Span(line, col, line, col + length)
-
-    def error(msg: str) -> ParseError:
-        return ParseError(msg, span_here(1))
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, pos, eof = 1, 0, 0, len(source)
+    while group := (m := _LEXEME.match(source, pos)).lastgroup:
+        start, pos = m.span(group)
+        text, col = m.group(group), start - line_start + 1
+        if group == "newline":
+            line, line_start = line + 1, pos
             continue
-        if c.isspace():
-            i += 1
-            col += 1
+        if group == "comment":  # EOF after a comment goes where the comment starts
+            eof = start if pos == len(source) else eof
             continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c == "{":
-            j = source.find("}", i)
-            if j < 0:
-                raise error("unterminated `{` resource literal")
-            raw = source[i + 1 : j]
-            toks.append(Token("ELEM", raw, span_here(j - i + 1)))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if source.startswith("-[", i):
-            toks.append(Token("-[", "-[", span_here(2)))
-            i += 2
-            col += 2
-            continue
-        if source.startswith("]->", i):
-            toks.append(Token("]->", "]->", span_here(3)))
-            i += 3
-            col += 3
-            continue
-        if source.startswith(".o", i):
-            toks.append(Token(".o", ".o", span_here(2)))
-            i += 2
-            col += 2
-            continue
-        if c in "(),;:=!":
-            toks.append(Token(c, c, span_here(1)))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token("NUM", source[i:j], span_here(j - i)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and _ident_char(source[j]):
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "IDENT"
-            toks.append(Token(kind, text, span_here(j - i)))
-            col += j - i
-            i = j
-            continue
-        raise error(f"unsupported character {c!r}")
-
+        kind = "ELEM" if group == "elem" else text
+        if group == "word":
+            if text[0].isdigit():
+                kind, text = "NUM", "".join(takewhile(str.isdigit, text))
+                pos = start + len(text)
+            elif text[0].isalpha() or text[0] == "_":
+                kind = text if text in KEYWORDS else "IDENT"
+            else:
+                group = "other"
+        if group == "other" or group == "open":
+            message = f"unsupported character {text[0]!r}"
+            if group == "open":
+                message = "unterminated `{` resource literal"
+            raise ParseError(message, Span(line, col, line, col + 1))
+        newlines = text.count("\n")  # only a `{...}` literal can hold any
+        if newlines:
+            end_col = len(text) - text.rfind("\n")
+            span = Span(line, col, line + newlines, end_col)
+            line, line_start = line + newlines, pos - end_col + 1
+        else:
+            span = Span(line, col, line, col + len(text))
+        toks.append(Token(kind, text[1:-1] if kind == "ELEM" else text, span))
+    col = eof - line_start + 1
     toks.append(Token("EOF", "", Span(line, col, line, col)))
     return toks
 
@@ -303,8 +269,8 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[min(self.pos, len(self.toks) - 1)]
 
     def next(self) -> Token:
         t = self.peek()
@@ -317,7 +283,6 @@ class Parser:
             raise ParseError(
                 f"expected {kind!r}, found {t.text or 'end of input'!r}",
                 t.span,
-                expected=(kind,),
             )
         return self.next()
 
@@ -343,7 +308,7 @@ class Parser:
         e = self.parse_expr()
         t = self.peek()
         if t.kind != "EOF":
-            raise ParseError(f"unexpected {t.text!r}", t.span, expected=("EOF",))
+            raise ParseError(f"unexpected {t.text!r}", t.span)
         return e
 
     # -- expressions
@@ -410,7 +375,6 @@ class Parser:
         raise ParseError(
             f"expected ',', ':' or '=' after let binder, found {t.text!r}",
             t.span,
-            expected=(",", ":", "="),
         )
 
     def parse_param(self) -> Union[Token, tuple[Token, Token]]:
@@ -498,7 +462,6 @@ class Parser:
         raise ParseError(
             f"expected an expression, found {t.text or 'end of input'!r}",
             t.span,
-            expected=("unit", "IDENT", "("),
         )
 
     # -- types
@@ -545,7 +508,6 @@ class Parser:
         raise ParseError(
             f"expected a type, found {t.text or 'end of input'!r}",
             t.span,
-            expected=("Unit", "ELEM", "("),
         )
 
 

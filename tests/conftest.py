@@ -1,4 +1,6 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
 SMOKE = PROGRAMS / "smoke"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +29,13 @@ def program_source(name: str) -> str:
 
 def smoke_programs() -> list[pathlib.Path]:
     return sorted(SMOKE.glob("*.ord"))
+
+
+def workload_round(name: str) -> list:
+    """Round 0, seed 1, of one of the benchmark's generated workloads, as jobs."""
+    if "workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = module
+        spec.loader.exec_module(module)
+    return sys.modules["workloads"].WORKLOADS[name](1, 0)

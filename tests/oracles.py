@@ -5,7 +5,9 @@ membership is decided by structural matching (no derivatives, no automata),
 graph comparisons enumerate permutations, and context equivalence is the
 reflexive-transitive closure of the syntactic context laws.  The
 runtime-context utilities (`focus`, `usage_projection`) read a heap context
-one location at a time.
+one location at a time.  The character-at-a-time lexer and the
+hand-unrolled redex search are the references for `surface.lex` and
+`interp._find_redex`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from ordlang import context as cx
+from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.core import CoreType, TraceType
@@ -480,6 +483,90 @@ def span_contains(outer: sf.Span, inner: sf.Span) -> bool:
     )
 
 
+def reference_lex(source: str) -> list[sf.Token]:
+    """Character-at-a-time lexer with several tests per character.
+
+    A `{...}` literal advances the column by its length and never the line,
+    so it differs from `surface.lex` after a literal that spans a newline.
+    """
+    toks: list[sf.Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+
+    def span_here(length: int) -> sf.Span:
+        return sf.Span(line, col, line, col + length)
+
+    def error(msg: str) -> sf.ParseError:
+        return sf.ParseError(msg, span_here(1))
+
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if source.startswith("--", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if c == "{":
+            j = source.find("}", i)
+            if j < 0:
+                raise error("unterminated `{` resource literal")
+            raw = source[i + 1 : j]
+            toks.append(sf.Token("ELEM", raw, span_here(j - i + 1)))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if source.startswith("-[", i):
+            toks.append(sf.Token("-[", "-[", span_here(2)))
+            i += 2
+            col += 2
+            continue
+        if source.startswith("]->", i):
+            toks.append(sf.Token("]->", "]->", span_here(3)))
+            i += 3
+            col += 3
+            continue
+        if source.startswith(".o", i):
+            toks.append(sf.Token(".o", ".o", span_here(2)))
+            i += 2
+            col += 2
+            continue
+        if c in "(),;:=!":
+            toks.append(sf.Token(c, c, span_here(1)))
+            i += 1
+            col += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            toks.append(sf.Token("NUM", source[i:j], span_here(j - i)))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in "_'"):
+                j += 1
+            text = source[i:j]
+            kind = text if text in sf.KEYWORDS else "IDENT"
+            toks.append(sf.Token(kind, text, span_here(j - i)))
+            col += j - i
+            i = j
+            continue
+        raise error(f"unsupported character {c!r}")
+
+    toks.append(sf.Token("EOF", "", sf.Span(line, col, line, col)))
+    return toks
+
+
 def naive_surface_fv(e: sf.SurfaceExpr) -> frozenset[str]:
     """Free variables by a fresh walk that never reads a stored set."""
     if isinstance(e, sf.SVar):
@@ -513,3 +600,62 @@ def naive_rename_var(e: sf.SurfaceExpr, old: str, new: str) -> sf.SurfaceExpr:
             child = naive_rename_var(child, scoped_old, new)
         fields[f.name] = child
     return type(e)(**fields)
+
+
+# ---------------------------------------------------------------------------
+# Evaluator side
+
+def reference_find_redex(m: co.CoreTerm):
+    """Redex search with one hand-written descent per evaluation position.
+
+    Left-to-right everywhere except left application, whose argument is
+    evaluated before its function part.  Returns None for values.
+    """
+    if co.is_value(m):
+        return None
+    if isinstance(m, co.App):
+        if m.mode == "l":
+            if not co.is_value(m.arg):
+                sub = reference_find_redex(m.arg)
+                assert sub is not None
+                inner, rebuild = sub
+                return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, m.fn, rb(t))
+            if not co.is_value(m.fn):
+                sub = reference_find_redex(m.fn)
+                assert sub is not None
+                inner, rebuild = sub
+                return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, rb(t), m.arg)
+            return m, lambda t: t
+        if not co.is_value(m.fn):
+            sub = reference_find_redex(m.fn)
+            assert sub is not None
+            inner, rebuild = sub
+            return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, rb(t), m.arg)
+        if not co.is_value(m.arg):
+            sub = reference_find_redex(m.arg)
+            assert sub is not None
+            inner, rebuild = sub
+            return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, m.fn, rb(t))
+        return m, lambda t: t
+    if isinstance(m, co.Pair):
+        if not co.is_value(m.left):
+            sub = reference_find_redex(m.left)
+            assert sub is not None
+            inner, rebuild = sub
+            return inner, lambda t, m=m, rb=rebuild: co.Pair(m.ordered, rb(t), m.right)
+        sub = reference_find_redex(m.right)
+        assert sub is not None
+        inner, rebuild = sub
+        return inner, lambda t, m=m, rb=rebuild: co.Pair(m.ordered, m.left, rb(t))
+    if isinstance(m, co.LetPair):
+        if not co.is_value(m.header):
+            sub = reference_find_redex(m.header)
+            assert sub is not None
+            inner, rebuild = sub
+            return inner, lambda t, m=m, rb=rebuild: co.LetPair(
+                m.ordered, m.x, m.y, rb(t), m.body
+            )
+        return m, lambda t: t
+    # Free variables (and anything else non-value) sit at redex position
+    # so the step function can report them as stuck.
+    return m, lambda t: t

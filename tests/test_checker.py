@@ -510,6 +510,30 @@ def test_deepest_checked_ops_spine_stays_checked():
     assert checked.type == co.UNIT_T
 
 
+def test_context_calls_per_let_do_not_grow(monkeypatch):
+    # the context work of one let (its splits, restrictions and stored facts)
+    # must not depend on how long the spine around it is
+    calls = {"_facts": 0, "restrict": 0, "split_violation": 0}
+    for name in calls:
+        uncounted = getattr(cx, name)
+
+        def counted(*args, _name=name, _uncounted=uncounted):
+            calls[_name] += 1
+            return _uncounted(*args)
+
+        monkeypatch.setattr(cx, name, counted)
+    for family, lets in ((_ops_spine, lambda n: n + 1), (_resources, lambda n: n)):
+        per_let = {}
+        for n in (50, 200):
+            program = sf.parse(family(n), OPM)
+            calls.update(dict.fromkeys(calls, 0))
+            assert check_program(program, OPM).type == co.UNIT_T
+            per_let[n] = {name: count / lets(n) for name, count in calls.items()}
+        for name in calls:
+            assert per_let[50][name] > 0, (family.__name__, name)
+            assert per_let[200][name] <= 1.2 * per_let[50][name], (family.__name__, per_let)
+
+
 def _shadowing_spine(n):
     # n items: value lets, semicolons and shadowing lets in turn; every
     # shadowing let makes the checker rename the rest of the spine

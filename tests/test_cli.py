@@ -1,6 +1,12 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordlang import cli
 from ordlang.cli import main
@@ -44,6 +50,15 @@ def test_json_diagnostics_one_object_per_line(capsys):
         obj = json.loads(line)
         assert set(obj) == {"kind", "line", "col", "message"}
         assert obj["kind"] == "context-misuse"
+
+
+def test_lines_after_a_literal_across_lines_are_counted(tmp_path, capsys):
+    prog = tmp_path / "literal.ord"
+    prog.write_text("let x = new {(r|w)*\n c} in\ndrop (!{c} x);\nundefined_var")
+    assert invoke("check", str(prog)) == 1
+    assert capsys.readouterr().err == (
+        f"{prog}:4:1: unbound-variable: unbound variable 'undefined_var'\n"
+    )
 
 
 def test_check_empty_file(tmp_path, capsys):
@@ -173,3 +188,53 @@ def test_run_time_limit_is_limit_exceeded(command, limit, monkeypatch, capsys):
     assert invoke(command, str(PROGRAMS / "copy.ord")) == 2
     err = capsys.readouterr().err
     assert "limit-exceeded" in err and "Traceback" not in err
+
+
+# Pieces of programs: keywords, binders, literals of both OPMs, types,
+# punctuation, layout and a few characters the lexer rejects.
+PROGRAM_PIECES = [
+    "let ", "x", "y", "f", " = ", " in ", "\n", "; ", ", ", ": ", "(", ")", "unit", "Unit",
+    "new {r*c}", "new {*}", "!{r} ", "!{c} ", "!{*} ", "split {r*} ", "drop ", "{r}", "{",
+    "}", " -[o 1]-> ", " -[l 0]-> ", " ox ", " .o ", "x y", "-- note\n", "²", "@", "0",
+]
+
+
+CORPUS = [path.read_text() for path in sorted(PROGRAMS.glob("**/*.ord"))]
+
+
+@st.composite
+def corpus_edits(draw):
+    # a programs/ file with a stretch of up to 40 characters cut out or doubled
+    source = draw(st.sampled_from(CORPUS))
+    start = draw(st.integers(0, len(source)))
+    stop = draw(st.integers(start, min(len(source), start + 40)))
+    middle = draw(st.sampled_from(["", source[start:stop] * 2]))
+    return source[:start] + middle + source[stop:]
+
+
+@given(
+    st.one_of(
+        st.text(max_size=60),
+        st.lists(st.sampled_from(PROGRAM_PIECES), max_size=30).map("".join),
+        corpus_edits(),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_cli_is_total_on_arbitrary_text(source):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ord")
+        with open(path, "wb") as handle:
+            handle.write(source.encode("utf-8"))
+        for argv in (
+            ("check", path),
+            ("run", path, "--json"),
+            ("run", path, "--opm", "ownership"),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = invoke(*argv)
+            assert code in (0, 1, 2, 64), (argv, code)
+            assert "Traceback" not in err.getvalue()
+            if "--json" in argv:
+                for line in err.getvalue().splitlines():
+                    json.loads(line)

@@ -1,15 +1,18 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.checker import TypeCheckError, check_program
-from ordlang.interp import Config, _heap_delta, run, runtime_oracle, step
+from ordlang.interp import Config, _find_redex, _heap_delta, run, runtime_oracle, step
 from ordlang.opm import get_opm
 
-from conftest import PROGRAMS, smoke_programs
+from conftest import PROGRAMS, smoke_programs, workload_round
+from oracles import reference_find_redex
 
 OPM = get_opm("regex")
 R = rx.sym("r")
@@ -248,6 +251,76 @@ def test_trace_flag_changes_only_the_rendered_strings():
         assert all(s.redex and s.heap_delta for s in traced.steps), label
         seen += 1
     assert seen >= 20
+
+
+def core_terms():
+    modes, flags = st.sampled_from(co.MODES), st.booleans()
+    leaves = st.sampled_from(
+        [co.UNIT, co.DROP, co.Loc(0), co.Var("x"), co.Lam(co.PLAIN, "x", co.Var("x"))]
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(co.App, modes, inner, inner),
+            st.builds(co.Pair, flags, inner, inner),
+            st.builds(lambda o, h, b: co.LetPair(o, "x", "y", h, b), flags, inner, inner),
+            st.builds(lambda m, b: co.Lam(m, "x", b), modes, inner),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+@given(core_terms())
+@settings(max_examples=500)
+def test_redex_search_matches_the_reference_on_any_term(term):
+    found, expected = _find_redex(term), reference_find_redex(term)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        hole = co.Var("[]")
+        assert found[0] is expected[0]
+        assert found[1](hole) == expected[1](hole)
+        assert found[1](found[0]) == term
+
+
+def test_redex_search_does_not_recurse_down_the_context():
+    inner = app(co.Lam(co.PLAIN, "x", co.Var("x")), co.UNIT)
+    term = inner
+    for _ in range(sys.getrecursionlimit() + 100):
+        term = app(term, co.UNIT)
+    redex, rebuild = _find_redex(term)
+    assert redex is inner
+    out, depth = rebuild(co.UNIT), 0
+    while isinstance(out, co.App):
+        assert out.arg is co.UNIT
+        out, depth = out.fn, depth + 1
+    assert out is co.UNIT and depth == sys.getrecursionlimit() + 100
+
+
+def _workload_programs():
+    # the accepted programs of one seed-1 round of the generated workloads
+    for name in ("wide", "borrow", "deep"):
+        for job in workload_round(name):
+            if job.expect_kind is None:
+                opm = get_opm(job.opm)
+                yield job.ident, opm, check_program(sf.parse(job.source, opm), opm)
+
+
+def test_redex_search_matches_the_reference_at_every_step():
+    hole = co.Var("[]")
+    programs = [(path.name, opm, checked) for path, opm, checked in _checked_programs()]
+    steps = 0
+    for label, opm, checked in programs + list(_workload_programs()):
+        cfg, label = Config(checked.core, {}), f"{label} ({opm.name})"
+        while (found := _find_redex(cfg.term)) is not None:
+            redex, rebuild = found
+            expected_redex, expected_rebuild = reference_find_redex(cfg.term)
+            assert redex is expected_redex, label
+            assert rebuild(hole) == expected_rebuild(hole), label
+            out = step(cfg, opm)
+            assert out.status == "stepped", label
+            cfg, steps = out.config, steps + 1
+        assert reference_find_redex(cfg.term) is None and cfg.heap == {}, label
+    assert len(programs) >= 20 and steps > 5000, (len(programs), steps)
 
 
 # -- cost gate: free-variable computations per step must not grow with n

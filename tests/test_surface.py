@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ordlang import core as co
@@ -8,7 +10,7 @@ from ordlang import surface as sf
 from ordlang.opm import get_opm
 
 from conftest import PROGRAMS, program_source
-from oracles import naive_rename_var, naive_surface_fv, span_contains
+from oracles import naive_rename_var, naive_surface_fv, reference_lex, span_contains
 
 OPM = get_opm("regex")
 
@@ -161,6 +163,55 @@ def test_parse_errors():
 def test_lexer_tokens():
     kinds = [t.kind for t in sf.lex("let x -[u 1]-> .o { r* } ! ;")]
     assert kinds == ["let", "IDENT", "-[", "IDENT", "NUM", "]->", ".o", "ELEM", "!", ";", "EOF"]
+
+
+def test_a_literal_across_lines_advances_the_line_count():
+    toks = sf.lex("let x = new {(r|w)*\n c} in\ndrop (!{c} x);\nundefined_var")
+    elem = toks[4]
+    assert (elem.kind, elem.text) == ("ELEM", "(r|w)*\n c")
+    assert elem.span == sf.Span(1, 13, 2, 4)  # ends after the `}` on line 2
+    assert (toks[5].text, toks[5].span) == ("in", sf.Span(2, 5, 2, 7))
+    assert (toks[-2].text, toks[-2].span) == ("undefined_var", sf.Span(4, 1, 4, 14))
+
+
+def _lexed(lexer, source):
+    try:
+        return [(t.kind, t.text, t.span) for t in lexer(source)]
+    except sf.ParseError as exc:
+        return exc.message, exc.span
+
+
+# Pieces of every lexeme class, and characters on which a careless pattern
+# would disagree with the `str` predicates: `²` is a digit but not decimal,
+# `½` and `Ⅻ` are numeric but neither digits nor letters, and `\r`, `\x85`
+# and `\x1c` are spaces that do not end a line.
+LEXEME_PIECES = [
+    "let", "in", "new", "ox", "Unit", "x", "_", "'", "é", "7", "42", "²", "½", "Ⅻ", "٣",
+    " ", "\t", "\n", "\r", "\x85", "\x1c", "--", "-", "[", "]", "]->", "-[", ".", "o",
+    ".o", "{", "}", "{r*}", "(", ")", ",", ";", ":", "=", "!", "@",
+]
+# A `{...}` literal across a newline moves the line count of `lex` only; this
+# also skips a `{` in a comment with a `}` on a later line.
+LITERAL_ACROSS_LINES = re.compile(r"\{[^}]*\n[^}]*\}")
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=st.sampled_from("".join(LEXEME_PIECES))),
+        st.lists(st.sampled_from(LEXEME_PIECES), max_size=40).map("".join),
+    )
+)
+@example("x² ½ Ⅻ")
+@example("12ab 3½ x'' _9")
+@example("unit\r\x85unit")
+@example("let x = unit -- a comment at the end")
+@example("drop {r* c")
+@example("{(r|w)*} }")
+@settings(max_examples=500)
+def test_lex_matches_the_reference_lexer(source):
+    assume(not LITERAL_ACROSS_LINES.search(source))
+    assert _lexed(sf.lex, source) == _lexed(reference_lex, source)
 
 
 CHILD_FIELDS = ("arg", "fn", "left", "right", "header", "body", "first", "rest", "expr")
