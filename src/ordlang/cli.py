@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 parse/type errors, unreadable files and check-time
 limits, 2 runtime violations and run-time limits, 64 usage.
+
+With --json every diagnostic is one JSON line (kind, line, col, message).
+Those without a source position are at line 0, col 0: io-error,
+limit-exceeded, unknown-binding (dump-graph), and the run-time failures
+fuel-exhausted, stuck, oracle-violation (one line each) and leaked-resources.
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ def _diag(path: str, kind: str, line: int, col: int, message: str, as_json: bool
             {"kind": kind, "line": line, "col": col, "message": message}
         )
     return f"{path}:{line}:{col}: {kind}: {message}"
+
+
+def _report(path: str, kind: str, message: str, as_json: bool) -> None:
+    """A diagnostic with no source position: as text, `path: message`."""
+    text = _diag(path, kind, 0, 0, message, True) if as_json else f"{path}: {message}"
+    print(text, file=sys.stderr)
 
 
 def _load_and_check(path: str, opm_name: str, as_json: bool):
@@ -122,10 +133,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         interp = checked.binding_contexts.get(args.binding)
         if interp is None:
             known = ", ".join(sorted(checked.binding_contexts)) or "(none)"
-            print(
-                f"{args.file}: no binding named {args.binding!r}; known: {known}",
-                file=sys.stderr,
-            )
+            message = f"no binding named {args.binding!r}; known: {known}"
+            _report(args.file, "unknown-binding", message, args.json)
             return 1
         print(cx.to_dot(interp, opm, title=args.binding))
         return 0
@@ -142,25 +151,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         for s in result.steps:
             print(f"[{s.index}] {s.rule} {s.redex} | {s.heap_delta}")
     if result.outcome == "fuel-exhausted":
-        print(f"{args.file}: fuel exhausted after {args.fuel} steps", file=sys.stderr)
+        message = f"fuel exhausted after {args.fuel} steps"
+        _report(args.file, "fuel-exhausted", message, args.json)
         return 2
     if result.outcome == "stuck":
-        print(
-            f"{args.file}: stuck({result.stuck_reason}) at "
-            f"{pretty_core(result.stuck_redex, opm)} with heap "
-            f"{show_heap(result.config.heap, opm)}",
-            file=sys.stderr,
+        message = (
+            f"stuck({result.stuck_reason}) at {pretty_core(result.stuck_redex, opm)} "
+            f"with heap {show_heap(result.config.heap, opm)}"
         )
+        _report(args.file, "stuck", message, args.json)
         return 2
     for index, violation in result.violations:
-        print(f"{args.file}: oracle violation at step {index}: {violation}", file=sys.stderr)
+        message = f"oracle violation at step {index}: {violation}"
+        _report(args.file, "oracle-violation", message, args.json)
     if result.violations:
         return 2
     if result.config.heap:
-        print(
-            f"{args.file}: leaked resources: {show_heap(result.config.heap, opm)}",
-            file=sys.stderr,
-        )
+        message = f"leaked resources: {show_heap(result.config.heap, opm)}"
+        _report(args.file, "leaked-resources", message, args.json)
         return 2
     print(pretty_core(result.config.term, opm))
     return 0

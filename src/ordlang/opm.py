@@ -9,7 +9,7 @@ this interface, so swapping the index algebra swaps the typestate discipline.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 Element = Any  # each OPM instance fixes its own element representation
 
@@ -96,17 +96,15 @@ class FiniteOpm(Opm):
     def eq(self, x: str, y: str) -> bool:
         return x == y
 
+    def _witnesses(self, x: str, y: str) -> Iterator[str]:
+        """The z with x ⊙ z ≤ y, lazily, in carrier declaration order."""
+        return (z for z in self.carrier if (p := self.mul(x, z)) is not None and self.leq(p, y))
+
     def residual_exists(self, x: str, y: str) -> bool:
-        return any(
-            (p := self.mul(x, z)) is not None and self.leq(p, y) for z in self.carrier
-        )
+        return next(self._witnesses(x, y), None) is not None
 
     def best_continuation(self, x: str, y: str) -> Optional[str]:
-        witnesses = [
-            z
-            for z in self.carrier
-            if (p := self.mul(x, z)) is not None and self.leq(p, y)
-        ]
+        witnesses = list(self._witnesses(x, y))
         if not witnesses:
             return None
         # A maximal witness; ties broken by carrier declaration order.

@@ -226,30 +226,38 @@ class Dfa:
 DEFAULT_STATE_BUDGET = 512
 
 
+def _explore(start, successors, budget: int, message):
+    """Number the states reachable from `start` breadth-first, from 0.
+
+    Returns the states in number order and, per state, the row of the numbers
+    of its `successors`.  Numbering state `budget` raises
+    StateBudgetExceeded(message())."""
+    number = {start: 0}
+    order = [start]
+    trans: list[tuple[int, ...]] = []
+    for cur in order:  # grows as new states are numbered
+        row: list[int] = []
+        for nxt in successors(cur):
+            ix = number.get(nxt)
+            if ix is None:
+                if len(order) >= budget:
+                    raise StateBudgetExceeded(message())
+                ix = number[nxt] = len(order)
+                order.append(nxt)
+            row.append(ix)
+        trans.append(tuple(row))
+    return order, tuple(trans)
+
+
 @lru_cache(maxsize=4096)
 def to_dfa(r: Regex, alphabet: tuple[str, ...], budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Total DFA over `alphabet` whose language is L(r), by derivative classes."""
-    states: dict[Regex, int] = {r: 0}
-    order: list[Regex] = [r]
-    trans: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row: list[int] = []
-        for a in alphabet:
-            d = derivative(cur, a)
-            if d not in states:
-                if len(states) >= budget:
-                    raise StateBudgetExceeded(
-                        f"more than {budget} derivative classes for {show(r)}"
-                    )
-                states[d] = len(order)
-                order.append(d)
-            row.append(states[d])
-        trans.append(row)
-        i += 1
-    accepting = frozenset(ix for rx, ix in states.items() if nullable(rx))
-    return Dfa(alphabet, len(order), 0, accepting, tuple(tuple(row) for row in trans))
+    order, trans = _explore(
+        r, lambda cur: (derivative(cur, a) for a in alphabet), budget,
+        lambda: f"more than {budget} derivative classes for {show(r)}",
+    )
+    accepting = frozenset(ix for ix, cls in enumerate(order) if nullable(cls))
+    return Dfa(alphabet, len(order), 0, accepting, trans)
 
 
 def _joint_alphabet(*rs: Regex) -> tuple[str, ...]:
@@ -259,22 +267,29 @@ def _joint_alphabet(*rs: Regex) -> tuple[str, ...]:
     return tuple(sorted(syms))
 
 
-def includes(big: Regex, small: Regex) -> bool:
-    """Decide L(small) ⊆ L(big) via product-automaton emptiness."""
-    alphabet = _joint_alphabet(big, small)
-    db, ds = to_dfa(big, alphabet), to_dfa(small, alphabet)
-    seen = {(ds.start, db.start)}
-    work = [(ds.start, db.start)]
+def _reached(num: Regex, den: Regex) -> tuple[Dfa, set[int]]:
+    """num's DFA over the joint alphabet, and the set S of its states that
+    words of L(den) reach from its start (a search of the product automaton)."""
+    alphabet = _joint_alphabet(num, den)
+    dn, dd = to_dfa(num, alphabet), to_dfa(den, alphabet)
+    seen = {(dd.start, dn.start)}
+    work = [(dd.start, dn.start)]
+    reached: set[int] = set()
     while work:
-        qs, qb = work.pop()
-        if qs in ds.accepting and qb not in db.accepting:
-            return False
-        for k in range(len(alphabet)):
-            nxt = (ds.trans[qs][k], db.trans[qb][k])
+        qd, qn = work.pop()
+        if qd in dd.accepting:
+            reached.add(qn)
+        for nxt in zip(dd.trans[qd], dn.trans[qn]):
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
-    return True
+    return dn, reached
+
+
+def includes(big: Regex, small: Regex) -> bool:
+    """Decide L(small) ⊆ L(big): every big-state reached by a word of small accepts."""
+    db, reached = _reached(big, small)
+    return reached <= db.accepting
 
 
 def equivalent(a: Regex, b: Regex) -> bool:
@@ -329,48 +344,19 @@ def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:
     """
     if is_empty_language(den):
         raise ValueError("product derivative by the empty language")
-    alphabet = _joint_alphabet(num, den)
-    dn, dd = to_dfa(num, alphabet), to_dfa(den, alphabet)
-
     # S: num-states reached by words of L(den).
-    seen = {(dd.start, dn.start)}
-    work = [(dd.start, dn.start)]
-    s_set: set[int] = set()
-    while work:
-        qd, qn = work.pop()
-        if qd in dd.accepting:
-            s_set.add(qn)
-        for k in range(len(alphabet)):
-            nxt = (dd.trans[qd][k], dn.trans[qn][k])
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    if not s_set:  # unreachable given a nonempty den
+    dn, reached = _reached(num, den)
+    if not reached:  # unreachable given a nonempty den
         return None
 
     # Determinized universal acceptance from S.
-    start = tuple(sorted(s_set))
-    states: dict[tuple[int, ...], int] = {start: 0}
-    order = [start]
-    trans: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = []
-        for k in range(len(alphabet)):
-            nxt = tuple(sorted({dn.trans[q][k] for q in cur}))
-            if nxt not in states:
-                if len(states) >= DEFAULT_STATE_BUDGET:
-                    raise StateBudgetExceeded("product derivative state budget")
-                states[nxt] = len(order)
-                order.append(nxt)
-            row.append(states[nxt])
-        trans.append(row)
-        i += 1
-    accepting = frozenset(
-        ix for st, ix in states.items() if all(q in dn.accepting for q in st)
+    order, trans = _explore(
+        tuple(sorted(reached)),
+        lambda cur: (tuple(sorted(set(col))) for col in zip(*[dn.trans[q] for q in cur])),
+        DEFAULT_STATE_BUDGET, lambda: "product derivative state budget",
     )
-    return Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
+    accepting = frozenset(ix for ix, st in enumerate(order) if dn.accepting.issuperset(st))
+    return Dfa(dn.alphabet, len(order), 0, accepting, trans)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ reflexive-transitive closure of the syntactic context laws.  The
 runtime-context utilities (`focus`, `usage_projection`) read a heap context
 one location at a time.  The character-at-a-time lexer and the
 hand-unrolled redex search are the references for `surface.lex` and
-`interp._find_redex`.
+`interp._find_redex`; the hand-written state searches `reference_to_dfa`,
+`reference_includes` and `reference_continuation_dfa` are the references for
+`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`.
 """
 
 from __future__ import annotations
@@ -167,6 +169,104 @@ def rebuild_regex(r: rx.Regex) -> rx.Regex:
     if isinstance(r, rx.Star):
         return rx.Star(rebuild_regex(r.inner))
     return type(r)()
+
+
+def reference_to_dfa(
+    r: rx.Regex, alphabet: tuple[str, ...], budget: int = rx.DEFAULT_STATE_BUDGET
+) -> rx.Dfa:
+    """Total DFA over `alphabet` whose language is L(r), by derivative classes."""
+    states: dict[rx.Regex, int] = {r: 0}
+    order: list[rx.Regex] = [r]
+    trans: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        cur = order[i]
+        row: list[int] = []
+        for a in alphabet:
+            d = rx.derivative(cur, a)
+            if d not in states:
+                if len(states) >= budget:
+                    raise rx.StateBudgetExceeded(
+                        f"more than {budget} derivative classes for {rx.show(r)}"
+                    )
+                states[d] = len(order)
+                order.append(d)
+            row.append(states[d])
+        trans.append(row)
+        i += 1
+    accepting = frozenset(ix for r_, ix in states.items() if rx.nullable(r_))
+    return rx.Dfa(alphabet, len(order), 0, accepting, tuple(tuple(row) for row in trans))
+
+
+def reference_includes(big: rx.Regex, small: rx.Regex) -> bool:
+    """Decide L(small) ⊆ L(big) via product-automaton emptiness."""
+    alphabet = rx._joint_alphabet(big, small)
+    db, ds = reference_to_dfa(big, alphabet), reference_to_dfa(small, alphabet)
+    seen = {(ds.start, db.start)}
+    work = [(ds.start, db.start)]
+    while work:
+        qs, qb = work.pop()
+        if qs in ds.accepting and qb not in db.accepting:
+            return False
+        for k in range(len(alphabet)):
+            nxt = (ds.trans[qs][k], db.trans[qb][k])
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return True
+
+
+def reference_continuation_dfa(num: rx.Regex, den: rx.Regex) -> Optional[rx.Dfa]:
+    """A DFA for `product_derivative(num, den)`, every state reachable.
+
+    Construction: collect the set S of num-automaton states reachable from
+    its start by some word of den, then accept exactly the words that reach
+    acceptance from every state in S.  None when S is empty.
+    """
+    if rx.is_empty_language(den):
+        raise ValueError("product derivative by the empty language")
+    alphabet = rx._joint_alphabet(num, den)
+    dn, dd = reference_to_dfa(num, alphabet), reference_to_dfa(den, alphabet)
+
+    # S: num-states reached by words of L(den).
+    seen = {(dd.start, dn.start)}
+    work = [(dd.start, dn.start)]
+    s_set: set[int] = set()
+    while work:
+        qd, qn = work.pop()
+        if qd in dd.accepting:
+            s_set.add(qn)
+        for k in range(len(alphabet)):
+            nxt = (dd.trans[qd][k], dn.trans[qn][k])
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    if not s_set:  # unreachable given a nonempty den
+        return None
+
+    # Determinized universal acceptance from S.
+    start = tuple(sorted(s_set))
+    states: dict[tuple[int, ...], int] = {start: 0}
+    order = [start]
+    trans: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        cur = order[i]
+        row = []
+        for k in range(len(alphabet)):
+            nxt = tuple(sorted({dn.trans[q][k] for q in cur}))
+            if nxt not in states:
+                if len(states) >= rx.DEFAULT_STATE_BUDGET:
+                    raise rx.StateBudgetExceeded("product derivative state budget")
+                states[nxt] = len(order)
+                order.append(nxt)
+            row.append(states[nxt])
+        trans.append(row)
+        i += 1
+    accepting = frozenset(
+        ix for st, ix in states.items() if all(q in dn.accepting for q in st)
+    )
+    return rx.Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
 
 
 # ---------------------------------------------------------------------------

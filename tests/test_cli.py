@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -190,6 +191,64 @@ def test_run_time_limit_is_limit_exceeded(command, limit, monkeypatch, capsys):
     assert "limit-exceeded" in err and "Traceback" not in err
 
 
+def test_run_time_failures_are_json_lines_under_json(capsys):
+    path = str(PROGRAMS / "copy.ord")
+    assert invoke("run", "--json", "--fuel", "3", path) == 2
+    assert _one_diagnostic(capsys) == {
+        "kind": "fuel-exhausted",
+        "line": 0,
+        "col": 0,
+        "message": "fuel exhausted after 3 steps",
+    }
+    assert invoke("run", "--fuel", "3", path) == 2
+    assert capsys.readouterr().err == f"{path}: fuel exhausted after 3 steps\n"
+    assert invoke("dump-graph", "--json", "--binding", "zz", path) == 1
+    obj = _one_diagnostic(capsys)
+    assert (obj["kind"], obj["line"], obj["col"]) == ("unknown-binding", 0, 0)
+    assert obj["message"].startswith("no binding named 'zz'; known: _, b1, b2, copy,")
+    assert invoke("dump-graph", "--binding", "zz", path) == 1
+    assert capsys.readouterr().err == f"{path}: {obj['message']}\n"
+
+
+@pytest.mark.parametrize(
+    "failure, kinds",
+    [
+        ({"outcome": "stuck", "stuck_reason": "no-rule"}, ["stuck"]),
+        (
+            {"outcome": "value", "violations": [(0, "v0"), (2, "v2")]},
+            ["oracle-violation", "oracle-violation"],
+        ),
+        ({"outcome": "value"}, ["leaked-resources"]),
+    ],
+)
+def test_other_run_time_failures_are_json_lines(failure, kinds, monkeypatch, capsys):
+    # A checked program never gets stuck, violates the oracle or leaks, so
+    # make a fuel-starved run of copy.ord (three cells on its heap) look so.
+    real_run = cli.run
+
+    def failing_run(term, opm, **kwargs):
+        result = real_run(term, opm, **{**kwargs, "fuel": 3})
+        return dataclasses.replace(result, stuck_redex=result.config.term, **failure)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    path = str(PROGRAMS / "copy.ord")
+    assert invoke("run", path, "--json") == 2
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(obj["kind"], obj["line"], obj["col"]) for obj in lines] == [
+        (kind, 0, 0) for kind in kinds
+    ]
+    assert invoke("run", path) == 2
+    assert capsys.readouterr().err == "".join(f"{path}: {obj['message']}\n" for obj in lines)
+    if failure["outcome"] == "stuck":
+        assert lines[0]["message"].startswith("stuck(no-rule) at ")
+    elif "violations" in failure:
+        assert [obj["message"] for obj in lines] == [
+            "oracle violation at step 0: v0", "oracle violation at step 2: v2"
+        ]
+    else:
+        assert lines[0]["message"].startswith("leaked resources: {")
+
+
 # Pieces of programs: keywords, binders, literals of both OPMs, types,
 # punctuation, layout and a few characters the lexer rejects.
 PROGRAM_PIECES = [
@@ -229,6 +288,7 @@ def test_cli_is_total_on_arbitrary_text(source):
             ("check", path),
             ("run", path, "--json"),
             ("run", path, "--opm", "ownership"),
+            ("run", path, "--json", "--fuel", "5"),
         ):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):

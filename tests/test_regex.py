@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordlang import regex as rx
@@ -24,6 +24,9 @@ from oracles import (
     naive_symbols,
     random_regex,
     rebuild_regex,
+    reference_continuation_dfa,
+    reference_includes,
+    reference_to_dfa,
     words_upto,
 )
 from test_interp import _ops
@@ -185,6 +188,37 @@ def test_residual_iff_product_derivative_nonempty(x, y):
     assert opm.residual_exists(x, y) == (
         not rx.is_empty_language(rx.product_derivative(y, x))
     )
+
+
+def _budget_outcome(search, *args):
+    try:
+        return search(*args)
+    except rx.StateBudgetExceeded as exc:
+        return ("budget", str(exc))
+
+
+@given(regexes(), regexes(), st.sets(st.sampled_from("rwcd")))
+@example(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w(rw)*"), set())
+@example(ENVELOPE, rx.star(R), set())
+@settings(max_examples=150, deadline=None)
+def test_state_searches_match_the_references(a, b, extra):
+    # The numbering and the product search serve to_dfa, includes and the
+    # continuation DFA; each must give the hand-written search's Dfa, verdict
+    # and budget message, state for state.
+    alphabet = tuple(sorted(rx.symbols(a) | extra))
+    for budget in (1, 2, 3, 4, rx.DEFAULT_STATE_BUDGET):
+        assert _budget_outcome(rx.to_dfa, a, alphabet, budget) == _budget_outcome(
+            reference_to_dfa, a, alphabet, budget
+        )
+    assert rx.includes(a, b) == reference_includes(a, b)
+    assert rx.includes(b, a) == reference_includes(b, a)
+    assert rx._continuation_dfa(a, b) == reference_continuation_dfa(a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        for budget in (1, 2, 3, 4):
+            patch.setattr(rx, "DEFAULT_STATE_BUDGET", budget)
+            assert _budget_outcome(rx._continuation_dfa, a, b) == _budget_outcome(
+                reference_continuation_dfa, a, b
+            )
 
 
 def test_seeded_oracle_agreement_200_pairs(regex_opm):
