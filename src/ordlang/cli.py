@@ -116,6 +116,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if getattr(args, "fuel", 0) < 0:
+        sub.choices[args.command].error(f"argument --fuel: must be at least 0, got {args.fuel}")
     loaded = _load_and_check(args.file, args.opm, args.json)
     if loaded is None:
         return 1

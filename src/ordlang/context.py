@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
-from .core import CoreType, TraceType, ord_, show_type, unr
+from .core import CoreType, TraceType, show_type, unr
 from .opm import Opm
 
 
@@ -37,7 +37,7 @@ class Binding:
         return unr(self.type)
 
     def is_ord(self) -> bool:
-        return ord_(self.type)
+        return not self.is_unr()
 
 
 def var_bind(name: str, t: CoreType) -> Binding:

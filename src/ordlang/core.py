@@ -71,13 +71,7 @@ def unr(t: CoreType) -> bool:
 
 
 def ord_(t: CoreType) -> bool:
-    if isinstance(t, TraceType):
-        return True
-    if isinstance(t, ArrowType):
-        return t.mode != PLAIN
-    if isinstance(t, ProdType):
-        return ord_(t.left) or ord_(t.right)
-    return False
+    return not unr(t)
 
 
 def types_equal(a: CoreType, b: CoreType, opm: Opm) -> bool:
@@ -206,6 +200,16 @@ class LetPair(CoreTerm):
 UNIT = UnitConst()
 DROP = DropConst()
 
+# The binding structure of each former with subterms: its subterm fields in
+# order, each with the binder fields it binds there. Other formers are leaves.
+Shape = tuple[tuple[str, tuple[str, ...]], ...]
+SHAPES: dict[type, Shape] = {
+    Lam: (("body", ("var",)),),
+    App: (("fn", ()), ("arg", ())),
+    Pair: (("left", ()), ("right", ())),
+    LetPair: (("header", ()), ("body", ("x", "y"))),
+}
+
 
 def is_constant(m: CoreTerm) -> bool:
     return isinstance(m, (UnitConst, NewConst, OpConst, SplitConst, DropConst))
@@ -223,35 +227,22 @@ def fv(m: CoreTerm) -> frozenset[str]:
     """Free variables, computed once per node and stored on it."""
     if m._fv is not None:
         return m._fv
-    if isinstance(m, Var):
-        out = frozenset({m.name})
-    elif isinstance(m, Lam):
-        out = fv(m.body) - {m.var}
-    elif isinstance(m, App):
-        out = fv(m.fn) | fv(m.arg)
-    elif isinstance(m, Pair):
-        out = fv(m.left) | fv(m.right)
-    elif isinstance(m, LetPair):
-        out = fv(m.header) | (fv(m.body) - {m.x, m.y})
-    else:
-        out = frozenset()
+    out = frozenset({m.name}) if isinstance(m, Var) else frozenset()
+    for field, binders in SHAPES.get(type(m), ()):
+        sub = fv(getattr(m, field))
+        for b in binders:
+            sub = sub - {getattr(m, b)}
+        out = out | sub if out else sub  # no copy into an empty set
     object.__setattr__(m, "_fv", out)
     return out
 
 
 def locations(m: CoreTerm) -> tuple[int, ...]:
     """All location occurrences, with multiplicity."""
-    if isinstance(m, Loc):
-        return (m.ident,)
-    if isinstance(m, Lam):
-        return locations(m.body)
-    if isinstance(m, App):
-        return locations(m.fn) + locations(m.arg)
-    if isinstance(m, Pair):
-        return locations(m.left) + locations(m.right)
-    if isinstance(m, LetPair):
-        return locations(m.header) + locations(m.body)
-    return ()
+    out = (m.ident,) if isinstance(m, Loc) else ()
+    for field, _binders in SHAPES.get(type(m), ()):
+        out += locations(getattr(m, field))
+    return out
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -273,10 +264,8 @@ def _subst(m: CoreTerm, v: CoreTerm, x: str, fv_v: frozenset[str]) -> CoreTerm:
     if x not in fv(m):  # void substitution changes nothing, binders included
         return m
     if isinstance(m, Var):
-        return v if m.name == x else m
+        return v
     if isinstance(m, Lam):
-        if m.var == x:
-            return m
         if m.var in fv_v:
             new = _fresh(m.var, fv_v | fv(m.body) | {x})
             body = _subst(m.body, Var(new), m.var, frozenset({new}))

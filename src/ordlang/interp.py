@@ -255,19 +255,20 @@ def run(
     paranoid: bool = False,
     trace: bool = False,
 ) -> RunResult:
-    """Iterate step from the empty heap, recording rule names.
+    """Take at most `fuel` steps from the empty heap, recording rule names.
 
     With `trace`, each step also records its redex and heap delta as text.
     """
     cfg = Config(term, {}, 0)
     steps: list[TraceStep] = []
     violations: list[tuple[int, str]] = []
-    for i in range(fuel):
-        if paranoid:
+    for i in range(fuel + 1):
+        if i == fuel and not is_value(cfg.term):  # out of fuel short of a value
+            break
+        out = step(cfg, opm)  # leaves `cfg` as it was, for the oracle to read
+        if paranoid or out.status == "value":
             violations.extend((i, v) for v in runtime_oracle(cfg))
-        out = step(cfg, opm)
         if out.status == "value":
-            violations.extend((i, v) for v in runtime_oracle(cfg))
             return RunResult("value", cfg, steps, violations=violations)
         if out.status == "stuck":
             return RunResult(

@@ -10,11 +10,11 @@ serves every index algebra.  File extension: `.ord`; comments run from
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import takewhile
 from typing import Optional, Union
 
-from .core import ArrowType, CoreType, ProdType, TraceType, UNIT_T
+from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T
 from .opm import Opm, OpmError
 
 
@@ -128,32 +128,31 @@ class SLam(SurfaceExpr):
     body: SurfaceExpr
 
 
+# The binding structure of each former with subterms, as in `core.SHAPES`.
+SHAPES: dict[type, Shape] = {
+    SOp: (("arg", ()),),
+    SSplit: (("arg", ()),),
+    SDrop: (("arg", ()),),
+    SApp: (("fn", ()), ("arg", ())),
+    SPair: (("left", ()), ("right", ())),
+    SLetPair: (("header", ()), ("body", ("x", "y"))),
+    SLet: (("header", ()), ("body", ("x",))),
+    SSeq: (("first", ()), ("rest", ())),
+    SAnn: (("expr", ()),),
+    SLam: (("body", ("var",)),),
+}
+
+
 def surface_fv(e: SurfaceExpr) -> frozenset[str]:
     """Free variables, computed once per node and stored on it."""
     if e._fv is not None:
         return e._fv
-    if isinstance(e, SVar):
-        out = frozenset({e.name})
-    elif isinstance(e, (SUnit, SNew)):
-        out = frozenset()
-    elif isinstance(e, (SOp, SSplit, SDrop)):
-        out = surface_fv(e.arg)
-    elif isinstance(e, SApp):
-        out = surface_fv(e.fn) | surface_fv(e.arg)
-    elif isinstance(e, SPair):
-        out = surface_fv(e.left) | surface_fv(e.right)
-    elif isinstance(e, SLetPair):
-        out = surface_fv(e.header) | (surface_fv(e.body) - {e.x, e.y})
-    elif isinstance(e, SLet):
-        out = surface_fv(e.header) | (surface_fv(e.body) - {e.x})
-    elif isinstance(e, SSeq):
-        out = surface_fv(e.first) | surface_fv(e.rest)
-    elif isinstance(e, SAnn):
-        out = surface_fv(e.expr)
-    elif isinstance(e, SLam):
-        out = surface_fv(e.body) - {e.var}
-    else:
-        raise AssertionError(e)
+    out = frozenset({e.name}) if isinstance(e, SVar) else frozenset()
+    for field, binders in SHAPES.get(type(e), ()):
+        sub = surface_fv(getattr(e, field))
+        for b in binders:
+            sub = sub - {getattr(e, b)}
+        out = out | sub if out else sub  # no copy into an empty set
     object.__setattr__(e, "_fv", out)
     return out
 
@@ -168,31 +167,11 @@ def rename_var(e: SurfaceExpr, old: str, new: str) -> SurfaceExpr:
         return e
     if isinstance(e, SVar):
         return SVar(e.span, new)
-    if isinstance(e, SOp):
-        return SOp(e.span, e.index, rename_var(e.arg, old, new))
-    if isinstance(e, SSplit):
-        return SSplit(e.span, e.index, rename_var(e.arg, old, new))
-    if isinstance(e, SDrop):
-        return SDrop(e.span, rename_var(e.arg, old, new))
-    if isinstance(e, SApp):
-        return SApp(e.span, rename_var(e.fn, old, new), rename_var(e.arg, old, new))
-    if isinstance(e, SPair):
-        return SPair(e.span, rename_var(e.left, old, new), rename_var(e.right, old, new))
-    if isinstance(e, SLetPair):
-        header = rename_var(e.header, old, new)
-        body = e.body if old in (e.x, e.y) else rename_var(e.body, old, new)
-        return SLetPair(e.span, e.x, e.y, header, body)
-    if isinstance(e, SLet):
-        header = rename_var(e.header, old, new)
-        body = e.body if old == e.x else rename_var(e.body, old, new)
-        return SLet(e.span, e.x, header, body)
-    if isinstance(e, SSeq):
-        return SSeq(e.span, rename_var(e.first, old, new), rename_var(e.rest, old, new))
-    if isinstance(e, SAnn):
-        return SAnn(e.span, rename_var(e.expr, old, new), e.type)
-    if isinstance(e, SLam):  # `old` is free, so it is not the parameter
-        return SLam(e.span, e.var, rename_var(e.body, old, new))
-    raise AssertionError(e)
+    renamed = {}
+    for field, binders in SHAPES[type(e)]:
+        if all(getattr(e, b) != old for b in binders):  # else shadowed there
+            renamed[field] = rename_var(getattr(e, field), old, new)
+    return replace(e, **renamed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ one location at a time.  The character-at-a-time lexer and the
 hand-unrolled redex search are the references for `surface.lex` and
 `interp._find_redex`; the hand-written state searches `reference_to_dfa`,
 `reference_includes` and `reference_continuation_dfa` are the references for
-`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`.
+`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`, and the
+one-branch-per-former `reference_locations` is the reference for
+`core.locations`.
 """
 
 from __future__ import annotations
@@ -704,6 +706,21 @@ def naive_rename_var(e: sf.SurfaceExpr, old: str, new: str) -> sf.SurfaceExpr:
 
 # ---------------------------------------------------------------------------
 # Evaluator side
+
+def reference_locations(m: co.CoreTerm) -> tuple[int, ...]:
+    """All location occurrences, with multiplicity."""
+    if isinstance(m, co.Loc):
+        return (m.ident,)
+    if isinstance(m, co.Lam):
+        return reference_locations(m.body)
+    if isinstance(m, co.App):
+        return reference_locations(m.fn) + reference_locations(m.arg)
+    if isinstance(m, co.Pair):
+        return reference_locations(m.left) + reference_locations(m.right)
+    if isinstance(m, co.LetPair):
+        return reference_locations(m.header) + reference_locations(m.body)
+    return ()
+
 
 def reference_find_redex(m: co.CoreTerm):
     """Redex search with one hand-written descent per evaluation position.

@@ -125,6 +125,25 @@ def test_usage_errors_exit_64(capsys):
     assert invoke("dump-graph", str(PROGRAMS / "copy.ord")) == 64  # missing --binding
 
 
+def test_fuel_allows_exactly_that_many_steps(capsys):
+    copy = str(PROGRAMS / "copy.ord")  # `ordlang trace` lists its 22 steps
+    assert invoke("run", "--fuel", "22", copy) == 0
+    assert capsys.readouterr().out == "unit\n"
+    assert invoke("run", "--fuel", "21", copy) == 2
+    assert capsys.readouterr().err == f"{copy}: fuel exhausted after 21 steps\n"
+    assert invoke("trace", "--fuel", "22", copy) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "unit"
+    assert invoke("run", "--fuel", "0", str(PROGRAMS / "smoke" / "01_unit.ord")) == 0
+    assert capsys.readouterr().out == "unit\n"
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_negative_fuel_is_a_usage_error(command, capsys):
+    assert invoke(command, "--fuel", "-5", str(PROGRAMS / "copy.ord")) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --fuel: must be at least 0, got -5" in err
+
+
 def test_missing_file(capsys):
     assert invoke("check", "no/such/file.ord") == 1
 

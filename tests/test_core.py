@@ -1,10 +1,15 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlang import core as co
 from ordlang import regex as rx
+from ordlang import surface as sf
 from ordlang.opm import get_opm
+
+from oracles import reference_locations
 
 OPM = get_opm("regex")
 R = rx.sym("r")
@@ -179,6 +184,31 @@ def test_is_value():
 def test_locations_with_multiplicity():
     term = co.Pair(True, co.Loc(0), co.Pair(False, co.Loc(0), co.Loc(1)))
     assert sorted(co.locations(term)) == [0, 0, 1]
+
+
+@given(terms())
+@settings(max_examples=200)
+def test_locations_match_the_reference(m):
+    assert co.locations(m) == reference_locations(m)
+
+
+# -- binding structure
+
+@pytest.mark.parametrize("base, shapes", [(co.CoreTerm, co.SHAPES), (sf.SurfaceExpr, sf.SHAPES)])
+def test_every_former_is_a_leaf_or_in_its_shape_table(base, shapes):
+    # annotations are strings under `from __future__ import annotations`
+    formers = base.__subclasses__()
+    assert len(formers) >= 10 and set(shapes) <= set(formers)
+    for former in formers:
+        fields = {f.name: f.type for f in dataclasses.fields(former)}
+        subterms = [name for name, ann in fields.items() if ann == base.__name__]
+        if not subterms:
+            assert former not in shapes, former
+            continue
+        shape = shapes[former]
+        assert [name for name, _binders in shape] == subterms, former
+        for _name, binders in shape:
+            assert all(fields[b] == "str" for b in binders), former
 
 
 # -- stable pretty format

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlang import core as co
+from ordlang import interp
 from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.checker import TypeCheckError, check_program
 from ordlang.interp import Config, _find_redex, _heap_delta, run, runtime_oracle, step
 from ordlang.opm import get_opm
 
-from conftest import PROGRAMS, smoke_programs, workload_round
+from conftest import PROGRAMS, program_source, smoke_programs, workload_round
 from oracles import reference_find_redex
 
 OPM = get_opm("regex")
@@ -141,6 +142,38 @@ def test_run_divergence_exhausts_fuel():
     result = run(app(omega, omega), OPM, fuel=100)
     assert result.outcome == "fuel-exhausted"
     assert len(result.steps) == 100
+
+
+def test_fuel_allows_exactly_that_many_steps(monkeypatch):
+    checked = check_program(sf.parse(program_source("copy.ord"), OPM), OPM)
+    steps = len(run(checked.core, OPM).steps)
+    calls = [0]
+    uncounted = interp.step
+
+    def counted(cfg, opm):
+        calls[0] += 1
+        return uncounted(cfg, opm)
+
+    monkeypatch.setattr(interp, "step", counted)
+    for fuel in (steps, steps + 1, 100_000):
+        calls[0] = 0
+        result = run(checked.core, OPM, fuel=fuel)
+        assert result.outcome == "value" and len(result.steps) == steps, fuel
+        assert calls[0] == steps + 1, fuel  # the last call finds the value
+    calls[0] = 0
+    result = run(checked.core, OPM, fuel=steps - 1)
+    assert result.outcome == "fuel-exhausted" and len(result.steps) == steps - 1
+    assert calls[0] == steps - 1
+    for fuel in (0, 1):
+        result = run(co.UNIT, OPM, fuel=fuel)
+        assert result.outcome == "value" and result.steps == [], fuel
+
+
+def test_paranoid_run_checks_a_final_value_once():
+    for paranoid in (False, True):
+        result = run(co.Loc(5), OPM, paranoid=paranoid)
+        assert result.outcome == "value"
+        assert result.violations == [(0, "l5 occurs in the term but not in the heap")]
 
 
 def test_run_locations_never_reused():
@@ -321,6 +354,24 @@ def test_redex_search_matches_the_reference_at_every_step():
             cfg, steps = out.config, steps + 1
         assert reference_find_redex(cfg.term) is None and cfg.heap == {}, label
     assert len(programs) >= 20 and steps > 5000, (len(programs), steps)
+
+
+def test_evaluation_substitutes_only_closed_values(monkeypatch):
+    # so `subst` never renames a binder to avoid capture, and a read-back of
+    # a value never has to choose a fresh name
+    calls = [0]
+    uncounted = interp.subst
+
+    def closed_only(m, v, x):
+        assert co.fv(v) == frozenset(), v
+        calls[0] += 1
+        return uncounted(m, v, x)
+
+    monkeypatch.setattr(interp, "subst", closed_only)
+    programs = [(path.name, opm, checked) for path, opm, checked in _checked_programs()]
+    for label, opm, checked in programs + list(_workload_programs()):
+        assert run(checked.core, opm).outcome == "value", label
+    assert len(programs) >= 20 and calls[0] > 5000, (len(programs), calls[0])
 
 
 # -- cost gate: free-variable computations per step must not grow with n

@@ -214,15 +214,14 @@ def test_lex_matches_the_reference_lexer(source):
     assert _lexed(sf.lex, source) == _lexed(reference_lex, source)
 
 
-CHILD_FIELDS = ("arg", "fn", "left", "right", "header", "body", "first", "rest", "expr")
+def _children(e: sf.SurfaceExpr):
+    return [getattr(e, name) for name, _binders in sf.SHAPES.get(type(e), ())]
 
 
 def _spans_nested(e: sf.SurfaceExpr):
-    for name in CHILD_FIELDS:
-        child = getattr(e, name, None)
-        if isinstance(child, sf.SurfaceExpr):
-            assert span_contains(e.span, child.span), (e, child)
-            _spans_nested(child)
+    for child in _children(e):
+        assert span_contains(e.span, child.span), (e, child)
+        _spans_nested(child)
 
 
 def test_span_coverage_over_corpus():
@@ -274,10 +273,8 @@ def surface_terms():
 
 def _subterms(e):
     yield e
-    for name in CHILD_FIELDS:
-        child = getattr(e, name, None)
-        if isinstance(child, sf.SurfaceExpr):
-            yield from _subterms(child)
+    for child in _children(e):
+        yield from _subterms(child)
 
 
 def _assert_stored_fv_is_exact(e):

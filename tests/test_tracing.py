@@ -47,3 +47,61 @@ def test_traced_pass_counts_the_opm_and_regex_layers(tmp_path):
     for opm in ("regex", "ownership"):
         for name in ("opm.residual_exists", "opm.best_continuation"):
             assert deltas[opm].get(name, 0) > 0, (opm, name)
+
+
+# A shadowing let makes the checker rename the rest of the spine below it.
+SHADOWING = "let x = new {r*c} in\nlet x = !{r} x in\ndrop (!{c} x)\n"
+
+# Instruments ordlang as above, checks and runs SHADOWING through the CLI, then
+# calls each rebound name directly on a fresh tree and prints, per name, the
+# calls counted in the CLI pass and in the direct call.
+TRACED_RECURSION = """
+import contextlib, importlib.util, io, json, sys
+from ordlang import checker, cli, core, surface
+from ordlang.opm import get_opm
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.instrument(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("check", "run"):
+        assert cli.main([command, sys.argv[2]]) == 0, command
+names = ("surface.surface_fv", "surface.rename_var", "core.fv")
+out = {name: [tracer.counts[name]] for name in names}
+
+def direct(name, call):
+    before = tracer.counts[name]
+    call()
+    out[name].append(tracer.counts[name] - before)
+
+tree = surface.parse(sys.argv[3], get_opm("regex"))
+direct("surface.surface_fv", lambda: checker.surface_fv(tree))
+direct("surface.rename_var", lambda: surface.rename_var(tree.body, "x", "y"))
+term = core.App(core.PLAIN, core.Lam(core.PLAIN, "x", core.Var("x")), core.UNIT)
+direct("core.fv", lambda: core.fv(term))
+print(json.dumps(out))
+"""
+
+
+def test_traced_pass_counts_every_level_of_the_rewired_recursions(tmp_path):
+    program = tmp_path / "shadowing.ord"
+    program.write_text(SHADOWING)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [str(ROOT / "perfbench" / "tracing.py"), str(program), SHADOWING]
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RECURSION, *argv], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout)
+    for name, (in_cli, _direct) in counts.items():
+        assert in_cli > 0, name
+    # one call per node: 8 for the whole tree (through the checker's own
+    # binding of surface_fv), 3 for the inner let's header `!{r} x` (its
+    # body is shadowed), 4 for `(λx. x) unit`
+    assert {name: direct for name, (_in_cli, direct) in counts.items()} == {
+        "surface.surface_fv": 8,
+        "surface.rename_var": 3,
+        "core.fv": 4,
+    }
