@@ -25,11 +25,12 @@ class StateBudgetExceeded(Exception):
 @dataclass(frozen=True, eq=False)
 class Regex:
     # Hash (a generated dataclass hash: that of the field tuple), prec-0
-    # `show` string and alphabet, stored on first use; not fields, so repr
-    # ignores them.
+    # `show` string and alphabet, stored on first use, and the DFA a
+    # continuation was read back from; not fields, so repr ignores them.
     _hash = None
     _shown = None
     _symbols = None
+    _dfa = None
 
     def _key(self) -> tuple:  # the field values, in field order
         return tuple([getattr(self, f) for f in self.__match_args__])
@@ -40,11 +41,29 @@ class Regex:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return hash(self) == hash(other) and self._key() == other._key()
+        # Pairs of nodes on an explicit stack, so that no chain is too deep.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.__class__ is not b.__class__ or (
+                a._hash is not None and b._hash is not None and a._hash != b._hash
+            ):
+                return False
+            for f in a.__match_args__:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is y:
+                    continue
+                if x.__class__ is tuple:  # Alt items
+                    if len(x) != len(y):
+                        return False
+                    stack.extend([p for p in zip(x, y) if p[0] is not p[1]])
+                elif isinstance(x, Regex):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __reduce__(self) -> tuple:  # rebuild from the fields: a str hash is per process
         return (self.__class__, self._key())
@@ -267,11 +286,33 @@ def _joint_alphabet(*rs: Regex) -> tuple[str, ...]:
     return tuple(sorted(syms))
 
 
+def _dfa_over(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
+    """A DFA over `alphabet` whose language is L(r).
+
+    A continuation carries the DFA it was read back from: number the states
+    its own symbols reach, and send every other symbol (among them any the
+    carried DFA lacks) to one dead state.  Any other regex is derived by
+    `to_dfa`."""
+    carried = r._dfa
+    if carried is None:
+        return to_dfa(r, alphabet)
+    own = symbols(r)
+    cols = [carried.alphabet.index(a) if a in own else None for a in alphabet]
+    dead = -1
+    order, trans = _explore(
+        carried.start,
+        lambda q: (dead if q == dead or k is None else carried.trans[q][k] for k in cols),
+        carried.n_states + 1, None,  # never met: at most every state and the dead one
+    )
+    accepting = frozenset(ix for ix, q in enumerate(order) if q in carried.accepting)
+    return Dfa(alphabet, len(order), 0, accepting, trans)
+
+
 def _reached(num: Regex, den: Regex) -> tuple[Dfa, set[int]]:
     """num's DFA over the joint alphabet, and the set S of its states that
     words of L(den) reach from its start (a search of the product automaton)."""
     alphabet = _joint_alphabet(num, den)
-    dn, dd = to_dfa(num, alphabet), to_dfa(den, alphabet)
+    dn, dd = _dfa_over(num, alphabet), _dfa_over(den, alphabet)
     seen = {(dd.start, dn.start)}
     work = [(dd.start, dn.start)]
     reached: set[int] = set()
@@ -330,9 +371,16 @@ def regex_from_dfa(dfa: Dfa) -> Regex:
 
 
 def product_derivative(num: Regex, den: Regex) -> Regex:
-    """The largest z with L(den)·z ⊆ L(num); the empty language if none."""
+    """The largest z with L(den)·z ⊆ L(num); the empty language if none.
+
+    A composite result carries the DFA it was read back from (`_dfa_over`)."""
     dfa = _continuation_dfa(num, den)
-    return EMPTY if dfa is None else regex_from_dfa(dfa)
+    if dfa is None:
+        return EMPTY
+    out = regex_from_dfa(dfa)
+    if isinstance(out, (Cat, Alt, Star)):
+        object.__setattr__(out, "_dfa", dfa)
+    return out
 
 
 def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from ordlang import regex as rx
 from ordlang import surface as sf
-from ordlang.checker import check_program
+from ordlang.checker import TypeCheckError, check_program
 from ordlang.interp import run
 from ordlang.opm import OpmError
 
+from conftest import GOLDEN, workload_round
 from oracles import (
     dfa_accepts,
     language_sample,
@@ -221,6 +222,74 @@ def test_state_searches_match_the_references(a, b, extra):
             )
 
 
+def _uncarried(r):
+    """The node `r`'s pickle rebuilds: the same fields, no carried DFA."""
+    cls, fields = r.__reduce__()
+    return cls(*fields)
+
+
+def _budget_rule(num, den):
+    """The continuation search's outcome for each of the budgets 1-4, as the
+    budget rule fixes it: the default-budget DFA, or the budget message once
+    that DFA has more states than the budget."""
+    dfa = rx._continuation_dfa(num, den)
+    return {
+        budget: ("budget", "product derivative state budget")
+        if dfa is not None and dfa.n_states > budget
+        else dfa
+        for budget in (1, 2, 3, 4)
+    }
+
+
+@given(regexes(), regexes(), regexes(alphabet="rwcd"))
+@example(
+    rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"), rx.parse_regex("rw(w|rw)*")
+)
+@example(ENVELOPE, rx.star(R), C)
+@settings(max_examples=120, deadline=None)
+def test_carried_continuations_match_the_references(num, den, other):
+    # A continuation read back from a DFA carries it; its pickled copy does
+    # not, so the copy is derived anew. Both, and the references on the copy,
+    # must give the same verdicts; continuations agree up to language.
+    if rx.is_empty_language(den):
+        return
+    opm = rx.RegexOpm()
+    walk = [rx.product_derivative(num, den)]
+    if not rx.is_empty_language(other):
+        walk.append(rx.product_derivative(walk[0], other))  # carried twice over
+    for k in walk:
+        if k._dfa is None:  # a leaf: nothing is carried
+            continue
+        copy = _uncarried(k)
+        assert copy == k and copy._dfa is None
+        alphabet = rx._joint_alphabet(k, other)
+        renumbered = rx._dfa_over(k, alphabet)
+        assert renumbered.n_states <= k._dfa.n_states + 1  # at most the one dead state
+        assert rx.includes(k, other) == rx.includes(copy, other) == reference_includes(copy, other)
+        assert rx.includes(other, k) == rx.includes(other, copy) == reference_includes(other, copy)
+        # (op, index) pairs, the carried node on either side
+        pairs = [(op, idx, copy if op is k else op, copy if idx is k else idx)
+                 for op, idx in ((other, k), (k, other)) if not rx.is_empty_language(op)]
+        for op, idx, plain_op, plain_idx in pairs:
+            ref = reference_continuation_dfa(plain_idx, plain_op)
+            assert opm.residual_exists(op, idx) == (ref is not None and bool(ref.accepting))
+            got = opm.best_continuation(op, idx)
+            want = None if ref is None or not ref.accepting else rx.regex_from_dfa(ref)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert reference_includes(got, want) and reference_includes(want, got)
+        # The budget applies to the carried path's own automaton, with the
+        # reference's message; renumbering never meets it.
+        expected = [_budget_rule(idx, op) for op, idx, _, _ in pairs]
+        with pytest.MonkeyPatch.context() as patch:
+            for budget in (1, 2, 3, 4):
+                patch.setattr(rx, "DEFAULT_STATE_BUDGET", budget)
+                assert rx._dfa_over(k, alphabet) == renumbered
+                for (op, idx, _, _), outcomes in zip(pairs, expected):
+                    got = _budget_outcome(rx._continuation_dfa, idx, op)
+                    assert got == outcomes[budget]
+
+
 def test_seeded_oracle_agreement_200_pairs(regex_opm):
     disagreements = 0
     rng = random.Random(20240817)
@@ -311,6 +380,28 @@ def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
     assert repr(r) == repr(copy) == before
 
 
+def _chain(n, last):
+    """A right-nested Cat chain of n symbols and then `last`, built with the raw
+    constructor, so that no hash is stored on it."""
+    out = rx.Sym(last)
+    for i in range(n):
+        out = rx.Cat(rx.Sym("rw"[i % 2]), out)
+    return out
+
+
+def test_equality_of_deep_chains_needs_no_deep_recursion():
+    # the state of a 5000-op trace is a chain this deep; comparing two equal
+    # ones (as a cache lookup does) must not recurse per level
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    a, b = _chain(depth, "c"), _chain(depth, "c")
+    assert a is not b and a == b and not a != b
+    assert a != _chain(depth, "d") and a != _chain(depth - 1, "c")
+    assert rx.Alt((R, rx.Star(W))) != rx.Alt((R, rx.Star(W), C))  # nor a prefix of items
+    assert rx.Alt((rx.Star(W), rx.Star(C))) != rx.Alt((rx.Star(W), rx.Star(W)))
+    assert a._hash is None and b._hash is None
+
+
 def test_pickled_regex_rehashes_in_a_process_with_another_hash_seed():
     r = rx.parse_regex("(w|rw|wr)*c(ab|ba)*d")
     code = (
@@ -329,15 +420,16 @@ def test_pickled_regex_rehashes_in_a_process_with_another_hash_seed():
 # ---------------------------------------------------------------------------
 # Cost gates on deterministic counters
 
-def _borrow(k):
-    """A (W1)*c(W2)*d walk with k ops per phase, the first a split borrow."""
+def _borrow(k, split_at=0):
+    """A (W1)*c(W2)*d walk with k ops per phase, the one at `split_at` a split borrow."""
     steps = [*("w", "rw", "wr")[:k], "c", *("ab", "ba", "ab")[:k], "d"]
-    lets = "".join(f"let x{i + 1} = !{{{w}}} x{i} in\n" for i, w in enumerate(steps) if i)
-    return (
-        "let x0 = new {(w|rw|wr)*c(ab|ba)*d} in\n"
-        f"let b, x1 = split {{{steps[0]}}} x0 in drop (!{{{steps[0]}}} b);\n"
-        f"{lets}drop x{len(steps)}"
-    )
+    lines = ["let x0 = new {(w|rw|wr)*c(ab|ba)*d} in"]
+    for i, w in enumerate(steps):
+        if i == split_at:
+            lines.append(f"let b, x{i + 1} = split {{{w}}} x{i} in drop (!{{{w}}} b);")
+        else:
+            lines.append(f"let x{i + 1} = !{{{w}}} x{i} in")
+    return "\n".join([*lines, f"drop x{len(steps)}"])
 
 
 def _counting(monkeypatch, *names):
@@ -393,3 +485,82 @@ def test_run_reads_no_regex_back(family, n, regex_opm, monkeypatch):
     result = run(checked.core, regex_opm)
     assert result.outcome == "value"
     assert calls["regex_from_dfa"] == 0
+
+
+def test_derivative_calls_do_not_grow_with_the_walk(regex_opm, monkeypatch):
+    # each op's continuation carries the DFA it was read back from, so the
+    # next op derives nothing of it: the calls follow the envelope, not the walk
+    calls = _counting(monkeypatch, "derivative")
+    per_walk = {}
+    for k in (1, 3):
+        rx.to_dfa.cache_clear()
+        calls["derivative"] = 0
+        check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
+        per_walk[k] = calls["derivative"]
+    assert per_walk[3] <= 1.2 * per_walk[1], per_walk
+
+
+def test_no_read_back_node_is_derived(regex_opm, monkeypatch):
+    built = {}  # id -> node, every node of every read-back result, kept alive
+
+    def note(r):
+        stack = [r]
+        while stack:
+            node = stack.pop()
+            if node is not rx.EPS and node is not rx.EMPTY and id(node) not in built:
+                built[id(node)] = node
+                stack.extend(p for p in node._key() if isinstance(p, rx.Regex))
+                stack.extend(p for f in node._key() if isinstance(f, tuple) for p in f)
+
+    derived = []
+    for name in ("derivative", "to_dfa", "regex_from_dfa"):
+        uncounted = getattr(rx, name)
+
+        def wrapped(*args, _name=name, _uncounted=uncounted):
+            if _name != "regex_from_dfa" and id(args[0]) in built:
+                derived.append((_name, args[0]))
+            out = _uncounted(*args)
+            if _name == "regex_from_dfa":
+                note(out)
+            return out
+
+        monkeypatch.setattr(rx, name, wrapped)
+    sources = [_borrow(k, split_at) for k in (1, 2, 3) for split_at in range(2 * k + 2)]
+    sources += [job.source for job in workload_round("borrow")]
+    for source in sources:
+        try:
+            checked = check_program(sf.parse(source, regex_opm), regex_opm)
+        except TypeCheckError:  # the round's defects: checked up to the bad op
+            continue
+        run(checked.core, regex_opm)
+    assert built and not derived, derived[:3]
+
+
+def _dump_core_in_a_fresh_interpreter(path):
+    src = pathlib.Path(rx.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "ordlang.cli", "dump-core", str(path)]
+    return subprocess.run(cmd, env=env, capture_output=True, check=True, text=True).stdout
+
+
+def test_borrow_core_golden(tmp_path):
+    # the split takes the third op's continuation, read back from the DFA the
+    # second op's continuation carried
+    path = tmp_path / "borrow.ord"
+    path.write_text(_borrow(3, split_at=2))
+    assert _dump_core_in_a_fresh_interpreter(path) == (GOLDEN / "borrow_core.txt").read_text()
+
+
+def test_borrow_core_does_not_depend_on_what_was_checked_before(tmp_path, regex_opm, capsys):
+    from ordlang.cli import main
+
+    path = tmp_path / "borrow.ord"
+    path.write_text(_borrow(3, split_at=2))
+    for job in workload_round("borrow"):
+        try:
+            check_program(sf.parse(job.source, regex_opm), regex_opm)
+        except TypeCheckError:
+            pass
+    capsys.readouterr()
+    assert main(["dump-core", str(path)]) == 0
+    assert capsys.readouterr().out == _dump_core_in_a_fresh_interpreter(path)
