@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.checker import TypeCheckError, check_program
+from ordlang.cli import main
 from ordlang.interp import run
 from ordlang.opm import OpmError
 
@@ -552,8 +553,6 @@ def test_borrow_core_golden(tmp_path):
 
 
 def test_borrow_core_does_not_depend_on_what_was_checked_before(tmp_path, regex_opm, capsys):
-    from ordlang.cli import main
-
     path = tmp_path / "borrow.ord"
     path.write_text(_borrow(3, split_at=2))
     for job in workload_round("borrow"):
