@@ -25,6 +25,7 @@ from .regex import StateBudgetExceeded
 from .surface import ParseError, parse
 
 USAGE_EXIT = 64
+LIMITS = (RecursionError, StateBudgetExceeded)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +76,7 @@ def _load_and_check(path: str, opm_name: str, as_json: bool):
             file=sys.stderr,
         )
         return None
-    except (RecursionError, StateBudgetExceeded) as exc:
+    except LIMITS as exc:
         print(_diag(path, "limit-exceeded", 0, 0, str(exc), as_json), file=sys.stderr)
         return None
     return checked, opm
@@ -121,8 +122,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     loaded = _load_and_check(args.file, args.opm, args.json)
     if loaded is None:
         return 1
-    checked, opm = loaded
+    try:
+        return _command(args, *loaded)
+    except LIMITS as exc:  # met while printing or running
+        print(_diag(args.file, "limit-exceeded", 0, 0, str(exc), args.json), file=sys.stderr)
+        return 2 if args.command in ("run", "trace") else 1
 
+
+def _command(args: argparse.Namespace, checked, opm) -> int:
     if args.command == "check":
         print("ok")
         return 0
@@ -144,11 +151,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     # run / trace
     tracing = args.command == "trace"
     paranoid = getattr(args, "paranoid", False) or tracing
-    try:
-        result = run(checked.core, opm, fuel=args.fuel, paranoid=paranoid, trace=tracing)
-    except (RecursionError, StateBudgetExceeded) as exc:
-        print(_diag(args.file, "limit-exceeded", 0, 0, str(exc), args.json), file=sys.stderr)
-        return 2
+    result = run(checked.core, opm, fuel=args.fuel, paranoid=paranoid, trace=tracing)
     if tracing:
         for s in result.steps:
             print(f"[{s.index}] {s.rule} {s.redex} | {s.heap_delta}")

@@ -8,8 +8,8 @@ star collapse) so that iterated derivatives fall into finitely many classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .opm import Opm, OpmError, register_opm
@@ -25,12 +25,11 @@ class StateBudgetExceeded(Exception):
 @dataclass(frozen=True, eq=False)
 class Regex:
     # Hash (a generated dataclass hash: that of the field tuple), prec-0
-    # `show` string and alphabet, stored on first use, and the DFA a
-    # continuation was read back from; not fields, so repr ignores them.
+    # `show` string and alphabet, stored on first use; not fields, so repr
+    # ignores them.
     _hash = None
     _shown = None
     _symbols = None
-    _dfa = None
 
     def _key(self) -> tuple:  # the field values, in field order
         return tuple([getattr(self, f) for f in self.__match_args__])
@@ -104,6 +103,29 @@ class Star(Regex):
     inner: Regex
 
 
+@dataclass(frozen=True, eq=False)
+class Auto(Regex):
+    """A continuation: the language of a DFA with some accepting state,
+    read back to a regex (state elimination) only when it is printed."""
+
+    dfa: Dfa
+
+    @cached_property
+    def live(self) -> frozenset[int]:
+        """The states reachable from the start that can reach acceptance."""
+        d = self.dfa
+        reach, _ = _explore(d.start, d.trans.__getitem__, d.n_states + 1, None)
+        live = d.accepting.intersection(reach)
+        while grown := {q for q in reach if q not in live and not live.isdisjoint(d.trans[q])}:
+            live |= grown
+        return live
+
+    @cached_property
+    def readback(self) -> Regex:
+        """Read back on first use, by the module-global name a tracer can wrap."""
+        return regex_from_dfa(self.dfa)
+
+
 EMPTY = Empty()
 EPS = Eps()
 
@@ -166,6 +188,11 @@ def symbols(r: Regex) -> frozenset[str]:
             out = frozenset().union(*[symbols(p) for p in r.items])
         elif isinstance(r, Star):
             out = symbols(r.inner)
+        elif isinstance(r, Auto):  # the labels between live states
+            d, live = r.dfa, r.live
+            out = frozenset(
+                a for q in live for a, t in zip(d.alphabet, d.trans[q]) if t in live
+            )
         else:
             out = frozenset()
         object.__setattr__(r, "_symbols", out)
@@ -174,6 +201,8 @@ def symbols(r: Regex) -> frozenset[str]:
 
 def show(r: Regex, prec: int = 0) -> str:
     # precedence: alternation 0 < concatenation 1 < star 2
+    if isinstance(r, Auto):
+        return show(r.readback, prec)
     s = r._shown
     if s is None:
         if isinstance(r, Empty):
@@ -208,6 +237,8 @@ def is_empty_language(r: Regex) -> bool:
 def nullable(r: Regex) -> bool:
     if isinstance(r, (Eps, Star)):
         return True
+    if isinstance(r, Auto):
+        return r.dfa.start in r.dfa.accepting
     if isinstance(r, Cat):
         return nullable(r.left) and nullable(r.right)
     if isinstance(r, Alt):
@@ -229,6 +260,10 @@ def derivative(r: Regex, a: str) -> Regex:
         return alt(*(derivative(p, a) for p in r.items))
     if isinstance(r, Star):
         return cat(derivative(r.inner, a), r)
+    if isinstance(r, Auto):
+        d = r.dfa
+        q = d.trans[d.start][d.alphabet.index(a)] if a in d.alphabet else None
+        return Auto(replace(d, start=q)) if q in r.live else EMPTY
     raise AssertionError(r)
 
 
@@ -289,22 +324,21 @@ def _joint_alphabet(*rs: Regex) -> tuple[str, ...]:
 def _dfa_over(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
     """A DFA over `alphabet` whose language is L(r).
 
-    A continuation carries the DFA it was read back from: number the states
-    its own symbols reach, and send every other symbol (among them any the
-    carried DFA lacks) to one dead state.  Any other regex is derived by
+    A continuation's own DFA is renumbered: its live states keep their
+    transitions, and every other transition (among them those on symbols
+    the DFA lacks) goes to one dead state.  Any other regex is derived by
     `to_dfa`."""
-    carried = r._dfa
-    if carried is None:
+    if not isinstance(r, Auto):
         return to_dfa(r, alphabet)
-    own = symbols(r)
-    cols = [carried.alphabet.index(a) if a in own else None for a in alphabet]
-    dead = -1
+    d, live, dead = r.dfa, r.live, -1
+    cols = [d.alphabet.index(a) if a in d.alphabet else None for a in alphabet]
     order, trans = _explore(
-        carried.start,
-        lambda q: (dead if q == dead or k is None else carried.trans[q][k] for k in cols),
-        carried.n_states + 1, None,  # never met: at most every state and the dead one
+        d.start,
+        lambda q: (dead if q == dead or k is None or d.trans[q][k] not in live
+                   else d.trans[q][k] for k in cols),
+        d.n_states + 1, None,  # never met: at most every state and the dead one
     )
-    accepting = frozenset(ix for ix, q in enumerate(order) if q in carried.accepting)
+    accepting = frozenset(ix for ix, q in enumerate(order) if q in d.accepting)
     return Dfa(alphabet, len(order), 0, accepting, trans)
 
 
@@ -337,8 +371,13 @@ def equivalent(a: Regex, b: Regex) -> bool:
     return includes(a, b) and includes(b, a)
 
 
+READBACK_BUDGET = 100_000  # characters per arc; printed continuations have some hundreds
+
+
 def regex_from_dfa(dfa: Dfa) -> Regex:
-    """Read a regex back from a DFA by state elimination."""
+    """Read a regex back from a DFA by state elimination.
+
+    An arc that prints longer than READBACK_BUDGET raises StateBudgetExceeded."""
     n = dfa.n_states
     # Arc labels between virtual start (n) and accept (n+1) nodes.
     arcs: dict[tuple[int, int], Regex] = {}
@@ -346,7 +385,11 @@ def regex_from_dfa(dfa: Dfa) -> Regex:
     def add(i: int, j: int, r: Regex) -> None:
         if is_empty_language(r):
             return
-        arcs[(i, j)] = alt(arcs.get((i, j), EMPTY), r)
+        arc = arcs[(i, j)] = alt(arcs.get((i, j), EMPTY), r)
+        if len(show(arc)) > READBACK_BUDGET:
+            raise StateBudgetExceeded(
+                f"continuation reads back to more than {READBACK_BUDGET} characters"
+            )
 
     for s in range(n):
         for k, a in enumerate(dfa.alphabet):
@@ -371,16 +414,9 @@ def regex_from_dfa(dfa: Dfa) -> Regex:
 
 
 def product_derivative(num: Regex, den: Regex) -> Regex:
-    """The largest z with L(den)·z ⊆ L(num); the empty language if none.
-
-    A composite result carries the DFA it was read back from (`_dfa_over`)."""
+    """The largest z with L(den)·z ⊆ L(num), as its DFA; the empty language if none."""
     dfa = _continuation_dfa(num, den)
-    if dfa is None:
-        return EMPTY
-    out = regex_from_dfa(dfa)
-    if isinstance(out, (Cat, Alt, Star)):
-        object.__setattr__(out, "_dfa", dfa)
-    return out
+    return Auto(dfa) if dfa is not None and dfa.accepting else EMPTY
 
 
 def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:

@@ -34,7 +34,10 @@ from ordlang.opm import Opm
 
 @lru_cache(maxsize=1_000_000)
 def naive_match(r: rx.Regex, word: str) -> bool:
-    """Structural matcher: no derivatives, no automata."""
+    """Structural matcher: no derivatives, no automata (a continuation is
+    matched as the regex it reads back to)."""
+    if isinstance(r, rx.Auto):
+        return naive_match(r.readback, word)
     if isinstance(r, rx.Empty):
         return False
     if isinstance(r, rx.Eps):
@@ -66,7 +69,10 @@ def words_upto(alphabet: str, max_len: int):
 
 @lru_cache(maxsize=100_000)
 def language_sample(r: rx.Regex, alphabet: str, max_len: int) -> frozenset[str]:
-    """All words of length ≤ max_len in L(r), by bounded set semantics."""
+    """All words of length ≤ max_len in L(r), by bounded set semantics (of
+    the read-back regex, for a continuation)."""
+    if isinstance(r, rx.Auto):
+        return language_sample(r.readback, alphabet, max_len)
     if isinstance(r, rx.Empty):
         return frozenset()
     if isinstance(r, rx.Eps):

@@ -204,6 +204,19 @@ in
     assert _reject_kind(src) == "effect-violation"
 
 
+def test_ordered_pair_with_a_resource_first_requires_a_pure_second():
+    # the pair runs `!{c} y` before its first component's borrow is used, so
+    # without the check it would run `!{r}` after `!{c}` and get stuck
+    src = (
+        "let x = new {(r|w)*c} in let b, y = split {r*} x in "
+        "let p = (b, !{c} y) in let q, z = p in drop (!{r} q); drop z"
+    )
+    with pytest.raises(TypeCheckError) as exc:
+        check_program(parse(src), OPM)
+    err = exc.value
+    assert (err.kind, err.span.line, err.span.col) == ("effect-violation", 1, 65)
+
+
 def _reject_kind(src):
     with pytest.raises(TypeCheckError) as exc:
         check_program(parse(src), OPM)

@@ -2,6 +2,9 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from ordlang import cli
 from ordlang.cli import main
-from ordlang.regex import StateBudgetExceeded
+from ordlang.regex import READBACK_BUDGET, StateBudgetExceeded
 
 from conftest import PROGRAMS, smoke_programs
 
@@ -193,6 +196,77 @@ def test_recursion_depth_is_limit_exceeded(tmp_path, capsys):
     prog.write_text(f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x2000)\n")
     assert invoke("check", str(prog), "--json") == 1
     assert _one_diagnostic(capsys)["kind"] == "limit-exceeded"
+
+
+# Rejected at `drop x2`, whose diagnostic prints the continuation; the
+# regex it reads back to has millions of characters.
+FOUND = (
+    "let x0 = new {(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)} in let x1 = !{a} x0 in\n"
+    "let x2 = !{b} x1 in drop x2\n"
+)
+# Accepted; only the split's printed continuation is that large.
+BIG_SPLIT = (
+    "let x0 = new {(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)} in\n"
+    "let b, x1 = split {a} x0 in drop (!{a} b);\n"
+    "drop (!{aaaaa} x1)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, argv, code",
+    [
+        pytest.param(FOUND, ["check"], 1, id="found-check"),
+        pytest.param(FOUND, ["dump-core"], 1, id="found-dump-core"),
+        pytest.param(BIG_SPLIT, ["dump-core"], 1, id="split-dump-core"),
+        pytest.param(BIG_SPLIT, ["dump-graph", "--binding", "b"], 1, id="split-dump-graph"),
+        pytest.param(BIG_SPLIT, ["trace"], 2, id="split-trace"),
+    ],
+)
+def test_readback_budget_is_limit_exceeded(source, argv, code, tmp_path):
+    path = tmp_path / "big.ord"
+    path.write_text(source)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "ordlang.cli", *argv, "--json", str(path)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr[-2000:]
+    obj = json.loads(lines[0])
+    assert obj["kind"] == "limit-exceeded" and "characters" in obj["message"]
+
+
+TOO_BIG = f"continuation reads back to more than {READBACK_BUDGET} characters"
+
+
+def _too_big(*args):
+    raise StateBudgetExceeded(TOO_BIG)
+
+
+@pytest.mark.parametrize(
+    "command, printer, failure, code",
+    [
+        ("dump-core", "pretty_core", None, 1),  # the core term
+        ("run", "pretty_core", None, 2),  # the final term
+        ("run", "pretty_core", {"outcome": "stuck", "stuck_reason": "no-rule"}, 2),
+        ("run", "show_heap", {"outcome": "value"}, 2),  # the leaked heap
+    ],
+)
+def test_limits_met_while_printing_are_limit_exceeded(
+    command, printer, failure, code, monkeypatch, capsys
+):
+    real_run = cli.run
+
+    def failing_run(term, opm, **kwargs):
+        result = real_run(term, opm, **{**kwargs, "fuel": 3})
+        return dataclasses.replace(result, stuck_redex=result.config.term, **failure)
+
+    if failure is not None:
+        monkeypatch.setattr(cli, "run", failing_run)
+    monkeypatch.setattr(cli, printer, _too_big)
+    assert invoke(command, str(PROGRAMS / "copy.ord"), "--json") == code
+    obj = _one_diagnostic(capsys)
+    assert (obj["kind"], obj["message"]) == ("limit-exceeded", TOO_BIG)
 
 
 @pytest.mark.parametrize("command", ["run", "trace"])

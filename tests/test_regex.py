@@ -223,12 +223,6 @@ def test_state_searches_match_the_references(a, b, extra):
             )
 
 
-def _uncarried(r):
-    """The node `r`'s pickle rebuilds: the same fields, no carried DFA."""
-    cls, fields = r.__reduce__()
-    return cls(*fields)
-
-
 def _budget_rule(num, den):
     """The continuation search's outcome for each of the budgets 1-4, as the
     budget rule fixes it: the default-budget DFA, or the budget message once
@@ -249,26 +243,26 @@ def _budget_rule(num, den):
 @example(ENVELOPE, rx.star(R), C)
 @settings(max_examples=120, deadline=None)
 def test_carried_continuations_match_the_references(num, den, other):
-    # A continuation read back from a DFA carries it; its pickled copy does
-    # not, so the copy is derived anew. Both, and the references on the copy,
-    # must give the same verdicts; continuations agree up to language.
+    # A continuation is its DFA; the regex it reads back to is derived anew.
+    # Both, and the references on the read-back copy, must give the same
+    # verdicts; continuations agree up to language.
     if rx.is_empty_language(den):
         return
     opm = rx.RegexOpm()
     walk = [rx.product_derivative(num, den)]
     if not rx.is_empty_language(other):
-        walk.append(rx.product_derivative(walk[0], other))  # carried twice over
+        walk.append(rx.product_derivative(walk[0], other))  # a continuation's continuation
     for k in walk:
-        if k._dfa is None:  # a leaf: nothing is carried
+        if not isinstance(k, rx.Auto):  # the empty language
             continue
-        copy = _uncarried(k)
-        assert copy == k and copy._dfa is None
+        copy = rx.regex_from_dfa(k.dfa)
+        assert rx.show(copy) == rx.show(k) and not isinstance(copy, rx.Auto)
         alphabet = rx._joint_alphabet(k, other)
         renumbered = rx._dfa_over(k, alphabet)
-        assert renumbered.n_states <= k._dfa.n_states + 1  # at most the one dead state
+        assert renumbered.n_states <= k.dfa.n_states + 1  # at most the one dead state
         assert rx.includes(k, other) == rx.includes(copy, other) == reference_includes(copy, other)
         assert rx.includes(other, k) == rx.includes(other, copy) == reference_includes(other, copy)
-        # (op, index) pairs, the carried node on either side
+        # (op, index) pairs, the continuation on either side
         pairs = [(op, idx, copy if op is k else op, copy if idx is k else idx)
                  for op, idx in ((other, k), (k, other)) if not rx.is_empty_language(op)]
         for op, idx, plain_op, plain_idx in pairs:
@@ -279,7 +273,7 @@ def test_carried_continuations_match_the_references(num, den, other):
             assert (got is None) == (want is None)
             if got is not None:
                 assert reference_includes(got, want) and reference_includes(want, got)
-        # The budget applies to the carried path's own automaton, with the
+        # The budget applies to the continuation path's own automaton, with the
         # reference's message; renumbering never meets it.
         expected = [_budget_rule(idx, op) for op, idx, _, _ in pairs]
         with pytest.MonkeyPatch.context() as patch:
@@ -289,6 +283,29 @@ def test_carried_continuations_match_the_references(num, den, other):
                 for (op, idx, _, _), outcomes in zip(pairs, expected):
                     got = _budget_outcome(rx._continuation_dfa, idx, op)
                     assert got == outcomes[budget]
+
+
+@given(regexes(), regexes())
+@example(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"))
+@example(ENVELOPE, rx.star(R))
+@example(ENVELOPE, ENVELOPE)  # the continuation eps
+@settings(max_examples=150, deadline=None)
+def test_continuation_leaf_matches_its_readback(num, den):
+    if rx.is_empty_language(den):
+        return
+    leaf = rx.product_derivative(num, den)
+    if not isinstance(leaf, rx.Auto):  # the empty language
+        assert leaf is rx.EMPTY
+        return
+    back = rx.regex_from_dfa(leaf.dfa)
+    assert rx.symbols(leaf) == rx.symbols(back)
+    assert rx.nullable(leaf) == rx.nullable(back)
+    for p in (0, 1, 2):
+        assert rx.show(leaf, p) == rx.show(back, p)
+    for a in "rwcdab":
+        d, e = rx.derivative(leaf, a), rx.derivative(back, a)
+        assert rx.is_empty_language(d) == rx.is_empty_language(e)
+        assert reference_includes(d, e) and reference_includes(e, d)
 
 
 def test_seeded_oracle_agreement_200_pairs(regex_opm):
@@ -488,9 +505,27 @@ def test_run_reads_no_regex_back(family, n, regex_opm, monkeypatch):
     assert calls["regex_from_dfa"] == 0
 
 
+def test_checking_reads_back_only_the_printed_continuation(regex_opm, monkeypatch):
+    # an accepted program prints no continuation; a rejected one at most the
+    # one its diagnostic names
+    calls = _counting(monkeypatch, "regex_from_dfa")
+    sources = [_borrow(k, split_at) for k in (1, 2, 3) for split_at in range(2 * k + 2)]
+    sources += [job.source for job in workload_round("borrow")]
+    rejected_reads = 0
+    for source in sources:
+        calls["regex_from_dfa"] = 0
+        try:
+            check_program(sf.parse(source, regex_opm), regex_opm)
+            assert calls["regex_from_dfa"] == 0, source
+        except TypeCheckError:
+            assert calls["regex_from_dfa"] <= 1, source
+            rejected_reads += calls["regex_from_dfa"]
+    assert rejected_reads > 0  # the round's defects print their continuation
+
+
 def test_derivative_calls_do_not_grow_with_the_walk(regex_opm, monkeypatch):
-    # each op's continuation carries the DFA it was read back from, so the
-    # next op derives nothing of it: the calls follow the envelope, not the walk
+    # each op's continuation is its DFA, so the next op renumbers it and
+    # derives nothing of it: the calls follow the envelope, not the walk
     calls = _counting(monkeypatch, "derivative")
     per_walk = {}
     for k in (1, 3):
@@ -545,8 +580,8 @@ def _dump_core_in_a_fresh_interpreter(path):
 
 
 def test_borrow_core_golden(tmp_path):
-    # the split takes the third op's continuation, read back from the DFA the
-    # second op's continuation carried
+    # the split takes the third op's continuation, built from the second op's
+    # continuation DFA
     path = tmp_path / "borrow.ord"
     path.write_text(_borrow(3, split_at=2))
     assert _dump_core_in_a_fresh_interpreter(path) == (GOLDEN / "borrow_core.txt").read_text()
