@@ -276,12 +276,9 @@ class Checker:
                 e.fn.span,
                 "function part of a left-ordered application must be effect-free",
             )
-        if arrow.mode == PLAIN or arrow.mode == UNORD:
-            eff = max(arrow.effect, rf.effect, ra.effect)
-        elif arrow.mode == RIGHT:
-            eff = max(arrow.effect, rf.effect)
-        else:
-            eff = max(arrow.effect, ra.effect)
+        # The checks above leave the argument effect-free under a right
+        # application and the function under a left one, so one rule fits all.
+        eff = max(arrow.effect, rf.effect, ra.effect)
         return InferResult(arrow.result, eff, App(arrow.mode, rf.core, ra.core))
 
     def _infer_pair(self, ctx: cx.Ctx, e: sf.SPair) -> InferResult:

@@ -99,19 +99,21 @@ def types_equal(a: CoreType, b: CoreType, opm: Opm) -> bool:
 ARROW_MARK = {PLAIN: "", UNORD: "°", RIGHT: ">", LEFT: "<"}
 
 
-def show_type(t: CoreType, opm: Opm, prec: int = 0) -> str:
+def show_type(t: CoreType, opm: Opm, prec: int = 0, brackets: str = "[]") -> str:
+    """Concrete type syntax; `brackets` enclose an index ("{}" in surface syntax)."""
     if isinstance(t, UnitType):
         return "Unit"
     if isinstance(t, TraceType):
-        return "[" + opm.show_element(t.index) + "]"
+        return brackets[0] + opm.show_element(t.index) + brackets[1]
     if isinstance(t, ProdType):
         op = ".o" if t.ordered else "ox"
-        s = f"{show_type(t.left, opm, 2)} {op} {show_type(t.right, opm, 2)}"
+        left, right = show_type(t.left, opm, 2, brackets), show_type(t.right, opm, 2, brackets)
+        s = f"{left} {op} {right}"
         return f"({s})" if prec > 1 else s
     if isinstance(t, ArrowType):
         s = (
-            f"{show_type(t.param, opm, 1)} "
-            f"-[{t.mode} {t.effect}]-> {show_type(t.result, opm, 0)}"
+            f"{show_type(t.param, opm, 1, brackets)} "
+            f"-[{t.mode} {t.effect}]-> {show_type(t.result, opm, 0, brackets)}"
         )
         return f"({s})" if prec > 0 else s
     raise AssertionError(t)

@@ -8,6 +8,7 @@ star collapse) so that iterated derivatives fall into finitely many classes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -112,13 +113,7 @@ class Auto(Regex):
 
     @cached_property
     def live(self) -> frozenset[int]:
-        """The states reachable from the start that can reach acceptance."""
-        d = self.dfa
-        reach, _ = _explore(d.start, d.trans.__getitem__, d.n_states + 1, None)
-        live = d.accepting.intersection(reach)
-        while grown := {q for q in reach if q not in live and not live.isdisjoint(d.trans[q])}:
-            live |= grown
-        return live
+        return _live(self.dfa)
 
     @cached_property
     def readback(self) -> Regex:
@@ -374,31 +369,42 @@ def equivalent(a: Regex, b: Regex) -> bool:
 READBACK_BUDGET = 100_000  # characters per arc; printed continuations have some hundreds
 
 
-def regex_from_dfa(dfa: Dfa) -> Regex:
-    """Read a regex back from a DFA by state elimination.
+def _live(dfa: Dfa) -> frozenset[int]:
+    """The states reachable from the start that can reach acceptance."""
+    reach, _ = _explore(dfa.start, dfa.trans.__getitem__, dfa.n_states + 1, None)
+    live = dfa.accepting.intersection(reach)
+    while grown := {q for q in reach if q not in live and not live.isdisjoint(dfa.trans[q])}:
+        live |= grown
+    return live
 
-    An arc that prints longer than READBACK_BUDGET raises StateBudgetExceeded."""
-    n = dfa.n_states
+
+def regex_from_dfa(dfa: Dfa) -> Regex:
+    """Read a regex back from a DFA by state elimination over its live states.
+
+    A path from the start to acceptance passes through live states only, so
+    leaving the others out changes no arc between live ones.  An arc that
+    prints longer than READBACK_BUDGET raises StateBudgetExceeded."""
+    n, live = dfa.n_states, _live(dfa)
     # Arc labels between virtual start (n) and accept (n+1) nodes.
     arcs: dict[tuple[int, int], Regex] = {}
 
     def add(i: int, j: int, r: Regex) -> None:
-        if is_empty_language(r):
-            return
         arc = arcs[(i, j)] = alt(arcs.get((i, j), EMPTY), r)
         if len(show(arc)) > READBACK_BUDGET:
             raise StateBudgetExceeded(
                 f"continuation reads back to more than {READBACK_BUDGET} characters"
             )
 
-    for s in range(n):
-        for k, a in enumerate(dfa.alphabet):
-            add(s, dfa.trans[s][k], sym(a))
-    add(n, dfa.start, EPS)
-    for s in dfa.accepting:
+    for s in sorted(live):
+        for a, t in zip(dfa.alphabet, dfa.trans[s]):
+            if t in live:
+                add(s, t, sym(a))
+    if live:  # then the start is live
+        add(n, dfa.start, EPS)
+    for s in dfa.accepting & live:
         add(s, n + 1, EPS)
 
-    for s in range(n):  # eliminate state s
+    for s in sorted(live):  # eliminate state s
         loop = arcs.pop((s, s), EMPTY)
         ins = [(i, r) for (i, j), r in arcs.items() if j == s and i != s]
         outs = [(j, r) for (i, j), r in arcs.items() if i == s and j != s]
@@ -446,78 +452,59 @@ def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:
 # ---------------------------------------------------------------------------
 # Concrete syntax inside `{...}` literals
 
+# One token after optional spaces: `eps` unless a letter or digit follows, or
+# any other single character. `\s` is `str.isspace` and `[^\W_]` is
+# `str.isalnum`, over every code point.
+_REGEX_TOKEN = re.compile(r"\s*(eps(?![^\W_])|\S)")
+
+
 def parse_regex(text: str) -> Regex:
     """Parse the `{...}` payload: symbols are single letters, `|` alternation,
     juxtaposition concatenation, postfix `*`, parentheses, `eps` empty word.
     Precedence: star > concatenation > alternation."""
-    pos = 0
+    toks = _REGEX_TOKEN.findall(text)[::-1]  # the next token last
 
     def peek() -> Optional[str]:
-        return text[pos] if pos < len(text) else None
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        return toks[-1] if toks else None
 
     def parse_alt() -> Regex:
-        nonlocal pos
         parts = [parse_cat()]
-        skip_ws()
         while peek() == "|":
-            pos += 1
+            toks.pop()
             parts.append(parse_cat())
-            skip_ws()
         return alt(*parts)
 
     def parse_cat() -> Regex:
-        nonlocal pos
         parts = []
-        while True:
-            skip_ws()
-            c = peek()
-            if c is None or c in "|)":
-                break
-            parts.append(parse_post())
+        while peek() not in (None, "|", ")"):
+            parts.append(parse_star())
         if not parts:
             raise OpmError(f"empty regex fragment in {text!r}")
         return seq(*parts)
 
-    def parse_post() -> Regex:
-        nonlocal pos
+    def parse_star() -> Regex:
         r = parse_atom()
-        skip_ws()
         while peek() == "*":
-            pos += 1
+            toks.pop()
             r = star(r)
-            skip_ws()
         return r
 
     def parse_atom() -> Regex:
-        nonlocal pos
-        skip_ws()
-        c = peek()
+        c = toks.pop()
         if c == "(":
-            pos += 1
             r = parse_alt()
-            skip_ws()
             if peek() != ")":
                 raise OpmError(f"unbalanced parenthesis in regex {text!r}")
-            pos += 1
+            toks.pop()
             return r
-        if c is not None and c.isalpha():
-            if text[pos : pos + 3] == "eps" and not (
-                pos + 3 < len(text) and text[pos + 3].isalnum()
-            ):
-                pos += 3
-                return EPS
-            pos += 1
+        if c == "eps":
+            return EPS
+        if c.isalpha():
             return sym(c)
         raise OpmError(f"unexpected character {c!r} in regex {text!r}")
 
     r = parse_alt()
-    skip_ws()
-    if pos != len(text):
+    if toks:
         raise OpmError(f"trailing characters in regex {text!r}")
     return r
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from itertools import takewhile
-from typing import Optional, Union
+from typing import Callable, Union
 
-from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T
+from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T, show_type
 from .opm import Opm, OpmError
 
 
@@ -238,6 +238,11 @@ def lex(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# The prefix operators: the node each builds, and whether a `{...}` literal
+# comes before its operand.
+PREFIX = {"!": (SOp, True), "split": (SSplit, True), "drop": (SDrop, False)}
+
+
 class Parser:
     def __init__(self, source: str, opm: Opm):
         self.toks = lex(source)
@@ -293,68 +298,69 @@ class Parser:
     # -- expressions
 
     def parse_expr(self) -> SurfaceExpr:
-        if self.peek().kind == "let":
-            return self.parse_let()
-        first = self.parse_operand()
-        if self.peek().kind == ";":
+        """An expression; its let/`;` spine is read in a loop and built bottom-up."""
+        items: list[Callable[[SurfaceExpr], SurfaceExpr]] = []
+        while True:
+            if self.peek().kind == "let":
+                items.append(self.parse_let_head())
+                continue
+            e = self.parse_operand()
+            if self.peek().kind != ";":
+                break
             self.next()
-            rest = self.parse_expr()
-            return SSeq(first.span.cover(rest.span), first, rest)
-        return first
+            items.append(lambda rest, first=e: SSeq(first.span.cover(rest.span), first, rest))
+        for build in reversed(items):
+            e = build(e)
+        return e
 
-    def parse_let(self) -> SurfaceExpr:
+    def parse_let_head(self) -> Callable[[SurfaceExpr], SurfaceExpr]:
+        """A `let ... in` head; returns the function that builds the let from its body."""
         start = self.expect("let")
-        name = self.expect("IDENT")
+        name = self.expect("IDENT").text
         t = self.peek()
+        second = ann = None
+        params: list[Union[Token, tuple[Token, Token]]] = []
         if t.kind == ",":
             self.next()
-            second = self.expect("IDENT")
-            self.expect("=")
-            header = self.parse_expr()
-            self.expect("in")
-            body = self.parse_expr()
-            return SLetPair(
-                start.span.cover(body.span), name.text, second.text, header, body
-            )
-        if t.kind == ":":
+            second = self.expect("IDENT").text
+        elif t.kind == ":":
             self.next()
             ann = self.parse_type()
-            if self.peek().kind == "=":
-                self.next()
-                header = self.parse_expr()
-                self.expect("in")
-                body = self.parse_expr()
-                hdr = SAnn(header.span, header, ann)
-                return SLet(start.span.cover(body.span), name.text, hdr, body)
-            again = self.expect("IDENT")
-            if again.text != name.text:
-                raise ParseError(
-                    f"definition of {again.text!r} does not match "
-                    f"declaration of {name.text!r}",
-                    again.span,
-                )
-            params = [self.parse_param()]
-            while self.peek().kind in ("IDENT", "("):
+            if self.peek().kind != "=":  # a function definition
+                again = self.expect("IDENT")
+                if again.text != name:
+                    raise ParseError(
+                        f"definition of {again.text!r} does not match "
+                        f"declaration of {name!r}",
+                        again.span,
+                    )
                 params.append(self.parse_param())
-            self.expect("=")
-            rhs = self.parse_expr()
-            self.expect("in")
-            body = self.parse_expr()
-            lam = rhs
+                while self.peek().kind in ("IDENT", "("):
+                    params.append(self.parse_param())
+        elif t.kind != "=":
+            raise ParseError(
+                f"expected ',', ':' or '=' after let binder, found {t.text!r}",
+                t.span,
+            )
+        header = self.parse_bound()
+
+        def build(body: SurfaceExpr) -> SurfaceExpr:
+            span = start.span.cover(body.span)
+            if second is not None:
+                return SLetPair(span, name, second, header, body)
+            lam = header  # the lambdas come after the body, the order that draws fresh names
             for p in reversed(params):
                 lam = self.lambda_for(p, lam)
-            hdr = SAnn(lam.span, lam, ann)
-            return SLet(start.span.cover(body.span), name.text, hdr, body)
-        if t.kind == "=":
-            self.next()
-            header = self.parse_expr()
-            self.expect("in")
-            body = self.parse_expr()
-            return SLet(start.span.cover(body.span), name.text, header, body)
-        raise ParseError(
-            f"expected ',', ':' or '=' after let binder, found {t.text!r}",
-            t.span,
-        )
+            return SLet(span, name, lam if ann is None else SAnn(lam.span, lam, ann), body)
+
+        return build
+
+    def parse_bound(self) -> SurfaceExpr:
+        """`= e in`, the tail of every let head."""
+        self.expect("=")
+        e = self.parse_expr()
+        self.expect("in")
+        return e
 
     def parse_param(self) -> Union[Token, tuple[Token, Token]]:
         if self.peek().kind == "(":
@@ -380,33 +386,23 @@ class Parser:
     def parse_operand(self) -> SurfaceExpr:
         """An expression without top-level `;` or `let`."""
         t = self.peek()
-        if t.kind == "drop":
+        if t.kind in PREFIX:
+            former, has_literal = PREFIX[t.kind]
             self.next()
-            arg = self.parse_operand_no_let(t)
-            return SDrop(t.span.cover(arg.span), arg)
-        if t.kind == "!":
-            self.next()
-            elem = self.expect("ELEM")
-            arg = self.parse_operand_no_let(t)
-            return SOp(t.span.cover(arg.span), self.element(elem), arg)
-        if t.kind == "split":
-            self.next()
-            elem = self.expect("ELEM")
-            arg = self.parse_operand_no_let(t)
-            return SSplit(t.span.cover(arg.span), self.element(elem), arg)
+            elem = self.expect("ELEM") if has_literal else None
+            if self.peek().kind == "let":
+                raise ParseError(
+                    "prefix operator argument cannot be a bare let; parenthesize it",
+                    self.peek().span,
+                )
+            arg = self.parse_operand()
+            span = t.span.cover(arg.span)
+            return former(span, arg) if elem is None else former(span, self.element(elem), arg)
         if t.kind == "new":
             self.next()
             elem = self.expect("ELEM")
             return SNew(t.span.cover(elem.span), self.element(elem))
         return self.parse_app()
-
-    def parse_operand_no_let(self, opener: Token) -> SurfaceExpr:
-        if self.peek().kind == "let":
-            raise ParseError(
-                "prefix operator argument cannot be a bare let; parenthesize it",
-                self.peek().span,
-            )
-        return self.parse_operand()
 
     def parse_app(self) -> SurfaceExpr:
         e = self.parse_atom()
@@ -497,28 +493,6 @@ def parse(source: str, opm: Opm) -> SurfaceExpr:
 # ---------------------------------------------------------------------------
 # Pretty-printer (round-trips through parse up to alpha-equivalence)
 
-def show_surface_type(t: CoreType, opm: Opm, prec: int = 0) -> str:
-    """Concrete type syntax: resource indices in braces."""
-    from .core import ArrowType as _Arrow, ProdType as _Prod, TraceType as _Trace
-
-    if isinstance(t, _Trace):
-        return "{" + opm.show_element(t.index) + "}"
-    if isinstance(t, _Prod):
-        op = ".o" if t.ordered else "ox"
-        s = (
-            f"{show_surface_type(t.left, opm, 2)} {op} "
-            f"{show_surface_type(t.right, opm, 2)}"
-        )
-        return f"({s})" if prec > 1 else s
-    if isinstance(t, _Arrow):
-        s = (
-            f"{show_surface_type(t.param, opm, 1)} "
-            f"-[{t.mode} {t.effect}]-> {show_surface_type(t.result, opm, 0)}"
-        )
-        return f"({s})" if prec > 0 else s
-    return "Unit"
-
-
 def pretty(e: SurfaceExpr, opm: Opm) -> str:
     return _ps(e, opm)
 
@@ -551,7 +525,7 @@ def _ps(e: SurfaceExpr, opm: Opm) -> str:
     if isinstance(e, SAnn):
         if isinstance(e.expr, SLam):
             raise ValueError("annotated lambdas print via their let binding")
-        return f"({_ps(e.expr, opm)} : {show_surface_type(e.type, opm)})"
+        return f"({_ps(e.expr, opm)} : {show_type(e.type, opm, brackets='{}')})"
     if isinstance(e, SSeq):
         return f"{_ps(e.first, opm)}; {_ps(e.rest, opm)}"
     if isinstance(e, SLetPair):
@@ -561,7 +535,7 @@ def _ps(e: SurfaceExpr, opm: Opm) -> str:
     if isinstance(e, SLet):
         if isinstance(e.header, SAnn) and isinstance(e.header.expr, SLam):
             lam = e.header.expr
-            ty = show_surface_type(e.header.type, opm)
+            ty = show_type(e.header.type, opm, brackets="{}")
             params = []
             while isinstance(lam, SLam):
                 params.append(lam.var)
@@ -570,7 +544,7 @@ def _ps(e: SurfaceExpr, opm: Opm) -> str:
             return f"{head}{_ps(lam, opm)} in\n{_ps(e.body, opm)}"
         if isinstance(e.header, SAnn):
             return (
-                f"let {e.x} : {show_surface_type(e.header.type, opm)} = "
+                f"let {e.x} : {show_type(e.header.type, opm, brackets='{}')} = "
                 f"{_ps(e.header.expr, opm)} in\n{_ps(e.body, opm)}"
             )
         return f"let {e.x} = {_ps(e.header, opm)} in\n{_ps(e.body, opm)}"

@@ -5,8 +5,10 @@ membership is decided by structural matching (no derivatives, no automata),
 graph comparisons enumerate permutations, and context equivalence is the
 reflexive-transitive closure of the syntactic context laws.  The
 runtime-context utilities (`focus`, `usage_projection`) read a heap context
-one location at a time.  The character-at-a-time lexer and the
-hand-unrolled redex search are the references for `surface.lex` and
+one location at a time.  The character-at-a-time lexer, regex parser and
+all-states readback, the spine-recursive `ReferenceParser` and the
+hand-unrolled redex search are the references for `surface.lex`,
+`regex.parse_regex`, `regex.regex_from_dfa`, `surface.Parser` and
 `interp._find_redex`; the hand-written state searches `reference_to_dfa`,
 `reference_includes` and `reference_continuation_dfa` are the references for
 `regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`, and the
@@ -26,7 +28,7 @@ from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.core import CoreType, TraceType
-from ordlang.opm import Opm
+from ordlang.opm import Opm, OpmError
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,118 @@ def reference_continuation_dfa(num: rx.Regex, den: rx.Regex) -> Optional[rx.Dfa]
         ix for st, ix in states.items() if all(q in dn.accepting for q in st)
     )
     return rx.Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
+
+
+def reference_regex_from_dfa(dfa: rx.Dfa) -> rx.Regex:
+    """Read a regex back from a DFA by state elimination over all its states,
+    dead and unreachable ones included."""
+    n = dfa.n_states
+    # Arc labels between virtual start (n) and accept (n+1) nodes.
+    arcs: dict[tuple[int, int], rx.Regex] = {}
+
+    def add(i: int, j: int, r: rx.Regex) -> None:
+        if rx.is_empty_language(r):
+            return
+        arc = arcs[(i, j)] = rx.alt(arcs.get((i, j), rx.EMPTY), r)
+        if len(rx.show(arc)) > rx.READBACK_BUDGET:
+            raise rx.StateBudgetExceeded(
+                f"continuation reads back to more than {rx.READBACK_BUDGET} characters"
+            )
+
+    for s in range(n):
+        for k, a in enumerate(dfa.alphabet):
+            add(s, dfa.trans[s][k], rx.sym(a))
+    add(n, dfa.start, rx.EPS)
+    for s in dfa.accepting:
+        add(s, n + 1, rx.EPS)
+
+    for s in range(n):  # eliminate state s
+        loop = arcs.pop((s, s), rx.EMPTY)
+        ins = [(i, r) for (i, j), r in arcs.items() if j == s and i != s]
+        outs = [(j, r) for (i, j), r in arcs.items() if i == s and j != s]
+        for i, rin in ins:
+            del arcs[(i, s)]
+        for j, rout in outs:
+            del arcs[(s, j)]
+        for i, rin in ins:
+            for j, rout in outs:
+                add(i, j, rx.seq(rin, rx.star(loop), rout))
+
+    return arcs.get((n, n + 1), rx.EMPTY)
+
+
+def reference_parse_regex(text: str) -> rx.Regex:
+    """The `{...}` payload parser that scans one character at a time."""
+    pos = 0
+
+    def peek() -> Optional[str]:
+        return text[pos] if pos < len(text) else None
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def parse_alt() -> rx.Regex:
+        nonlocal pos
+        parts = [parse_cat()]
+        skip_ws()
+        while peek() == "|":
+            pos += 1
+            parts.append(parse_cat())
+            skip_ws()
+        return rx.alt(*parts)
+
+    def parse_cat() -> rx.Regex:
+        nonlocal pos
+        parts = []
+        while True:
+            skip_ws()
+            c = peek()
+            if c is None or c in "|)":
+                break
+            parts.append(parse_post())
+        if not parts:
+            raise OpmError(f"empty regex fragment in {text!r}")
+        return rx.seq(*parts)
+
+    def parse_post() -> rx.Regex:
+        nonlocal pos
+        r = parse_atom()
+        skip_ws()
+        while peek() == "*":
+            pos += 1
+            r = rx.star(r)
+            skip_ws()
+        return r
+
+    def parse_atom() -> rx.Regex:
+        nonlocal pos
+        skip_ws()
+        c = peek()
+        if c == "(":
+            pos += 1
+            r = parse_alt()
+            skip_ws()
+            if peek() != ")":
+                raise OpmError(f"unbalanced parenthesis in regex {text!r}")
+            pos += 1
+            return r
+        if c is not None and c.isalpha():
+            if text[pos : pos + 3] == "eps" and not (
+                pos + 3 < len(text) and text[pos + 3].isalnum()
+            ):
+                pos += 3
+                return rx.EPS
+            pos += 1
+            return rx.sym(c)
+        raise OpmError(f"unexpected character {c!r} in regex {text!r}")
+
+    r = parse_alt()
+    skip_ws()
+    if pos != len(text):
+        raise OpmError(f"trailing characters in regex {text!r}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +822,105 @@ def naive_rename_var(e: sf.SurfaceExpr, old: str, new: str) -> sf.SurfaceExpr:
             child = naive_rename_var(child, scoped_old, new)
         fields[f.name] = child
     return type(e)(**fields)
+
+
+class ReferenceParser(sf.Parser):
+    """The parser with one recursive call per let and per `;` of a spine and
+    one branch per prefix operator."""
+
+    def parse_expr(self) -> sf.SurfaceExpr:
+        if self.peek().kind == "let":
+            return self.parse_let()
+        first = self.parse_operand()
+        if self.peek().kind == ";":
+            self.next()
+            rest = self.parse_expr()
+            return sf.SSeq(first.span.cover(rest.span), first, rest)
+        return first
+
+    def parse_let(self) -> sf.SurfaceExpr:
+        start = self.expect("let")
+        name = self.expect("IDENT")
+        t = self.peek()
+        if t.kind == ",":
+            self.next()
+            second = self.expect("IDENT")
+            self.expect("=")
+            header = self.parse_expr()
+            self.expect("in")
+            body = self.parse_expr()
+            return sf.SLetPair(
+                start.span.cover(body.span), name.text, second.text, header, body
+            )
+        if t.kind == ":":
+            self.next()
+            ann = self.parse_type()
+            if self.peek().kind == "=":
+                self.next()
+                header = self.parse_expr()
+                self.expect("in")
+                body = self.parse_expr()
+                hdr = sf.SAnn(header.span, header, ann)
+                return sf.SLet(start.span.cover(body.span), name.text, hdr, body)
+            again = self.expect("IDENT")
+            if again.text != name.text:
+                raise sf.ParseError(
+                    f"definition of {again.text!r} does not match "
+                    f"declaration of {name.text!r}",
+                    again.span,
+                )
+            params = [self.parse_param()]
+            while self.peek().kind in ("IDENT", "("):
+                params.append(self.parse_param())
+            self.expect("=")
+            rhs = self.parse_expr()
+            self.expect("in")
+            body = self.parse_expr()
+            lam = rhs
+            for p in reversed(params):
+                lam = self.lambda_for(p, lam)
+            hdr = sf.SAnn(lam.span, lam, ann)
+            return sf.SLet(start.span.cover(body.span), name.text, hdr, body)
+        if t.kind == "=":
+            self.next()
+            header = self.parse_expr()
+            self.expect("in")
+            body = self.parse_expr()
+            return sf.SLet(start.span.cover(body.span), name.text, header, body)
+        raise sf.ParseError(
+            f"expected ',', ':' or '=' after let binder, found {t.text!r}",
+            t.span,
+        )
+
+    def parse_operand(self) -> sf.SurfaceExpr:
+        t = self.peek()
+        if t.kind == "drop":
+            self.next()
+            arg = self.parse_operand_no_let(t)
+            return sf.SDrop(t.span.cover(arg.span), arg)
+        if t.kind == "!":
+            self.next()
+            elem = self.expect("ELEM")
+            arg = self.parse_operand_no_let(t)
+            return sf.SOp(t.span.cover(arg.span), self.element(elem), arg)
+        if t.kind == "split":
+            self.next()
+            elem = self.expect("ELEM")
+            arg = self.parse_operand_no_let(t)
+            return sf.SSplit(t.span.cover(arg.span), self.element(elem), arg)
+        if t.kind == "new":
+            self.next()
+            elem = self.expect("ELEM")
+            return sf.SNew(t.span.cover(elem.span), self.element(elem))
+        return self.parse_app()
+
+    def parse_operand_no_let(self, opener: sf.Token) -> sf.SurfaceExpr:
+        if self.peek().kind == "let":
+            raise sf.ParseError(
+                "prefix operator argument cannot be a bare let; parenthesize it",
+                self.peek().span,
+            )
+        return self.parse_operand()
 
 
 # ---------------------------------------------------------------------------

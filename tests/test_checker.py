@@ -517,8 +517,8 @@ def test_long_spines_check_without_recursion_error():
 
 
 def test_deepest_checked_ops_spine_stays_checked():
-    # the deepest `ops` spine known to check; the parser's and the checker's
-    # recursion down the spine set this bound, so it must not shrink
+    # the deepest `ops` spine known to check; the checker's recursion down
+    # the spine sets this bound (the parser loops along it), so it must not shrink
     checked = check_program(sf.parse(_ops_spine(450), OPM), OPM)
     assert checked.type == co.UNIT_T
 

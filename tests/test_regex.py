@@ -3,6 +3,7 @@ import os
 import pathlib
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,8 @@ from oracles import (
     rebuild_regex,
     reference_continuation_dfa,
     reference_includes,
+    reference_parse_regex,
+    reference_regex_from_dfa,
     reference_to_dfa,
     words_upto,
 )
@@ -308,6 +311,30 @@ def test_continuation_leaf_matches_its_readback(num, den):
         assert reference_includes(d, e) and reference_includes(e, d)
 
 
+@given(regexes(), regexes())
+@example(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"))
+@example(ENVELOPE, rx.star(R))
+@settings(max_examples=150, deadline=None)
+def test_readback_over_live_states_matches_the_all_states_reference(num, den):
+    # A continuation's DFA reaches every state; its derivatives start further
+    # in, so the states before their start are unreachable.
+    if rx.is_empty_language(den):
+        return
+    walk = [rx.product_derivative(num, den)]
+    walk += [rx.derivative(walk[0], a) for a in "rwcdab"]
+    for k in walk:
+        if isinstance(k, rx.Auto):
+            got, want = rx.regex_from_dfa(k.dfa), reference_regex_from_dfa(k.dfa)
+            assert rx.show(got) == rx.show(want) and got == want
+
+
+def test_readback_of_a_derivative_leaves_out_unreachable_states():
+    leaf = rx.product_derivative(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"))
+    d = rx.derivative(rx.derivative(leaf, "c"), "a")
+    assert isinstance(d, rx.Auto) and 0 not in d.live  # the leaf's start, now unreachable
+    assert rx.show(rx.regex_from_dfa(d.dfa)) == rx.show(reference_regex_from_dfa(d.dfa))
+
+
 def test_seeded_oracle_agreement_200_pairs(regex_opm):
     disagreements = 0
     rng = random.Random(20240817)
@@ -332,6 +359,45 @@ def test_parse_regex():
         rx.parse_regex("")
     with pytest.raises(OpmError):
         rx.parse_regex("r)")
+
+
+def _parsed_regex(parser, text):
+    try:
+        r = parser(text)
+    except OpmError as exc:
+        return str(exc)
+    return r, rx.show(r)
+
+
+# Pieces of payloads, with letters and digits that are not ASCII (`é`, `²`),
+# `_`, which `\w` matches but `str.isalnum` does not, spaces that are not
+# ASCII, and words that start with `eps`.
+PAYLOAD_PIECES = [
+    "eps", "e", "p", "s", "r", "w", "c", "é", "²", "_", "1", "(", ")", "|", "*",
+    " ", "\t", "\n", "\x85", "\u3000", "epsé", "eps²", "eps_", "epsr", "eps1", "@",
+]
+
+
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.lists(st.sampled_from(PAYLOAD_PIECES), max_size=12).map("".join),
+    )
+)
+@example("eps_")
+@example("épsé²")
+@example("(r|eps)* eps2")
+@example("r )")
+@settings(max_examples=500)
+def test_parse_regex_matches_the_reference(text):
+    assert _parsed_regex(rx.parse_regex, text) == _parsed_regex(reference_parse_regex, text)
+
+
+def test_regex_token_classes_are_the_str_predicates():
+    # the token pattern's classes, over every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
 
 
 def test_parse_element_rejects_empty_language(regex_opm):

@@ -9,8 +9,14 @@ from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.opm import get_opm
 
-from conftest import PROGRAMS, program_source
-from oracles import naive_rename_var, naive_surface_fv, reference_lex, span_contains
+from conftest import PROGRAMS, program_source, workload_round
+from oracles import (
+    ReferenceParser,
+    naive_rename_var,
+    naive_surface_fv,
+    reference_lex,
+    span_contains,
+)
 
 OPM = get_opm("regex")
 
@@ -235,6 +241,90 @@ def test_roundtrip_over_corpus():
         first = parse(path.read_text())
         again = parse(sf.pretty(first, OPM))
         assert alpha_eq(first, again), path.name
+
+
+# ---------------------------------------------------------------------------
+# The spine loop and the prefix table against the recursive parser
+
+# Each pair parameter draws a fresh name; the three must be drawn in
+# the same order by both parsers.
+NESTED_PAIR_PARAMETERS = """
+let f : {r} ox {w} -[u 1]-> Unit
+    f (a, b) =
+      let g : {r} ox {w} -[u 1]-> Unit
+          g (c, d) = drop (!{r} c); drop (!{w} d)
+      in g (a, b)
+in
+let h : {r} ox {w} -[u 1]-> Unit
+    h (p0, q) = drop (!{r} p0); drop (!{w} q)
+in f (new {r}, new {w}); h (new {r}, new {w})
+"""
+
+
+def _parsed(parser_class, source, opm_name):
+    try:
+        return parser_class(source, get_opm(opm_name)).parse_program()
+    except sf.ParseError as exc:
+        return exc.message, exc.span
+
+
+def _lockstep_sources():
+    sources = [
+        (path.read_text(), opm)
+        for path in sorted(PROGRAMS.glob("**/*.ord"))
+        for opm in ("regex", "ownership")
+    ]
+    for name in ("wide", "borrow", "deep"):
+        sources += [(job.source, job.opm) for job in workload_round(name)]
+    return sources + [(NESTED_PAIR_PARAMETERS, "regex")]
+
+
+LOCKSTEP_SOURCES = _lockstep_sources()
+EDIT_PIECES = [
+    "", " ", "\n", "let", "in", "=", ",", ":", ";", "(", ")", "!", "split", "drop", "new",
+    "unit", "x", "{r}", "{", "}", "{eps_}", "{é²}", "{(r|", "Unit", "ox", ".o", "-[u 1]->",
+    "let f : Unit -[u 0]-> Unit\n f (a, b) =", "--",
+]
+
+
+def test_parser_matches_the_reference_parser_on_programs_and_workloads():
+    for source, opm in LOCKSTEP_SOURCES:
+        assert _parsed(sf.Parser, source, opm) == _parsed(ReferenceParser, source, opm)
+
+
+@given(
+    st.sampled_from(LOCKSTEP_SOURCES),
+    st.lists(
+        st.tuples(st.floats(0, 1), st.integers(0, 12), st.sampled_from(EDIT_PIECES)),
+        min_size=1, max_size=4,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_the_reference_parser_on_edited_sources(case, edits):
+    # each edit replaces up to 12 characters at a relative position by a piece
+    source, opm = case
+    for where, width, piece in edits:
+        i = int(where * len(source))
+        source = source[:i] + piece + source[i + width:]
+    assert _parsed(sf.Parser, source, opm) == _parsed(ReferenceParser, source, opm)
+
+
+def test_parser_reads_5000_item_spines():
+    # The generated `==`, `hash` and `repr` of the trees recurse, so the
+    # checks walk them with loops.
+    n = 5000
+    lets = "".join(f"let x{i + 1} = !{{r}} x{i} in\n" for i in range(n))
+    e = parse(f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x{n})\n")
+    for i in range(n + 1):
+        assert isinstance(e, sf.SLet) and e.x == f"x{i}" and e.span.line == i + 1
+        e = e.body
+    assert isinstance(e, sf.SDrop) and e.span.line == e.span.end_line == n + 2
+    e = parse(";\n".join(["unit"] * n))
+    for i in range(n - 1):
+        assert isinstance(e, sf.SSeq) and e.span == sf.Span(i + 1, 1, n, 5)
+        assert isinstance(e.first, sf.SUnit)
+        e = e.rest
+    assert isinstance(e, sf.SUnit) and e.span == sf.Span(n, 1, n, 5)
 
 
 # ---------------------------------------------------------------------------
