@@ -10,25 +10,36 @@ serves every index algebra.  File extension: `.ord`; comments run from
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import takewhile
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T, show_type
 from .opm import Opm, OpmError
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
     end_line: int
     end_col: int
 
     def cover(self, other: "Span") -> "Span":
-        a = min((self.line, self.col), (other.line, other.col))
-        b = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return Span(a[0], a[1], b[0], b[1])
+        return Span(*min(self[:2], other[:2]), *max(self[2:], other[2:]))
+
+
+class Lines:
+    """Where the lines of one source start; `span` maps offsets to positions."""
+
+    def __init__(self, source: str):  # only a newline ends a line, not a `\r`
+        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+
+    def span(self, start: int, end: int) -> Span:
+        starts = self.starts
+        line = bisect_right(starts, start)
+        end_line = bisect_right(starts, end, line)
+        return Span(line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1)
 
 
 class ParseError(Exception):
@@ -144,16 +155,28 @@ SHAPES: dict[type, Shape] = {
 
 
 def surface_fv(e: SurfaceExpr) -> frozenset[str]:
-    """Free variables, computed once per node and stored on it."""
+    """Free variables, computed once per node and stored on it, without recursion:
+    a walk with its own stack lists the nodes without a set, which are computed
+    children first, each child's set read through this function (once per node).
+    """
     if e._fv is not None:
         return e._fv
-    out = frozenset({e.name}) if isinstance(e, SVar) else frozenset()
-    for field, binders in SHAPES.get(type(e), ()):
-        sub = surface_fv(getattr(e, field))
-        for b in binders:
-            sub = sub - {getattr(e, b)}
-        out = out | sub if out else sub  # no copy into an empty set
-    object.__setattr__(e, "_fv", out)
+    order, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for field, _ in SHAPES.get(type(node), ()):
+            child = getattr(node, field)
+            if child._fv is None:
+                stack.append(child)
+    for node in reversed(order):
+        out = frozenset({node.name}) if isinstance(node, SVar) else frozenset()
+        for field, binders in SHAPES.get(type(node), ()):
+            sub = surface_fv(getattr(node, field))
+            for b in binders:
+                sub = sub - {getattr(node, b)}
+            out = out | sub if out else sub  # no copy into an empty set
+        object.__setattr__(node, "_fv", out)
     return out
 
 
@@ -180,31 +203,36 @@ def rename_var(e: SurfaceExpr, old: str, new: str) -> SurfaceExpr:
 KEYWORDS = {"let", "in", "new", "split", "drop", "unit", "Unit", "ox"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NUM ELEM EOF, a keyword, or the punctuation itself
     text: str
-    span: Span
+    start: int  # offsets into the source
+    end: int
+    lines: Lines
+
+    @property
+    def span(self) -> Span:
+        return self.lines.span(self.start, self.end)
+
+    def through(self, last: "Token") -> Span:  # to the end of `last`, a later token
+        return self.lines.span(self.start, last.end)
 
 
 # One lexeme after optional spaces, tried in this order; `other` and the end
 # of input make the match total. A word's first character decides its class
 # through `str.isdigit`/`isalpha`, not `\d`, which misses digits such as `²`.
 _LEXEME = re.compile(
-    r"[^\S\n]*(?:(?P<newline>\n)|(?P<comment>--[^\n]*)|(?P<elem>\{[^}]*\})|(?P<open>\{)"
+    r"\s*(?:(?P<comment>--[^\n]*)|(?P<elem>\{[^}]*\})|(?P<open>\{)"
     r"|(?P<punct>-\[|\]->|\.o|[(),;:=!])|(?P<word>\w[\w']*)|(?P<other>.)|\Z)"
 )
 
 
 def lex(source: str) -> list[Token]:
     toks: list[Token] = []
-    line, line_start, pos, eof = 1, 0, 0, len(source)
+    lines, pos, eof = Lines(source), 0, len(source)
     while group := (m := _LEXEME.match(source, pos)).lastgroup:
         start, pos = m.span(group)
-        text, col = m.group(group), start - line_start + 1
-        if group == "newline":
-            line, line_start = line + 1, pos
-            continue
+        text = m.group(group)
         if group == "comment":  # EOF after a comment goes where the comment starts
             eof = start if pos == len(source) else eof
             continue
@@ -221,17 +249,9 @@ def lex(source: str) -> list[Token]:
             message = f"unsupported character {text[0]!r}"
             if group == "open":
                 message = "unterminated `{` resource literal"
-            raise ParseError(message, Span(line, col, line, col + 1))
-        newlines = text.count("\n")  # only a `{...}` literal can hold any
-        if newlines:
-            end_col = len(text) - text.rfind("\n")
-            span = Span(line, col, line + newlines, end_col)
-            line, line_start = line + newlines, pos - end_col + 1
-        else:
-            span = Span(line, col, line, col + len(text))
-        toks.append(Token(kind, text[1:-1] if kind == "ELEM" else text, span))
-    col = eof - line_start + 1
-    toks.append(Token("EOF", "", Span(line, col, line, col)))
+            raise ParseError(message, lines.span(start, start + 1))
+        toks.append(Token(kind, text[1:-1] if kind == "ELEM" else text, start, pos, lines))
+    toks.append(Token("EOF", "", eof, eof, lines))
     return toks
 
 
@@ -251,24 +271,25 @@ class Parser:
         self._fresh = 0
         self._used = {t.text for t in self.toks if t.kind == "IDENT"}
 
-    # -- token plumbing
+    # -- token plumbing; `pos` never passes EOF, as only other kinds are consumed
 
     def peek(self) -> Token:
-        return self.toks[min(self.pos, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind:
             raise ParseError(
                 f"expected {kind!r}, found {t.text or 'end of input'!r}",
                 t.span,
             )
-        return self.next()
+        self.pos += 1
+        return t
 
     def fresh(self, base: str) -> str:
         while True:
@@ -375,13 +396,12 @@ class Parser:
     def lambda_for(
         self, param: Union[Token, tuple[Token, Token]], body: SurfaceExpr
     ) -> SurfaceExpr:
-        if isinstance(param, tuple):
-            a, b = param
-            p = self.fresh("p")
-            sp = a.span.cover(body.span)
-            inner = SLetPair(sp, a.text, b.text, SVar(a.span, p), body)
-            return SLam(sp, p, inner)
-        return SLam(param.span.cover(body.span), param.text, body)
+        if isinstance(param, Token):
+            return SLam(param.span.cover(body.span), param.text, body)
+        a, b = param
+        p = self.fresh("p")
+        sp = a.span.cover(body.span)
+        return SLam(sp, p, SLetPair(sp, a.text, b.text, SVar(a.span, p), body))
 
     def parse_operand(self) -> SurfaceExpr:
         """An expression without top-level `;` or `let`."""
@@ -401,7 +421,7 @@ class Parser:
         if t.kind == "new":
             self.next()
             elem = self.expect("ELEM")
-            return SNew(t.span.cover(elem.span), self.element(elem))
+            return SNew(t.through(elem), self.element(elem))
         return self.parse_app()
 
     def parse_app(self) -> SurfaceExpr:
@@ -426,12 +446,12 @@ class Parser:
                 self.next()
                 right = self.parse_expr()
                 close = self.expect(")")
-                return SPair(t.span.cover(close.span), e, right)
+                return SPair(t.through(close), e, right)
             if self.peek().kind == ":":
                 self.next()
                 ann = self.parse_type()
                 close = self.expect(")")
-                return SAnn(t.span.cover(close.span), e, ann)
+                return SAnn(t.through(close), e, ann)
             close = self.expect(")")
             return e
         raise ParseError(

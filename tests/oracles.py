@@ -13,15 +13,18 @@ hand-unrolled redex search are the references for `surface.lex`,
 `reference_includes` and `reference_continuation_dfa` are the references for
 `regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`, and the
 one-branch-per-former `reference_locations` is the reference for
-`core.locations`.
+`core.locations`.  `reference_lex_counting`, the one-pattern lexer that
+counted lines and columns as it went, is the reference for the positions
+`surface.lex` computes from offsets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 from functools import lru_cache
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ordlang import context as cx
 from ordlang import core as co
@@ -705,13 +708,19 @@ def span_contains(outer: sf.Span, inner: sf.Span) -> bool:
     )
 
 
-def reference_lex(source: str) -> list[sf.Token]:
+class ReferenceToken(NamedTuple):
+    kind: str
+    text: str
+    span: sf.Span
+
+
+def reference_lex(source: str) -> list[ReferenceToken]:
     """Character-at-a-time lexer with several tests per character.
 
     A `{...}` literal advances the column by its length and never the line,
     so it differs from `surface.lex` after a literal that spans a newline.
     """
-    toks: list[sf.Token] = []
+    toks: list[ReferenceToken] = []
     line, col, i = 1, 1, 0
     n = len(source)
 
@@ -741,27 +750,27 @@ def reference_lex(source: str) -> list[sf.Token]:
             if j < 0:
                 raise error("unterminated `{` resource literal")
             raw = source[i + 1 : j]
-            toks.append(sf.Token("ELEM", raw, span_here(j - i + 1)))
+            toks.append(ReferenceToken("ELEM", raw, span_here(j - i + 1)))
             col += j - i + 1
             i = j + 1
             continue
         if source.startswith("-[", i):
-            toks.append(sf.Token("-[", "-[", span_here(2)))
+            toks.append(ReferenceToken("-[", "-[", span_here(2)))
             i += 2
             col += 2
             continue
         if source.startswith("]->", i):
-            toks.append(sf.Token("]->", "]->", span_here(3)))
+            toks.append(ReferenceToken("]->", "]->", span_here(3)))
             i += 3
             col += 3
             continue
         if source.startswith(".o", i):
-            toks.append(sf.Token(".o", ".o", span_here(2)))
+            toks.append(ReferenceToken(".o", ".o", span_here(2)))
             i += 2
             col += 2
             continue
         if c in "(),;:=!":
-            toks.append(sf.Token(c, c, span_here(1)))
+            toks.append(ReferenceToken(c, c, span_here(1)))
             i += 1
             col += 1
             continue
@@ -769,7 +778,7 @@ def reference_lex(source: str) -> list[sf.Token]:
             j = i
             while j < n and source[j].isdigit():
                 j += 1
-            toks.append(sf.Token("NUM", source[i:j], span_here(j - i)))
+            toks.append(ReferenceToken("NUM", source[i:j], span_here(j - i)))
             col += j - i
             i = j
             continue
@@ -779,13 +788,64 @@ def reference_lex(source: str) -> list[sf.Token]:
                 j += 1
             text = source[i:j]
             kind = text if text in sf.KEYWORDS else "IDENT"
-            toks.append(sf.Token(kind, text, span_here(j - i)))
+            toks.append(ReferenceToken(kind, text, span_here(j - i)))
             col += j - i
             i = j
             continue
         raise error(f"unsupported character {c!r}")
 
-    toks.append(sf.Token("EOF", "", sf.Span(line, col, line, col)))
+    toks.append(ReferenceToken("EOF", "", sf.Span(line, col, line, col)))
+    return toks
+
+
+# The lexer's pattern when it counted lines and columns as it went.
+_COUNTING_LEXEME = re.compile(
+    r"[^\S\n]*(?:(?P<newline>\n)|(?P<comment>--[^\n]*)|(?P<elem>\{[^}]*\})|(?P<open>\{)"
+    r"|(?P<punct>-\[|\]->|\.o|[(),;:=!])|(?P<word>\w[\w']*)|(?P<other>.)|\Z)"
+)
+
+
+def reference_lex_counting(source: str) -> list[ReferenceToken]:
+    """One compiled pattern, with a running line count and line start.
+
+    A newline is a lexeme of its own, and a `{...}` literal advances the line
+    by the newlines it holds; `surface.lex` records offsets instead.
+    """
+    toks: list[ReferenceToken] = []
+    line, line_start, pos, eof = 1, 0, 0, len(source)
+    while group := (m := _COUNTING_LEXEME.match(source, pos)).lastgroup:
+        start, pos = m.span(group)
+        text, col = m.group(group), start - line_start + 1
+        if group == "newline":
+            line, line_start = line + 1, pos
+            continue
+        if group == "comment":  # EOF after a comment goes where the comment starts
+            eof = start if pos == len(source) else eof
+            continue
+        kind = "ELEM" if group == "elem" else text
+        if group == "word":
+            if text[0].isdigit():
+                kind, text = "NUM", "".join(itertools.takewhile(str.isdigit, text))
+                pos = start + len(text)
+            elif text[0].isalpha() or text[0] == "_":
+                kind = text if text in sf.KEYWORDS else "IDENT"
+            else:
+                group = "other"
+        if group == "other" or group == "open":
+            message = f"unsupported character {text[0]!r}"
+            if group == "open":
+                message = "unterminated `{` resource literal"
+            raise sf.ParseError(message, sf.Span(line, col, line, col + 1))
+        newlines = text.count("\n")  # only a `{...}` literal can hold any
+        if newlines:
+            end_col = len(text) - text.rfind("\n")
+            span = sf.Span(line, col, line + newlines, end_col)
+            line, line_start = line + newlines, pos - end_col + 1
+        else:
+            span = sf.Span(line, col, line, col + len(text))
+        toks.append(ReferenceToken(kind, text[1:-1] if kind == "ELEM" else text, span))
+    col = eof - line_start + 1
+    toks.append(ReferenceToken("EOF", "", sf.Span(line, col, line, col)))
     return toks
 
 

@@ -15,6 +15,7 @@ from oracles import (
     naive_rename_var,
     naive_surface_fv,
     reference_lex,
+    reference_lex_counting,
     span_contains,
 )
 
@@ -220,6 +221,30 @@ def test_lex_matches_the_reference_lexer(source):
     assert _lexed(sf.lex, source) == _lexed(reference_lex, source)
 
 
+# Literals across lines, line ends that are not `\n` alone, and a comment at
+# the end of the input: where offsets and a running line count could part.
+LINE_PIECES = LEXEME_PIECES + [
+    "{r\nw}", "{\n}", "{(r|w)*\n c}", "{r\r\nw\n\n}", "\r\n", "\n\x85", "-- note", "-- {\n}",
+]
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=st.sampled_from("".join(LEXEME_PIECES))),
+        st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join),
+    )
+)
+@example("let x = new {(r|w)*\n c} in\ndrop (!{c} x);\nundefined_var")
+@example("let x = new {(r|w)*\n c} in -- note\ndrop (!{c} x); @")
+@example("{a\r\nb}\r\n{\x85\n} x -- at the end")
+@example("x\n-- a comment at the end")
+@example("{r\n}\n{")
+@settings(max_examples=500)
+def test_lex_matches_the_counting_lexer(source):
+    assert _lexed(sf.lex, source) == _lexed(reference_lex_counting, source)
+
+
 def _children(e: sf.SurfaceExpr):
     return [getattr(e, name) for name, _binders in sf.SHAPES.get(type(e), ())]
 
@@ -309,6 +334,34 @@ def test_parser_matches_the_reference_parser_on_edited_sources(case, edits):
     assert _parsed(sf.Parser, source, opm) == _parsed(ReferenceParser, source, opm)
 
 
+def _nodes(e: sf.SurfaceExpr) -> int:
+    count, stack = 0, [e]
+    while stack:
+        count += 1
+        stack.extend(_children(stack.pop()))
+    return count
+
+
+def test_positions_are_computed_only_for_spans_the_tree_keeps(monkeypatch):
+    calls = [0]
+    uncounted = sf.Lines.span
+
+    def counted(self, start, end):
+        calls[0] += 1
+        return uncounted(self, start, end)
+
+    monkeypatch.setattr(sf.Lines, "span", counted)
+    sources = [(path.read_text(), "regex") for path in sorted(PROGRAMS.glob("**/*.ord"))]
+    sources += [(job.source, job.opm) for job in workload_round("deep")]
+    sources += [(NESTED_PAIR_PARAMETERS, "regex"), ("((a, b), (c, (d : Unit)))", "regex")]
+    for source, opm in sources:
+        calls[0] = 0
+        sf.lex(source)
+        assert calls[0] == 0
+        tree = sf.parse(source, get_opm(opm))
+        assert calls[0] <= _nodes(tree) + 1, source
+
+
 def test_parser_reads_5000_item_spines():
     # The generated `==`, `hash` and `repr` of the trees recurse, so the
     # checks walk them with loops.
@@ -325,6 +378,17 @@ def test_parser_reads_5000_item_spines():
         assert isinstance(e.first, sf.SUnit)
         e = e.rest
     assert isinstance(e, sf.SUnit) and e.span == sf.Span(n, 1, n, 5)
+
+
+def test_surface_fv_reads_a_5000_let_spine():
+    n = 5000
+    lets = "".join(f"let x{i + 1} = !{{r}} x{i} in\n" for i in range(n))
+    e = parse(f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x{n})\n")
+    assert sf.surface_fv(e) == frozenset()
+    for i in range(n + 1):
+        assert sf.surface_fv(e.header) == (frozenset({f"x{i - 1}"}) if i else frozenset())
+        assert sf.surface_fv(e.body) == {f"x{i}"}
+        e = e.body
 
 
 # ---------------------------------------------------------------------------
