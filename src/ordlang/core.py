@@ -8,8 +8,8 @@ or by test builders; there is no core parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, NamedTuple, Optional
 
 from .opm import Opm
 
@@ -124,9 +124,9 @@ def show_type(t: CoreType, opm: Opm, prec: int = 0, brackets: str = "[]") -> str
 
 @dataclass(frozen=True)
 class CoreTerm:
-    # Free variables, stored by `fv` on first use; not a dataclass field, so
-    # equality, hashing and repr ignore it.
-    _fv = None
+    # Free variables and locations, stored by `fv` and `locations` on first
+    # use; not dataclass fields, so equality, hashing and repr ignore them.
+    _fv = _locs = None
 
 
 @dataclass(frozen=True)
@@ -240,58 +240,60 @@ def fv(m: CoreTerm) -> frozenset[str]:
 
 
 def locations(m: CoreTerm) -> tuple[int, ...]:
-    """All location occurrences, with multiplicity."""
-    out = (m.ident,) if isinstance(m, Loc) else ()
-    for field, _binders in SHAPES.get(type(m), ()):
-        out += locations(getattr(m, field))
-    return out
+    """All location occurrences, with multiplicity, stored on the node."""
+    if m._locs is None:
+        out = (m.ident,) if isinstance(m, Loc) else ()
+        for field, _binders in SHAPES.get(type(m), ()):
+            out += locations(getattr(m, field))
+        object.__setattr__(m, "_locs", out)
+    return m._locs
 
 
-def _fresh(base: str, avoid: frozenset[str]) -> str:
-    if base not in avoid:
-        return base
-    i = 0
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
+class Closure(NamedTuple):
+    """A flat closure: an abstraction and the values of its free variables."""
+    lam: Lam
+    env: dict
+
+
+def capture(m: CoreTerm, env: dict) -> dict:
+    """The bindings of `env` for the free variables of `m`."""
+    return {x: env[x] for x in fv(m) if x in env}
+
+
+def close(m: CoreTerm, env: dict, locs: Optional[list[int]] = None) -> CoreTerm:
+    """`m` with each free variable that `env` binds replaced, in one walk, by
+    its value read back. The values must be closed, so no binder is renamed.
+    With `locs`, builds nothing and appends the result's locations instead."""
+    if not env or env.keys().isdisjoint(fv(m)):
+        if locs is not None:
+            locs.extend(locations(m))
+        return m
+    if isinstance(m, Var):
+        return readback(env[m.name], locs)
+    fields = {}
+    for field, binders in SHAPES[type(m)]:
+        inner = env
+        for b in binders:
+            if getattr(m, b) in inner:
+                inner = {x: v for x, v in inner.items() if x != getattr(m, b)}
+        fields[field] = close(getattr(m, field), inner, locs)
+    return m if locs is not None else replace(m, **fields)
+
+
+def readback(v: Any, locs: Optional[list[int]] = None) -> CoreTerm:
+    """The closed term of an evaluator value: a closed term, a Pair of values
+    or a Closure. With `locs`, as in `close`."""
+    if isinstance(v, Closure):
+        return close(v.lam, v.env, locs)
+    if not isinstance(v, Pair):
+        return close(v, {}, locs)
+    left, right = readback(v.left, locs), readback(v.right, locs)
+    return v if locs is not None else Pair(v.ordered, left, right)
 
 
 def subst(m: CoreTerm, v: CoreTerm, x: str) -> CoreTerm:
-    """Capture-avoiding substitution m[v/x]; v must be a value."""
-    assert is_value(v), "substitution is only defined for values"
-    return _subst(m, v, x, fv(v))
-
-
-def _subst(m: CoreTerm, v: CoreTerm, x: str, fv_v: frozenset[str]) -> CoreTerm:
-    if x not in fv(m):  # void substitution changes nothing, binders included
-        return m
-    if isinstance(m, Var):
-        return v
-    if isinstance(m, Lam):
-        if m.var in fv_v:
-            new = _fresh(m.var, fv_v | fv(m.body) | {x})
-            body = _subst(m.body, Var(new), m.var, frozenset({new}))
-            return Lam(m.mode, new, _subst(body, v, x, fv_v))
-        return Lam(m.mode, m.var, _subst(m.body, v, x, fv_v))
-    if isinstance(m, App):
-        return App(m.mode, _subst(m.fn, v, x, fv_v), _subst(m.arg, v, x, fv_v))
-    if isinstance(m, Pair):
-        return Pair(m.ordered, _subst(m.left, v, x, fv_v), _subst(m.right, v, x, fv_v))
-    if isinstance(m, LetPair):
-        header = _subst(m.header, v, x, fv_v)
-        if x in (m.x, m.y):
-            return LetPair(m.ordered, m.x, m.y, header, m.body)
-        bx, by, body = m.x, m.y, m.body
-        if bx in fv_v:
-            new = _fresh(bx, fv_v | fv(body) | {x, by})
-            body = _subst(body, Var(new), bx, frozenset({new}))
-            bx = new
-        if by in fv_v:
-            new = _fresh(by, fv_v | fv(body) | {x, bx})
-            body = _subst(body, Var(new), by, frozenset({new}))
-            by = new
-        return LetPair(m.ordered, bx, by, header, _subst(body, v, x, fv_v))
-    return m
+    """m[v/x] for a closed value v."""
+    return close(m, {x: v})
 
 
 # ---------------------------------------------------------------------------

@@ -8,32 +8,22 @@ the envelope; the final drop of a location insists the trace lies within
 the envelope.  The runtime oracle cross-checks heap reference counts
 against syntactic location occurrences, the executable projection of heap
 typing used by the soundness tests.
+
+The evaluator is an environment machine over closed terms, Pairs of values
+and flat closures: it takes the steps of substitution into the whole term
+(the tests' reference) without substituting.  A term is read back only for
+`Config.term` and a step's redex; the oracle counts locations in the state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional
 
 from .core import (
-    App,
-    CoreTerm,
-    DropConst,
-    LEFT,
-    LetPair,
-    Lam,
-    Loc,
-    NewConst,
-    OpConst,
-    Pair,
-    PLAIN,
-    SplitConst,
-    UnitConst,
-    is_value,
-    locations,
-    pretty,
-    subst,
+    LEFT, PLAIN, UNIT, App, Closure, CoreTerm, DropConst, Lam, LetPair, Loc, NewConst, OpConst,
+    Pair, SplitConst, UnitConst, Var, capture, close, pretty, readback,
 )
 from .opm import Opm
 
@@ -43,9 +33,25 @@ Heap = dict[int, HeapCell]
 
 @dataclass
 class Config:
-    term: CoreTerm
+    """A machine state; `Config(term, heap)` starts evaluating `term`."""
+
+    focus: Any  # code under `env`, or a value when `env` is None
     heap: Heap
     next_loc: int = 0
+    env: Optional[dict] = field(default_factory=dict)
+    stack: Optional[tuple] = None  # (frame, rest): former, its env, values so far
+
+    def read(self, locs: Optional[list] = None) -> CoreTerm:
+        """The state's term; given `locs`, returns it with the term's locations
+        appended instead, reading nothing back (see `core.close`)."""
+        t = readback(self.focus, locs) if self.env is None else close(self.focus, self.env, locs)
+        stack = self.stack
+        while stack is not None:
+            (former, env, done), stack = stack
+            t = _rebuild(former, env, [readback(v, locs) for v in done] + [t], locs)
+        return t if locs is None else locs
+
+    term = property(read)
 
 
 @dataclass
@@ -54,125 +60,116 @@ class StepOutcome:
     config: Config
     rule: Optional[str] = None
     reason: Optional[str] = None  # stuck: op-inadmissible | close-incomplete | no-rule
-    redex: Optional[CoreTerm] = None
+    read_redex: Callable[[], Optional[CoreTerm]] = lambda: None
+
+    @property
+    def redex(self) -> Optional[CoreTerm]:
+        """Read back on demand: a β redex is the whole continuation."""
+        return self.read_redex()
 
 
-# The evaluation positions of each former, in the order they are evaluated:
-# the field holding the position, and a constructor that puts a term there.
-# Left application evaluates its argument before its function part.
-_FN = ("fn", lambda m, t: App(m.mode, t, m.arg))
-_ARG = ("arg", lambda m, t: App(m.mode, m.fn, t))
-_POSITIONS = {
-    App: (_FN, _ARG),
-    Pair: (
-        ("left", lambda m, t: Pair(m.ordered, t, m.right)),
-        ("right", lambda m, t: Pair(m.ordered, m.left, t)),
-    ),
-    LetPair: (("header", lambda m, t: LetPair(m.ordered, m.x, m.y, t, m.body)),),
-}
+def _positions(m: CoreTerm) -> tuple[str, ...]:
+    """A former's evaluation positions in order. Left application evaluates
+    its argument before its function part."""
+    if isinstance(m, App):
+        return ("arg", "fn") if m.mode == LEFT else ("fn", "arg")
+    return ("left", "right") if isinstance(m, Pair) else ("header",)
 
 
-def _find_redex(m: CoreTerm) -> Optional[tuple[CoreTerm, Callable[[CoreTerm], CoreTerm]]]:
-    """Locate the unique redex position per the evaluation-context grammar.
+def _rebuild(former: CoreTerm, env: dict, terms: list, locs: Optional[list] = None):
+    """`former` closed under `env`, its first positions filled with `terms`."""
+    names = _positions(former)[: len(terms)]
+    closed = close(replace(former, **dict.fromkeys(names, UNIT)), env, locs)
+    return closed if locs is not None else replace(closed, **dict(zip(names, terms)))
 
-    Descends into the first non-value position until a term has none: that
-    term is the redex, so free variables (and anything else non-value) sit
-    at redex position for the step function to report as stuck.  Returns
-    None for values.
-    """
-    if is_value(m):
-        return None
-    context = []  # (constructor, former) pairs, outermost first
+
+def _refocus(m: Any, env: Optional[dict], stack: Optional[tuple]) -> tuple:
+    """Administrative moves to (focus, env, values, stack): the final value (env
+    None), a free variable (no values) or a former with all positions values."""
     while True:
-        positions = _POSITIONS.get(type(m), ())
-        if isinstance(m, App) and m.mode == LEFT:
-            positions = (_ARG, _FN)
-        for name, put in positions:
-            if not is_value(sub := getattr(m, name)):
-                context.append((put, m))
-                m = sub
-                break
+        if env is not None:
+            if isinstance(m, Var):
+                if m.name not in env:
+                    return m, env, (), stack
+                m, env = env[m.name], None
+            elif isinstance(m, Lam):
+                captured = capture(m, env)
+                m, env = (Closure(m, captured) if captured else m), None
+            elif isinstance(m, (App, Pair, LetPair)):
+                stack = ((m, env, ()), stack)
+                m = getattr(m, _positions(m)[0])
+            else:
+                env = None
+        elif stack is None:
+            return m, None, (), None
         else:
-            break
-    if not context:
-        return m, lambda t: t
-
-    def rebuild(t: CoreTerm) -> CoreTerm:
-        for put, former in reversed(context):
-            t = put(former, t)
-        return t
-
-    return m, rebuild
+            (former, env, done), stack = stack
+            done += (m,)
+            names = _positions(former)
+            if len(done) < len(names):
+                stack = ((former, env, done), stack)
+                m = getattr(former, names[len(done)])
+            elif isinstance(former, Pair):
+                m, env = Pair(former.ordered, *done), None
+            else:
+                return former, env, done, stack
 
 
 _BETA_RULE = {"u": "RE-Beta", "o": "RE-UBeta", "r": "RE-RBeta", "l": "RE-LBeta"}
 
 
 def step(cfg: Config, opm: Opm) -> StepOutcome:
-    if is_value(cfg.term):
+    """One rule, after the administrative moves before it; `cfg` is unchanged."""
+    former, env, done, stack = _refocus(cfg.focus, cfg.env, cfg.stack)
+    if env is None:
         return StepOutcome("value", cfg)
-    found = _find_redex(cfg.term)
-    assert found is not None
-    redex, rebuild = found
+
+    def redex() -> CoreTerm:
+        return _rebuild(former, env, [readback(v) for v in done])
 
     def stuck(reason: str) -> StepOutcome:
-        return StepOutcome("stuck", cfg, reason=reason, redex=redex)
+        return StepOutcome("stuck", cfg, reason=reason, read_redex=redex)
 
-    def stepped(rule: str, new_term: CoreTerm, heap: Heap, next_loc: int) -> StepOutcome:
-        return StepOutcome(
-            "stepped", Config(rebuild(new_term), heap, next_loc), rule=rule, redex=redex
-        )
+    def stepped(rule: str, m: Any, m_env: Optional[dict], heap=cfg.heap, next_loc=cfg.next_loc):
+        config = Config(m, heap, next_loc, m_env, stack)
+        return StepOutcome("stepped", config, rule, read_redex=redex)
 
-    heap = cfg.heap
-    if isinstance(redex, App):
-        fn, arg = redex.fn, redex.arg
-        if isinstance(fn, Lam):
-            if fn.mode != redex.mode:
-                return stuck("no-rule")
-            return stepped(
-                _BETA_RULE[redex.mode], subst(fn.body, arg, fn.var), heap, cfg.next_loc
-            )
-        if redex.mode != PLAIN:
+    if not isinstance(former, App):  # a let-pair, or a free variable
+        header = done[0] if done else None
+        if not (isinstance(header, Pair) and header.ordered == former.ordered):
             return stuck("no-rule")
-        if isinstance(fn, NewConst) and isinstance(arg, UnitConst):
-            loc = cfg.next_loc
-            new_heap = dict(heap)
-            new_heap[loc] = (0, fn.index, opm.unit())
-            return stepped("RC-Ne", Loc(loc), new_heap, loc + 1)
-        if isinstance(fn, OpConst) and isinstance(arg, Loc) and arg.ident in heap:
-            n, env, trace = heap[arg.ident]
-            extended = opm.mul(trace, fn.index)
-            if extended is None or not opm.residual_exists(extended, env):
-                return stuck("op-inadmissible")
-            new_heap = dict(heap)
-            new_heap[arg.ident] = (n, env, extended)
-            return stepped("RC-Op", arg, new_heap, cfg.next_loc)
-        if isinstance(fn, SplitConst) and isinstance(arg, Loc) and arg.ident in heap:
-            n, env, trace = heap[arg.ident]
-            new_heap = dict(heap)
-            new_heap[arg.ident] = (n + 1, env, trace)
-            return stepped("RC-Sp", Pair(True, arg, arg), new_heap, cfg.next_loc)
-        if isinstance(fn, DropConst) and isinstance(arg, Loc) and arg.ident in heap:
-            n, env, trace = heap[arg.ident]
-            if n > 0:
-                new_heap = dict(heap)
-                new_heap[arg.ident] = (n - 1, env, trace)
-                return stepped("RC-Cl1", UnitConst(), new_heap, cfg.next_loc)
-            if not opm.leq(trace, env):
-                return stuck("close-incomplete")
-            new_heap = dict(heap)
-            del new_heap[arg.ident]
-            return stepped("RC-Cl2", UnitConst(), new_heap, cfg.next_loc)
+        inner = capture(former.body, env)
+        inner[former.x], inner[former.y] = header.left, header.right
+        return stepped("RE-OLet" if former.ordered else "RE-ULet", former.body, inner)
+    fn, arg = done[::-1] if former.mode == LEFT else done
+    lam, captured = fn if isinstance(fn, Closure) else (fn, {})
+    if isinstance(lam, Lam):
+        if lam.mode != former.mode:
+            return stuck("no-rule")
+        return stepped(_BETA_RULE[former.mode], lam.body, {**captured, lam.var: arg})
+    heap, loc = cfg.heap, cfg.next_loc
+    if former.mode != PLAIN:
         return stuck("no-rule")
-    if isinstance(redex, LetPair):
-        header = redex.header
-        if isinstance(header, Pair) and header.ordered == redex.ordered:
-            body = subst(redex.body, header.left, redex.x)
-            body = subst(body, header.right, redex.y)
-            rule = "RE-OLet" if redex.ordered else "RE-ULet"
-            return stepped(rule, body, heap, cfg.next_loc)
+    if isinstance(fn, NewConst) and isinstance(arg, UnitConst):
+        cell = (0, fn.index, opm.unit())
+        return stepped("RC-Ne", Loc(loc), None, {**heap, loc: cell}, loc + 1)
+    resource_op = isinstance(fn, (OpConst, SplitConst, DropConst))
+    if not (resource_op and isinstance(arg, Loc) and arg.ident in heap):
         return stuck("no-rule")
-    return stuck("no-rule")
+    n, envelope, trace = heap[arg.ident]
+    if isinstance(fn, OpConst):
+        extended = opm.mul(trace, fn.index)
+        if extended is None or not opm.residual_exists(extended, envelope):
+            return stuck("op-inadmissible")
+        return stepped("RC-Op", arg, None, {**heap, arg.ident: (n, envelope, extended)})
+    if isinstance(fn, SplitConst):
+        new_heap = {**heap, arg.ident: (n + 1, envelope, trace)}
+        return stepped("RC-Sp", Pair(True, arg, arg), None, new_heap)
+    if n > 0:
+        return stepped("RC-Cl1", UNIT, None, {**heap, arg.ident: (n - 1, envelope, trace)})
+    if not opm.leq(trace, envelope):
+        return stuck("close-incomplete")
+    return stepped("RC-Cl2", UNIT, None, {i: c for i, c in heap.items() if i != arg.ident})
 
 
 def runtime_oracle(cfg: Config) -> list[str]:
@@ -183,7 +180,7 @@ def runtime_oracle(cfg: Config) -> list[str]:
     Violations come back as strings; a sound run yields none, ever.
     """
     violations: list[str] = []
-    occurrences = Counter(locations(cfg.term))
+    occurrences = Counter(cfg.read([]))
     for ident, (n, _env, _trace) in sorted(cfg.heap.items()):
         if occurrences.get(ident, 0) != n + 1:
             violations.append(
@@ -263,8 +260,8 @@ def run(
     steps: list[TraceStep] = []
     violations: list[tuple[int, str]] = []
     for i in range(fuel + 1):
-        if i == fuel and not is_value(cfg.term):  # out of fuel short of a value
-            break
+        if i == fuel and _refocus(cfg.focus, cfg.env, cfg.stack)[1] is not None:
+            break  # out of fuel short of a value
         out = step(cfg, opm)  # leaves `cfg` as it was, for the oracle to read
         if paranoid or out.status == "value":
             violations.extend((i, v) for v in runtime_oracle(cfg))

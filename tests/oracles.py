@@ -8,14 +8,17 @@ runtime-context utilities (`focus`, `usage_projection`) read a heap context
 one location at a time.  The character-at-a-time lexer, regex parser and
 all-states readback, the spine-recursive `ReferenceParser` and the
 hand-unrolled redex search are the references for `surface.lex`,
-`regex.parse_regex`, `regex.regex_from_dfa`, `surface.Parser` and
-`interp._find_redex`; the hand-written state searches `reference_to_dfa`,
+`regex.parse_regex`, `regex.regex_from_dfa`, `surface.Parser` and the
+table-driven `_find_redex` below; the hand-written state searches `reference_to_dfa`,
 `reference_includes` and `reference_continuation_dfa` are the references for
 `regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`, and the
 one-branch-per-former `reference_locations` is the reference for
 `core.locations`.  `reference_lex_counting`, the one-pattern lexer that
 counted lines and columns as it went, is the reference for the positions
-`surface.lex` computes from offsets.
+`surface.lex` computes from offsets.  The substitution evaluator
+(`reference_step` over `ReferenceConfig`, with the capture-avoiding
+`reference_subst` and the redex search `_find_redex`) is the reference for
+the environment machine `interp.step`.
 """
 
 from __future__ import annotations
@@ -24,13 +27,34 @@ import dataclasses
 import itertools
 import re
 from functools import lru_cache
-from typing import Any, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Optional
 
 from ordlang import context as cx
 from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
-from ordlang.core import CoreType, TraceType
+from ordlang.core import (
+    App,
+    CoreTerm,
+    CoreType,
+    DropConst,
+    LEFT,
+    LetPair,
+    Lam,
+    Loc,
+    NewConst,
+    OpConst,
+    Pair,
+    PLAIN,
+    SplitConst,
+    TraceType,
+    UnitConst,
+    Var,
+    fv,
+    is_value,
+)
+from ordlang.interp import Heap
 from ordlang.opm import Opm, OpmError
 
 
@@ -1055,3 +1079,189 @@ def reference_find_redex(m: co.CoreTerm):
     # Free variables (and anything else non-value) sit at redex position
     # so the step function can report them as stuck.
     return m, lambda t: t
+
+
+# The substitution evaluator: each step finds the redex from the root and
+# substitutes into the whole continuation. It is the reference for
+# `interp.step`, which takes the same steps on an environment machine.
+
+
+def _fresh(base: str, avoid: frozenset[str]) -> str:
+    if base not in avoid:
+        return base
+    i = 0
+    while f"{base}{i}" in avoid:
+        i += 1
+    return f"{base}{i}"
+
+
+def reference_subst(m: CoreTerm, v: CoreTerm, x: str) -> CoreTerm:
+    """Capture-avoiding substitution m[v/x]; v must be a value."""
+    assert is_value(v), "substitution is only defined for values"
+    return _subst(m, v, x, fv(v))
+
+
+def _subst(m: CoreTerm, v: CoreTerm, x: str, fv_v: frozenset[str]) -> CoreTerm:
+    if x not in fv(m):  # void substitution changes nothing, binders included
+        return m
+    if isinstance(m, Var):
+        return v
+    if isinstance(m, Lam):
+        if m.var in fv_v:
+            new = _fresh(m.var, fv_v | fv(m.body) | {x})
+            body = _subst(m.body, Var(new), m.var, frozenset({new}))
+            return Lam(m.mode, new, _subst(body, v, x, fv_v))
+        return Lam(m.mode, m.var, _subst(m.body, v, x, fv_v))
+    if isinstance(m, App):
+        return App(m.mode, _subst(m.fn, v, x, fv_v), _subst(m.arg, v, x, fv_v))
+    if isinstance(m, Pair):
+        return Pair(m.ordered, _subst(m.left, v, x, fv_v), _subst(m.right, v, x, fv_v))
+    if isinstance(m, LetPair):
+        header = _subst(m.header, v, x, fv_v)
+        if x in (m.x, m.y):
+            return LetPair(m.ordered, m.x, m.y, header, m.body)
+        bx, by, body = m.x, m.y, m.body
+        if bx in fv_v:
+            new = _fresh(bx, fv_v | fv(body) | {x, by})
+            body = _subst(body, Var(new), bx, frozenset({new}))
+            bx = new
+        if by in fv_v:
+            new = _fresh(by, fv_v | fv(body) | {x, bx})
+            body = _subst(body, Var(new), by, frozenset({new}))
+            by = new
+        return LetPair(m.ordered, bx, by, header, _subst(body, v, x, fv_v))
+    return m
+
+
+@dataclass
+class ReferenceConfig:
+    term: CoreTerm
+    heap: Heap
+    next_loc: int = 0
+
+
+@dataclass
+class ReferenceOutcome:
+    status: str  # "value" | "stepped" | "stuck"
+    config: ReferenceConfig
+    rule: Optional[str] = None
+    reason: Optional[str] = None  # stuck: op-inadmissible | close-incomplete | no-rule
+    redex: Optional[CoreTerm] = None
+
+
+# The evaluation positions of each former, in the order they are evaluated:
+# the field holding the position, and a constructor that puts a term there.
+# Left application evaluates its argument before its function part.
+_FN = ("fn", lambda m, t: App(m.mode, t, m.arg))
+_ARG = ("arg", lambda m, t: App(m.mode, m.fn, t))
+_POSITIONS = {
+    App: (_FN, _ARG),
+    Pair: (
+        ("left", lambda m, t: Pair(m.ordered, t, m.right)),
+        ("right", lambda m, t: Pair(m.ordered, m.left, t)),
+    ),
+    LetPair: (("header", lambda m, t: LetPair(m.ordered, m.x, m.y, t, m.body)),),
+}
+
+
+def _find_redex(m: CoreTerm) -> Optional[tuple[CoreTerm, Callable[[CoreTerm], CoreTerm]]]:
+    """Locate the unique redex position per the evaluation-context grammar.
+
+    Descends into the first non-value position until a term has none: that
+    term is the redex, so free variables (and anything else non-value) sit
+    at redex position for the step function to report as stuck.  Returns
+    None for values.
+    """
+    if is_value(m):
+        return None
+    context = []  # (constructor, former) pairs, outermost first
+    while True:
+        positions = _POSITIONS.get(type(m), ())
+        if isinstance(m, App) and m.mode == LEFT:
+            positions = (_ARG, _FN)
+        for name, put in positions:
+            if not is_value(sub := getattr(m, name)):
+                context.append((put, m))
+                m = sub
+                break
+        else:
+            break
+    if not context:
+        return m, lambda t: t
+
+    def rebuild(t: CoreTerm) -> CoreTerm:
+        for put, former in reversed(context):
+            t = put(former, t)
+        return t
+
+    return m, rebuild
+
+
+_BETA_RULE = {"u": "RE-Beta", "o": "RE-UBeta", "r": "RE-RBeta", "l": "RE-LBeta"}
+
+
+def reference_step(cfg: ReferenceConfig, opm: Opm) -> ReferenceOutcome:
+    if is_value(cfg.term):
+        return ReferenceOutcome("value", cfg)
+    found = _find_redex(cfg.term)
+    assert found is not None
+    redex, rebuild = found
+
+    def stuck(reason: str) -> ReferenceOutcome:
+        return ReferenceOutcome("stuck", cfg, reason=reason, redex=redex)
+
+    def stepped(rule: str, new_term: CoreTerm, heap: Heap, next_loc: int) -> ReferenceOutcome:
+        return ReferenceOutcome(
+            "stepped", ReferenceConfig(rebuild(new_term), heap, next_loc), rule=rule, redex=redex
+        )
+
+    heap = cfg.heap
+    if isinstance(redex, App):
+        fn, arg = redex.fn, redex.arg
+        if isinstance(fn, Lam):
+            if fn.mode != redex.mode:
+                return stuck("no-rule")
+            return stepped(
+                _BETA_RULE[redex.mode], reference_subst(fn.body, arg, fn.var), heap, cfg.next_loc
+            )
+        if redex.mode != PLAIN:
+            return stuck("no-rule")
+        if isinstance(fn, NewConst) and isinstance(arg, UnitConst):
+            loc = cfg.next_loc
+            new_heap = dict(heap)
+            new_heap[loc] = (0, fn.index, opm.unit())
+            return stepped("RC-Ne", Loc(loc), new_heap, loc + 1)
+        if isinstance(fn, OpConst) and isinstance(arg, Loc) and arg.ident in heap:
+            n, env, trace = heap[arg.ident]
+            extended = opm.mul(trace, fn.index)
+            if extended is None or not opm.residual_exists(extended, env):
+                return stuck("op-inadmissible")
+            new_heap = dict(heap)
+            new_heap[arg.ident] = (n, env, extended)
+            return stepped("RC-Op", arg, new_heap, cfg.next_loc)
+        if isinstance(fn, SplitConst) and isinstance(arg, Loc) and arg.ident in heap:
+            n, env, trace = heap[arg.ident]
+            new_heap = dict(heap)
+            new_heap[arg.ident] = (n + 1, env, trace)
+            return stepped("RC-Sp", Pair(True, arg, arg), new_heap, cfg.next_loc)
+        if isinstance(fn, DropConst) and isinstance(arg, Loc) and arg.ident in heap:
+            n, env, trace = heap[arg.ident]
+            if n > 0:
+                new_heap = dict(heap)
+                new_heap[arg.ident] = (n - 1, env, trace)
+                return stepped("RC-Cl1", UnitConst(), new_heap, cfg.next_loc)
+            if not opm.leq(trace, env):
+                return stuck("close-incomplete")
+            new_heap = dict(heap)
+            del new_heap[arg.ident]
+            return stepped("RC-Cl2", UnitConst(), new_heap, cfg.next_loc)
+        return stuck("no-rule")
+    if isinstance(redex, LetPair):
+        header = redex.header
+        if isinstance(header, Pair) and header.ordered == redex.ordered:
+            body = reference_subst(redex.body, header.left, redex.x)
+            body = reference_subst(body, header.right, redex.y)
+            rule = "RE-OLet" if redex.ordered else "RE-ULet"
+            return stepped(rule, body, heap, cfg.next_loc)
+        return stuck("no-rule")
+    return stuck("no-rule")

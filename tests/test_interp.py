@@ -1,7 +1,9 @@
+import importlib.util
 import sys
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordlang import core as co
@@ -9,15 +11,17 @@ from ordlang import interp
 from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.checker import TypeCheckError, check_program
-from ordlang.interp import Config, _find_redex, _heap_delta, run, runtime_oracle, step
+from ordlang.interp import Config, _heap_delta, run, runtime_oracle, step
 from ordlang.opm import get_opm
 
-from conftest import PROGRAMS, program_source, smoke_programs, workload_round
-from oracles import reference_find_redex
+from conftest import PROGRAMS, ROOT, program_source, smoke_programs, workload_round
+import oracles
+from oracles import ReferenceConfig, _find_redex, reference_find_redex, reference_step
 
 OPM = get_opm("regex")
 R = rx.sym("r")
 RC = rx.parse_regex("rc")
+C = rx.sym("c")
 
 
 def app(fn, arg, mode=co.PLAIN):
@@ -286,11 +290,13 @@ def test_trace_flag_changes_only_the_rendered_strings():
     assert seen >= 20
 
 
-def core_terms():
+def core_terms(resources=False):
+    """Small core terms over one variable, x; with `resources`, also
+    allocations and plain applications of the resource operations."""
     modes, flags = st.sampled_from(co.MODES), st.booleans()
-    leaves = st.sampled_from(
-        [co.UNIT, co.DROP, co.Loc(0), co.Var("x"), co.Lam(co.PLAIN, "x", co.Var("x"))]
-    )
+    leaves = [co.UNIT, co.DROP, co.Loc(0), co.Var("x"), co.Lam(co.PLAIN, "x", co.Var("x"))]
+    leaves = st.sampled_from(leaves + ([new(RC), new(C)] if resources else []))
+    operations = st.sampled_from([co.DROP, co.OpConst(R), co.SplitConst(R, C)])
 
     def extend(inner):
         return st.one_of(
@@ -298,6 +304,7 @@ def core_terms():
             st.builds(co.Pair, flags, inner, inner),
             st.builds(lambda o, h, b: co.LetPair(o, "x", "y", h, b), flags, inner, inner),
             st.builds(lambda m, b: co.Lam(m, "x", b), modes, inner),
+            *([st.builds(app, operations, inner)] if resources else []),
         )
 
     return st.recursive(leaves, extend, max_leaves=16)
@@ -343,35 +350,145 @@ def test_redex_search_matches_the_reference_at_every_step():
     programs = [(path.name, opm, checked) for path, opm, checked in _checked_programs()]
     steps = 0
     for label, opm, checked in programs + list(_workload_programs()):
-        cfg, label = Config(checked.core, {}), f"{label} ({opm.name})"
+        cfg, label = ReferenceConfig(checked.core, {}), f"{label} ({opm.name})"
         while (found := _find_redex(cfg.term)) is not None:
             redex, rebuild = found
             expected_redex, expected_rebuild = reference_find_redex(cfg.term)
             assert redex is expected_redex, label
             assert rebuild(hole) == expected_rebuild(hole), label
-            out = step(cfg, opm)
+            out = reference_step(cfg, opm)
             assert out.status == "stepped", label
             cfg, steps = out.config, steps + 1
         assert reference_find_redex(cfg.term) is None and cfg.heap == {}, label
     assert len(programs) >= 20 and steps > 5000, (len(programs), steps)
 
 
+def _reference_run(term, opm):
+    cfg = ReferenceConfig(term, {})
+    while (out := reference_step(cfg, opm)).status == "stepped":
+        cfg = out.config
+    return out
+
+
 def test_evaluation_substitutes_only_closed_values(monkeypatch):
     # so `subst` never renames a binder to avoid capture, and a read-back of
     # a value never has to choose a fresh name
     calls = [0]
-    uncounted = interp.subst
+    uncounted = oracles.reference_subst
 
     def closed_only(m, v, x):
         assert co.fv(v) == frozenset(), v
         calls[0] += 1
         return uncounted(m, v, x)
 
-    monkeypatch.setattr(interp, "subst", closed_only)
+    monkeypatch.setattr(oracles, "reference_subst", closed_only)
     programs = [(path.name, opm, checked) for path, opm, checked in _checked_programs()]
     for label, opm, checked in programs + list(_workload_programs()):
-        assert run(checked.core, opm).outcome == "value", label
+        assert _reference_run(checked.core, opm).status == "value", label
     assert len(programs) >= 20 and calls[0] > 5000, (len(programs), calls[0])
+
+
+# -- the machine against the substitution evaluator, step by step
+
+def _lockstep(term, opm, label, fuel=100_000):
+    """Step the machine and the reference evaluator side by side from `term`,
+    comparing every outcome; returns the last outcome and the step count."""
+    cfg, ref, closed = Config(term, {}), ReferenceConfig(term, {}), not co.fv(term)
+    for steps in range(fuel):
+        out, expected = step(cfg, opm), reference_step(ref, opm)
+        assert (out.status, out.rule, out.reason) == (
+            expected.status, expected.rule, expected.reason
+        ), (label, steps)
+        assert out.config.heap == expected.config.heap, (label, steps)
+        assert out.config.next_loc == expected.config.next_loc, (label, steps)
+        term, redex = out.config.term, out.redex
+        assert term == expected.config.term and redex == expected.redex, (label, steps)
+        if closed:  # every read-back value is closed
+            assert not co.fv(term) and (redex is None or not co.fv(redex)), (label, steps)
+        if out.status != "stepped":
+            return out, steps
+        cfg, ref = out.config, expected.config
+    return out, fuel
+
+
+def _scaling_programs(n):
+    spec = importlib.util.spec_from_file_location("scaling", ROOT / "perfbench" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    opm = get_opm("regex")
+    for family, make in scaling.FAMILIES.items():
+        yield f"{family}({n})", opm, check_program(sf.parse(make(n), opm), opm)
+
+
+def test_machine_steps_in_lockstep_with_substitution():
+    programs = [(path.name, opm, checked) for path, opm, checked in _checked_programs()]
+    programs += list(_workload_programs()) + list(_scaling_programs(16))
+    outcomes, total = Counter(), 0
+    for label, opm, checked in programs:
+        out, steps = _lockstep(checked.core, opm, f"{label} ({opm.name})")
+        outcomes[out.status] += 1
+        total += steps
+    assert outcomes == {"value": len(programs)} and total > 5000, (outcomes, total)
+
+
+# A value that is a pair holding abstractions, one of them a closure (g unit
+# captures f). Binding it to p puts it in an environment, from which the last
+# redex and the final term read it back.
+PAIR_OF_FUNCTIONS = """
+let f : Unit -[u 0]-> Unit
+    f z = z
+in
+let g : Unit -[u 0]-> Unit -[u 0]-> Unit
+    g a b = f b
+in
+let p = (g unit, f) in
+p
+"""
+
+
+def test_a_pair_of_abstractions_reads_back_as_the_reference_value():
+    checked = check_program(sf.parse(PAIR_OF_FUNCTIONS, OPM), OPM)
+    out, _steps = _lockstep(checked.core, OPM, "pair of functions")
+    identity = co.Lam(co.PLAIN, "z", co.Var("z"))
+    expected = co.Pair(
+        False, co.Lam(co.PLAIN, "b", co.App(co.PLAIN, identity, co.Var("b"))), identity
+    )
+    assert out.status == "value" and run(checked.core, OPM).config.term == expected
+
+
+STUCK_EXAMPLES = [
+    app(co.Lam(co.UNORD, "x", co.Var("x")), co.UNIT),  # mode mismatch
+    drop(co.Loc(0)),  # an operation on a freed location
+    co.LetPair(True, "x", "y", co.Pair(False, co.UNIT, co.UNIT), co.Var("x")),  # wrong kind
+    app(co.UNIT, co.UNIT),  # a non-function applied
+    op(R, new(C)),  # op-inadmissible
+    drop(new(RC)),  # close-incomplete
+]
+
+
+def _closed(term, value):
+    # core_terms() has one variable, x: bind it when it occurs free
+    return term if not co.fv(term) else app(co.Lam(co.PLAIN, "x", term), value)
+
+
+X_VALUES = [co.UNIT, co.Pair(True, co.UNIT, co.UNIT), co.Pair(False, co.DROP, co.UNIT)]
+
+
+@given(st.builds(_closed, core_terms(resources=True), st.sampled_from(X_VALUES)))
+@settings(max_examples=500, deadline=None)
+@example(STUCK_EXAMPLES[0])
+@example(STUCK_EXAMPLES[1])
+@example(STUCK_EXAMPLES[2])
+@example(STUCK_EXAMPLES[3])
+@example(STUCK_EXAMPLES[4])
+@example(STUCK_EXAMPLES[5])
+def test_machine_steps_in_lockstep_on_any_closed_term(term):
+    _lockstep(term, OPM, term, fuel=200)
+
+
+def test_the_stuck_examples_cover_every_reason():
+    reasons = [_lockstep(term, OPM, term)[0].reason for term in STUCK_EXAMPLES]
+    assert reasons == ["no-rule"] * 4 + ["op-inadmissible", "close-incomplete"]
 
 
 # -- cost gate: free-variable computations per step must not grow with n
@@ -388,7 +505,13 @@ def _splits(n):
     return f"let x0 = new {{r*c}} in\n{rounds}drop (!{{c}} x{n})"
 
 
-@pytest.mark.parametrize("family", [_ops, _splits])
+def _resources(n):
+    lets = "".join(f"let x{i} = new {{r*c}} in\n" for i in range(n))
+    uses = "; ".join(f"drop (!{{c}} (!{{r}} x{i}))" for i in reversed(range(n)))
+    return f"{lets}{uses}; unit"
+
+
+@pytest.mark.parametrize("family", [_ops, _splits, _resources])
 def test_fv_calls_per_step_do_not_grow_with_n(family, monkeypatch):
     calls = [0]
     uncounted = co.fv
@@ -405,4 +528,34 @@ def test_fv_calls_per_step_do_not_grow_with_n(family, monkeypatch):
         result = run(checked.core, OPM)
         assert result.outcome == "value"
         per_step[n] = calls[0] / len(result.steps)
+    assert per_step[16] > 0, per_step  # the machine's calls are counted
     assert per_step[64] <= 1.2 * per_step[16], per_step
+
+
+def test_a_plain_run_substitutes_nothing_and_builds_no_term(monkeypatch):
+    # Only a read-back builds an abstraction, application or let-pair; the
+    # machine itself builds pairs of values and locations.
+    programs = [(path.name, opm, checked) for path, opm, checked in _checked_programs()]
+    programs += list(_workload_programs())
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(co, "subst", counted("subst", co.subst))
+    for former in (co.Lam, co.App, co.LetPair):
+        monkeypatch.setattr(former, "__init__", counted(former.__name__, former.__init__))
+    ran = 0
+    for label, opm, checked in programs:
+        if run(checked.core, opm).config.term != co.UNIT:  # before counting
+            continue
+        calls.clear()
+        result = run(checked.core, opm)
+        assert result.outcome == "value" and result.config.term == co.UNIT, label
+        assert calls == {}, (label, calls)
+        ran += 1
+    assert ran >= 100, ran
