@@ -2,12 +2,12 @@
 
 Resource operations perform no real effects; the heap records, per
 location, a reference count (0 meaning one live reference), the envelope
-fixed at creation, and the trace of operations so far.  An operation is
-admitted only if the extended trace can still be completed to a word of
-the envelope; the final drop of a location insists the trace lies within
-the envelope.  The runtime oracle cross-checks heap reference counts
-against syntactic location occurrences, the executable projection of heap
-typing used by the soundness tests.
+fixed at creation, and the trace so far, kept for display.  Admission
+reads the index each location has left (`Config.left`, at first the
+envelope): an operation needs a best continuation there, which becomes the
+index left, and the final drop needs a droppable one.  The runtime oracle
+cross-checks heap reference counts against syntactic location occurrences,
+the executable projection of heap typing used by the soundness tests.
 
 The evaluator is an environment machine over closed terms, Pairs of values
 and flat closures: it takes the steps of substitution into the whole term
@@ -40,6 +40,7 @@ class Config:
     next_loc: int = 0
     env: Optional[dict] = field(default_factory=dict)
     stack: Optional[tuple] = None  # (frame, rest): former, its env, values so far
+    left: dict = field(default_factory=dict)  # location -> the index it has left
 
     def read(self, locs: Optional[list] = None) -> CoreTerm:
         """The state's term; given `locs`, returns it with the term's locations
@@ -130,8 +131,9 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
     def stuck(reason: str) -> StepOutcome:
         return StepOutcome("stuck", cfg, reason=reason, read_redex=redex)
 
-    def stepped(rule: str, m: Any, m_env: Optional[dict], heap=cfg.heap, next_loc=cfg.next_loc):
-        config = Config(m, heap, next_loc, m_env, stack)
+    def stepped(rule: str, m: Any, m_env: Optional[dict], heap=cfg.heap, next_loc=cfg.next_loc,
+                left=cfg.left):
+        config = Config(m, heap, next_loc, m_env, stack, left)
         return StepOutcome("stepped", config, rule, read_redex=redex)
 
     if not isinstance(former, App):  # a let-pair, or a free variable
@@ -151,25 +153,30 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
     if former.mode != PLAIN:
         return stuck("no-rule")
     if isinstance(fn, NewConst) and isinstance(arg, UnitConst):
-        cell = (0, fn.index, opm.unit())
-        return stepped("RC-Ne", Loc(loc), None, {**heap, loc: cell}, loc + 1)
+        cell, left = (0, fn.index, opm.unit()), {**cfg.left, loc: fn.index}
+        return stepped("RC-Ne", Loc(loc), None, {**heap, loc: cell}, loc + 1, left)
     resource_op = isinstance(fn, (OpConst, SplitConst, DropConst))
     if not (resource_op and isinstance(arg, Loc) and arg.ident in heap):
         return stuck("no-rule")
     n, envelope, trace = heap[arg.ident]
+    # A heap given to `Config` without `left` has it from the trace.
+    left = cfg.left[arg.ident] if arg.ident in cfg.left else opm.best_continuation(trace, envelope)
     if isinstance(fn, OpConst):
-        extended = opm.mul(trace, fn.index)
-        if extended is None or not opm.residual_exists(extended, envelope):
+        if left is None or (left := opm.best_continuation(fn.index, left)) is None:
             return stuck("op-inadmissible")
-        return stepped("RC-Op", arg, None, {**heap, arg.ident: (n, envelope, extended)})
+        new_heap = {**heap, arg.ident: (n, envelope, opm.mul(trace, fn.index))}
+        return stepped("RC-Op", arg, None, new_heap, left={**cfg.left, arg.ident: left})
     if isinstance(fn, SplitConst):
         new_heap = {**heap, arg.ident: (n + 1, envelope, trace)}
         return stepped("RC-Sp", Pair(True, arg, arg), None, new_heap)
     if n > 0:
         return stepped("RC-Cl1", UNIT, None, {**heap, arg.ident: (n - 1, envelope, trace)})
-    if not opm.leq(trace, envelope):
+    if left is None or not opm.droppable(left):
         return stuck("close-incomplete")
-    return stepped("RC-Cl2", UNIT, None, {i: c for i, c in heap.items() if i != arg.ident})
+    new_heap, rest = dict(heap), dict(cfg.left)
+    del new_heap[arg.ident]
+    rest.pop(arg.ident, None)  # absent from a heap given to `Config` without it
+    return stepped("RC-Cl2", UNIT, None, new_heap, left=rest)
 
 
 def runtime_oracle(cfg: Config) -> list[str]:

@@ -9,7 +9,7 @@ this interface, so swapping the index algebra swaps the typestate discipline.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 Element = Any  # each OPM instance fixes its own element representation
 
@@ -42,7 +42,7 @@ class Opm:
 
     def residual_exists(self, x: Element, y: Element) -> bool:
         """Decide whether some z in the carrier has x ⊙ z ≤ y."""
-        raise NotImplementedError
+        return self.best_continuation(x, y) is not None
 
     def best_continuation(self, x: Element, y: Element) -> Optional[Element]:
         """A canonical maximal z with x ⊙ z ≤ y, or None if no z exists.
@@ -66,8 +66,8 @@ class Opm:
 class FiniteOpm(Opm):
     """OPM with an explicitly tabulated finite carrier.
 
-    Residuals are decided by exhaustive search over the carrier, which is
-    correct by construction for the handful of elements these instances have.
+    Best continuations are tabulated once, by exhaustive search over the
+    carrier: correct by construction for these instances' handful of elements.
     """
 
     def __init__(
@@ -83,6 +83,7 @@ class FiniteOpm(Opm):
         self._unit = unit
         self._mul = dict(mul_table)
         self._leq = set(leq_pairs)
+        self._best = {(x, y): self._search(x, y) for x in self.carrier for y in self.carrier}
 
     def unit(self) -> str:
         return self._unit
@@ -96,23 +97,18 @@ class FiniteOpm(Opm):
     def eq(self, x: str, y: str) -> bool:
         return x == y
 
-    def _witnesses(self, x: str, y: str) -> Iterator[str]:
-        """The z with x ⊙ z ≤ y, lazily, in carrier declaration order."""
-        return (z for z in self.carrier if (p := self.mul(x, z)) is not None and self.leq(p, y))
-
-    def residual_exists(self, x: str, y: str) -> bool:
-        return next(self._witnesses(x, y), None) is not None
-
     def best_continuation(self, x: str, y: str) -> Optional[str]:
-        witnesses = list(self._witnesses(x, y))
-        if not witnesses:
-            return None
-        # A maximal witness; ties broken by carrier declaration order.
+        return self._best.get((x, y))
+
+    def _search(self, x: str, y: str) -> Optional[str]:
+        """A maximal z with x ⊙ z ≤ y, ties broken by carrier declaration order."""
+        products = [(z, self.mul(x, z)) for z in self.carrier]
+        witnesses = [z for z, p in products if p is not None and self.leq(p, y)]
         for z in witnesses:
             above = [w for w in witnesses if w != z and self.leq(z, w) and not self.leq(w, z)]
             if not above:
                 return z
-        return witnesses[0]
+        return witnesses[0] if witnesses else None
 
     def parse_element(self, text: str) -> str:
         t = text.strip()

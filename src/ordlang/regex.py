@@ -535,14 +535,12 @@ class RegexOpm(Opm):
     def eq(self, x: Regex, y: Regex) -> bool:
         return equivalent(x, y)
 
-    def residual_exists(self, x: Regex, y: Regex) -> bool:
-        # Every state of the DFA is reachable: nonempty iff some state accepts.
-        dfa = _continuation_dfa(y, x)
-        return dfa is not None and bool(dfa.accepting)
-
     def best_continuation(self, x: Regex, y: Regex) -> Optional[Regex]:
         pd = product_derivative(y, x)
         return None if is_empty_language(pd) else pd
+
+    def droppable(self, x: Regex) -> bool:
+        return nullable(x)
 
     def parse_element(self, text: str) -> Regex:
         r = parse_regex(text)

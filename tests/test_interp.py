@@ -101,6 +101,17 @@ def test_final_drop_requires_complete_trace():
     assert out.status == "stuck" and out.reason == "close-incomplete"
 
 
+def test_a_step_leaves_the_index_left_of_its_config_as_it_was():
+    # the envelope r admits one r: stepped twice from the same state, the op
+    # is admitted twice, and the state still has the envelope left
+    allocated = step(Config(op(R, new(R)), {}), OPM).config
+    assert allocated.left == {0: R}
+    for _ in range(2):
+        out = step(allocated, OPM)
+        assert out.rule == "RC-Op" and out.config.heap == {0: (0, R, R)}
+    assert allocated.left == {0: R}
+
+
 def test_no_rule_for_nonsense_application():
     out = step(Config(app(co.UNIT, co.UNIT), {}), OPM)
     assert out.status == "stuck" and out.reason == "no-rule"
@@ -559,3 +570,29 @@ def test_a_plain_run_substitutes_nothing_and_builds_no_term(monkeypatch):
         assert calls == {}, (label, calls)
         ran += 1
     assert ran >= 100, ran
+
+
+# -- cost gate: an operation is admitted from the index its location has
+# left, so the regex work per operation does not grow with the trace
+
+
+@pytest.mark.parametrize("family", ["ops", "splits"])
+def test_derivative_calls_per_op_do_not_grow_with_n(family, monkeypatch):
+    calls = [0]
+    uncounted = rx.derivative
+
+    def counted(r, a):
+        calls[0] += 1
+        return uncounted(r, a)
+
+    monkeypatch.setattr(rx, "derivative", counted)
+    per_op = {}
+    for n in (16, 32, 64):
+        [checked] = [c for label, _opm, c in _scaling_programs(n) if label == f"{family}({n})"]
+        rx.to_dfa.cache_clear()  # the run derives its own automata
+        calls[0] = 0
+        result = run(checked.core, OPM)
+        assert result.outcome == "value"
+        per_op[n] = calls[0] / result.gamma_rules.count("RC-Op")
+    assert 0 < max(per_op.values()) < 4, per_op
+    assert per_op[64] <= per_op[16], per_op

@@ -1,8 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordlang.opm import OpmError, get_opm, known_opms, ownership_opm
+from ordlang import regex as rx
+from ordlang.opm import FiniteOpm, OpmError, get_opm, known_opms, ownership_opm
+
+from test_regex import regexes
 
 OWN = ownership_opm()
 E, B, S = "eps", "b", "*"
@@ -127,3 +132,55 @@ def test_registry():
     assert get_opm("ownership").name == "ownership"
     with pytest.raises(OpmError):
         get_opm("nonesuch")
+
+
+# -- the evaluator's admission: the index a location has left, by the
+# quotient law (u·v)⁻¹L = v⁻¹(u⁻¹L), against the trace-based decision
+
+
+def _walk_verdicts(opm, envelope, walk):
+    """Per op of `walk` from a fresh location, whether it is admitted, then
+    whether the location may be dropped: by the index left and by the trace.
+    The walk stops at the first op that either refuses."""
+    left, trace = envelope, opm.unit()
+    by_left, by_trace = [], []
+    for op in walk:
+        left = opm.best_continuation(op, left)
+        extended = opm.mul(trace, op)
+        by_left.append(left is not None)
+        by_trace.append(extended is not None and opm.residual_exists(extended, envelope))
+        if left is None or not by_trace[-1]:
+            return by_left, by_trace
+        trace = extended
+    return by_left + [opm.droppable(left)], by_trace + [opm.leq(trace, envelope)]
+
+
+def test_index_left_gives_the_trace_verdicts_on_every_finite_opm():
+    finite = [get_opm(name) for name in known_opms()]
+    finite = [opm for opm in finite if isinstance(opm, FiniteOpm)]
+    assert [opm.name for opm in finite] == ["ownership"]  # regex: the property below
+    walks = 0
+    for opm in finite:
+        for envelope in opm.carrier:
+            for k in range(5):
+                for walk in itertools.product(opm.carrier, repeat=k):
+                    by_left, by_trace = _walk_verdicts(opm, envelope, walk)
+                    assert by_left == by_trace, (opm.name, envelope, walk)
+                    walks += 1
+    assert walks == 363, walks
+
+
+@st.composite
+def envelope_walks(draw):
+    envelope = draw(regexes())
+    symbols = sorted(rx.symbols(envelope)) + ["z"]  # z: foreign to every envelope
+    walk = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=6))
+    return envelope, [rx.sym(a) for a in walk]
+
+
+@given(envelope_walks())
+@settings(max_examples=300, deadline=None)
+def test_index_left_gives_the_trace_verdicts_on_the_regex_opm(case):
+    envelope, walk = case
+    by_left, by_trace = _walk_verdicts(get_opm("regex"), envelope, walk)
+    assert by_left == by_trace, (rx.show(envelope), [rx.show(op) for op in walk])

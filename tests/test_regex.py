@@ -653,6 +653,15 @@ def test_borrow_core_golden(tmp_path):
     assert _dump_core_in_a_fresh_interpreter(path) == (GOLDEN / "borrow_core.txt").read_text()
 
 
+def test_borrow_trace_golden(tmp_path, capsys):
+    # each heap delta prints the trace as `mul` builds it, one op at a time,
+    # the borrow's op included
+    path = tmp_path / "borrow.ord"
+    path.write_text(_borrow(3, split_at=2))
+    assert main(["trace", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "borrow_trace.txt").read_text()
+
+
 def test_borrow_core_does_not_depend_on_what_was_checked_before(tmp_path, regex_opm, capsys):
     path = tmp_path / "borrow.ord"
     path.write_text(_borrow(3, split_at=2))

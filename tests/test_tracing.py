@@ -9,9 +9,12 @@ from conftest import PROGRAMS, ROOT
 
 # Loads perfbench/tracing.py read-only, instruments ordlang, then checks and
 # runs one program per OPM and prints each OPM's counter deltas as JSON.
+# Neither checking nor running decides a residual by `residual_exists`, so
+# each OPM also makes one direct call, which the wrapper must count.
 TRACED_CALLS = """
 import contextlib, importlib.util, io, json, sys
 from ordlang import cli
+from ordlang.opm import get_opm
 
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
@@ -21,6 +24,8 @@ tracing.instrument(tracer)
 deltas = {}
 for opm, path in (("regex", sys.argv[2]), ("ownership", sys.argv[3])):
     before = dict(tracer.counts)
+    instance = get_opm(opm)
+    instance.residual_exists(instance.unit(), instance.unit())
     with contextlib.redirect_stdout(io.StringIO()):
         for command in ("check", "run"):
             assert cli.main([command, path, "--opm", opm]) == 0, (command, opm)
