@@ -99,22 +99,18 @@ def types_equal(a: CoreType, b: CoreType, opm: Opm) -> bool:
 ARROW_MARK = {PLAIN: "", UNORD: "°", RIGHT: ">", LEFT: "<"}
 
 
-def show_type(t: CoreType, opm: Opm, prec: int = 0, brackets: str = "[]") -> str:
-    """Concrete type syntax; `brackets` enclose an index ("{}" in surface syntax)."""
+def show_type(t: CoreType, opm: Opm, prec: int = 0) -> str:
+    """Concrete type syntax as diagnostics and dumps print it: an index in `[...]`."""
     if isinstance(t, UnitType):
         return "Unit"
     if isinstance(t, TraceType):
-        return brackets[0] + opm.show_element(t.index) + brackets[1]
+        return "[" + opm.show_element(t.index) + "]"
     if isinstance(t, ProdType):
         op = ".o" if t.ordered else "ox"
-        left, right = show_type(t.left, opm, 2, brackets), show_type(t.right, opm, 2, brackets)
-        s = f"{left} {op} {right}"
+        s = f"{show_type(t.left, opm, 2)} {op} {show_type(t.right, opm, 2)}"
         return f"({s})" if prec > 1 else s
     if isinstance(t, ArrowType):
-        s = (
-            f"{show_type(t.param, opm, 1, brackets)} "
-            f"-[{t.mode} {t.effect}]-> {show_type(t.result, opm, 0, brackets)}"
-        )
+        s = f"{show_type(t.param, opm, 1)} -[{t.mode} {t.effect}]-> {show_type(t.result, opm)}"
         return f"({s})" if prec > 0 else s
     raise AssertionError(t)
 

@@ -527,6 +527,9 @@ class RegexOpm(Opm):
         return EPS
 
     def mul(self, x: Regex, y: Regex) -> Optional[Regex]:
+        # O(1) where `cat` walks x to nest right; `show` prints both alike.
+        if isinstance(x, Cat) and not isinstance(y, (Eps, Empty)):
+            return Cat(x, y)
         return cat(x, y)
 
     def leq(self, x: Regex, y: Regex) -> bool:

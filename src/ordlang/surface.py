@@ -1,4 +1,4 @@
-"""Concrete surface language: lexer, parser, surface AST, pretty-printer.
+"""Concrete surface language: lexer, parser, surface AST.
 
 The surface language is bidirectional: lambdas (which only arise from
 function-definition lets) are checkable, everything else is inferable.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import takewhile
 from typing import Callable, NamedTuple, Union
 
-from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T, show_type
+from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T
 from .opm import Opm, OpmError
 
 
@@ -508,66 +508,3 @@ class Parser:
 
 def parse(source: str, opm: Opm) -> SurfaceExpr:
     return Parser(source, opm).parse_program()
-
-
-# ---------------------------------------------------------------------------
-# Pretty-printer (round-trips through parse up to alpha-equivalence)
-
-def pretty(e: SurfaceExpr, opm: Opm) -> str:
-    return _ps(e, opm)
-
-
-def _atom(e: SurfaceExpr, opm: Opm) -> str:
-    s = _ps(e, opm)
-    if isinstance(e, (SUnit, SVar, SPair, SAnn)):
-        return s
-    return f"({s})"
-
-
-def _ps(e: SurfaceExpr, opm: Opm) -> str:
-    if isinstance(e, SUnit):
-        return "unit"
-    if isinstance(e, SVar):
-        return e.name
-    if isinstance(e, SNew):
-        return "new {" + opm.show_element(e.index) + "}"
-    if isinstance(e, SOp):
-        return "!{" + opm.show_element(e.index) + "} " + _atom(e.arg, opm)
-    if isinstance(e, SSplit):
-        return "split {" + opm.show_element(e.index) + "} " + _atom(e.arg, opm)
-    if isinstance(e, SDrop):
-        return "drop " + _atom(e.arg, opm)
-    if isinstance(e, SApp):
-        fn = _ps(e.fn, opm) if isinstance(e.fn, (SApp, SVar)) else _atom(e.fn, opm)
-        return f"{fn} {_atom(e.arg, opm)}"
-    if isinstance(e, SPair):
-        return f"({_ps(e.left, opm)}, {_ps(e.right, opm)})"
-    if isinstance(e, SAnn):
-        if isinstance(e.expr, SLam):
-            raise ValueError("annotated lambdas print via their let binding")
-        return f"({_ps(e.expr, opm)} : {show_type(e.type, opm, brackets='{}')})"
-    if isinstance(e, SSeq):
-        return f"{_ps(e.first, opm)}; {_ps(e.rest, opm)}"
-    if isinstance(e, SLetPair):
-        return (
-            f"let {e.x}, {e.y} = {_ps(e.header, opm)} in\n{_ps(e.body, opm)}"
-        )
-    if isinstance(e, SLet):
-        if isinstance(e.header, SAnn) and isinstance(e.header.expr, SLam):
-            lam = e.header.expr
-            ty = show_type(e.header.type, opm, brackets="{}")
-            params = []
-            while isinstance(lam, SLam):
-                params.append(lam.var)
-                lam = lam.body
-            head = f"let {e.x} : {ty}\n    {e.x} {' '.join(params)} = "
-            return f"{head}{_ps(lam, opm)} in\n{_ps(e.body, opm)}"
-        if isinstance(e.header, SAnn):
-            return (
-                f"let {e.x} : {show_type(e.header.type, opm, brackets='{}')} = "
-                f"{_ps(e.header.expr, opm)} in\n{_ps(e.body, opm)}"
-            )
-        return f"let {e.x} = {_ps(e.header, opm)} in\n{_ps(e.body, opm)}"
-    if isinstance(e, SLam):
-        raise ValueError("bare lambdas have no concrete syntax")
-    raise AssertionError(e)

@@ -596,3 +596,25 @@ def test_derivative_calls_per_op_do_not_grow_with_n(family, monkeypatch):
         per_op[n] = calls[0] / result.gamma_rules.count("RC-Op")
     assert 0 < max(per_op.values()) < 4, per_op
     assert per_op[64] <= per_op[16], per_op
+
+
+@pytest.mark.parametrize("family", ["ops", "splits"])
+def test_cat_calls_per_op_do_not_grow_with_n(family, monkeypatch):
+    # An operation extends the display trace at its end, not by walking it.
+    calls = [0]
+    uncounted = rx.cat
+
+    def counted(a, b):
+        calls[0] += 1
+        return uncounted(a, b)
+
+    monkeypatch.setattr(rx, "cat", counted)
+    per_op = {}
+    for n in (16, 32, 64):
+        [checked] = [c for label, _opm, c in _scaling_programs(n) if label == f"{family}({n})"]
+        calls[0] = 0
+        result = run(checked.core, OPM)
+        assert result.outcome == "value"
+        per_op[n] = calls[0] / result.gamma_rules.count("RC-Op")
+    assert max(per_op.values()) < 1, per_op
+    assert per_op[64] <= per_op[16], per_op

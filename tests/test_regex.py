@@ -172,6 +172,27 @@ def test_product_derivative_sound_and_maximal_random(num, den):
     _pd_sound_and_maximal(num, den)
 
 
+@given(st.lists(regexes(max_depth=2), max_size=8))
+@settings(max_examples=200)
+def test_a_trace_grown_by_mul_shows_as_the_one_grown_by_cat(regex_opm, ops):
+    by_mul = by_cat = regex_opm.unit()
+    for op in ops:
+        by_mul, by_cat = regex_opm.mul(by_mul, op), rx.cat(by_cat, op)
+    assert rx.show(by_mul) == rx.show(by_cat)
+    assert regex_opm.eq(by_mul, by_cat)
+
+
+def test_a_long_trace_builds_under_the_recursion_limit(regex_opm):
+    trace = regex_opm.unit()
+    for _ in range(3000):
+        trace = regex_opm.mul(trace, R)  # `cat` would recurse once per op
+    length = 1
+    while isinstance(trace, rx.Cat):
+        assert trace.right == R
+        trace, length = trace.left, length + 1
+    assert (trace, length) == (R, 3000)
+
+
 def test_opm_operations(regex_opm):
     assert regex_opm.mul(rx.star(R), C) == rx.cat(rx.star(R), C)
     assert regex_opm.leq(rx.star(R), RW_STAR)

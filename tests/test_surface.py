@@ -26,42 +26,6 @@ def parse(src):
     return sf.parse(src, OPM)
 
 
-def alpha_eq(a, b, env=None):
-    """Structural equality of surface trees up to bound-variable names."""
-    env = env or {}
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, sf.SVar):
-        return env.get(a.name, a.name) == b.name
-    if isinstance(a, sf.SUnit):
-        return True
-    if isinstance(a, sf.SNew):
-        return OPM.eq(a.index, b.index)
-    if isinstance(a, (sf.SOp, sf.SSplit)):
-        return OPM.eq(a.index, b.index) and alpha_eq(a.arg, b.arg, env)
-    if isinstance(a, sf.SDrop):
-        return alpha_eq(a.arg, b.arg, env)
-    if isinstance(a, sf.SApp):
-        return alpha_eq(a.fn, b.fn, env) and alpha_eq(a.arg, b.arg, env)
-    if isinstance(a, sf.SPair):
-        return alpha_eq(a.left, b.left, env) and alpha_eq(a.right, b.right, env)
-    if isinstance(a, sf.SSeq):
-        return alpha_eq(a.first, b.first, env) and alpha_eq(a.rest, b.rest, env)
-    if isinstance(a, sf.SAnn):
-        return co.types_equal(a.type, b.type, OPM) and alpha_eq(a.expr, b.expr, env)
-    if isinstance(a, sf.SLam):
-        return alpha_eq(a.body, b.body, {**env, a.var: b.var})
-    if isinstance(a, sf.SLet):
-        return alpha_eq(a.header, b.header, env) and alpha_eq(
-            a.body, b.body, {**env, a.x: b.x}
-        )
-    if isinstance(a, sf.SLetPair):
-        return alpha_eq(a.header, b.header, env) and alpha_eq(
-            a.body, b.body, {**env, a.x: b.x, a.y: b.y}
-        )
-    raise AssertionError(a)
-
-
 def test_parse_copy_program_shape():
     prog = parse(program_source("copy.ord"))
     assert isinstance(prog, sf.SLet) and prog.x == "copy"
@@ -259,13 +223,6 @@ def test_span_coverage_over_corpus():
     for path in sorted(PROGRAMS.glob("*.ord")):
         prog = parse(path.read_text())
         _spans_nested(prog)
-
-
-def test_roundtrip_over_corpus():
-    for path in sorted(PROGRAMS.glob("**/*.ord")):
-        first = parse(path.read_text())
-        again = parse(sf.pretty(first, OPM))
-        assert alpha_eq(first, again), path.name
 
 
 # ---------------------------------------------------------------------------
