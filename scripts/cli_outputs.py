@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print what the CLI prints on the example programs and generated rounds.
+
+    python3 scripts/cli_outputs.py [TREE] > outputs.txt
+
+TREE is a checkout of this repository (default: the one holding this
+script). Its `ordlang.cli.main` runs in this process for each of `check`,
+`check --json`, `run`, `run --paranoid`, `trace` and `dump-core`, under the
+`regex` and the `ownership` OPM, on TREE's `programs/**/*.ord` and on the
+programs of seed-1 rounds 0-2 of the benchmark's `borrow`, `wide` and `deep`
+workloads, which TREE's `perfbench/workloads.py` generates into a temporary
+directory. Each call prints its arguments, exit code, stdout and stderr, with
+that directory's path replaced by `<tmp>`, so the outputs of two trees can be
+compared with diff. A call that raises prints its exception instead of an
+exit code, and the script then exits 1.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+COMMANDS = (
+    ("check",), ("check", "--json"), ("run",), ("run", "--paranoid"), ("trace",), ("dump-core",),
+)
+OPMS = ("regex", "ownership")
+WORKLOADS = ("borrow", "wide", "deep")
+ROUNDS = range(3)
+SEED = 1
+
+
+def _write_rounds(tree: Path, out: Path) -> list[str]:
+    """Write the generated rounds' programs under `out`; their paths."""
+    spec = importlib.util.spec_from_file_location("workloads", tree / "perfbench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # registered first: its dataclasses look it up
+    paths = []
+    for name in WORKLOADS:
+        for round_index in ROUNDS:
+            for job in workloads.WORKLOADS[name](SEED, round_index):
+                path = out / (job.ident.replace("/", "_") + ".ord")
+                path.write_text(job.source, encoding="utf-8")
+                paths.append(str(path))
+    return paths
+
+
+def main() -> int:
+    tree = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
+    tree = tree.resolve()
+    sys.path.insert(0, str(tree / "src"))
+    from ordlang.cli import main as cli_main
+
+    os.chdir(tree)  # the example programs by their paths relative to the tree
+    raised = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [str(p.relative_to(tree)) for p in sorted(tree.glob("programs/**/*.ord"))]
+        files += _write_rounds(tree, Path(tmp))
+        for path in files:
+            for command in COMMANDS:
+                for opm in OPMS:
+                    argv = [command[0], path, "--opm", opm, *command[1:]]
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        try:
+                            status = f"exit {cli_main(argv)}"
+                        except Exception as exc:  # a traceback the CLI let through
+                            status = f"raised {type(exc).__name__}: {exc}"
+                            traceback.print_exc(file=stderr)
+                            raised += 1
+                    text = "\n".join([
+                        "$ ordlang " + " ".join(argv), status,
+                        "--- stdout", stdout.getvalue(), "--- stderr", stderr.getvalue(),
+                    ])
+                    print(text.replace(tmp, "<tmp>"))
+    return 1 if raised else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

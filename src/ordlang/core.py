@@ -8,7 +8,7 @@ or by test builders; there is no core parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 from .opm import Opm
@@ -273,7 +273,9 @@ def close(m: CoreTerm, env: dict, locs: Optional[list[int]] = None) -> CoreTerm:
             if getattr(m, b) in inner:
                 inner = {x: v for x, v in inner.items() if x != getattr(m, b)}
         fields[field] = close(getattr(m, field), inner, locs)
-    return m if locs is not None else replace(m, **fields)
+    if locs is not None:
+        return m
+    return type(m)(*[fields[f] if f in fields else getattr(m, f) for f in m.__match_args__])
 
 
 def readback(v: Any, locs: Optional[list[int]] = None) -> CoreTerm:

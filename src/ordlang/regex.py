@@ -1,15 +1,18 @@
 """Regular expressions over small symbol alphabets, with derivative-based automata.
 
 Provides the regex index algebra (concatenation, inclusion order) plus the
-product derivative used to compute the canonical continuation of a borrow.
-Regexes are normalized on construction (ACI alternation, unit/zero laws,
-star collapse) so that iterated derivatives fall into finitely many classes.
+canonical continuation of a borrow.  The continuation after a word is the
+Brzozowski quotient: the index's automaton with its start moved along the
+word.  After any other operand it is the product derivative, a product and
+subset construction.  Regexes are normalized on construction (ACI
+alternation, unit/zero laws, star collapse) so that iterated derivatives
+fall into finitely many classes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -37,6 +40,8 @@ class Regex:
 
     def __hash__(self) -> int:
         if self._hash is None:
+            for c in _unstored_spine(self, "_hash"):
+                hash(c)
             object.__setattr__(self, "_hash", hash(self._key()))
         return self._hash
 
@@ -117,8 +122,10 @@ class Auto(Regex):
 
     @cached_property
     def readback(self) -> Regex:
-        """Read back on first use, by the module-global name a tracer can wrap."""
-        return regex_from_dfa(self.dfa)
+        """Read back on first use, by the module-global name a tracer can wrap,
+        renumbered from the start as a product numbers its states, so that a
+        moved start prints as the product construction's continuation does."""
+        return regex_from_dfa(_dfa_over(self, self.dfa.alphabet))
 
 
 EMPTY = Empty()
@@ -171,6 +178,15 @@ def seq(*parts: Regex) -> Regex:
     return out
 
 
+def _unstored_spine(r: Regex, stored: str) -> list[Regex]:
+    """The Cats below r down its left spine (a trace's) that lack `stored`,
+    deepest first; storing it on each in turn recurses one level at a time."""
+    spine = []
+    while isinstance(r, Cat) and isinstance(r.left, Cat) and getattr(r.left, stored) is None:
+        spine.append(r := r.left)
+    return spine[::-1]
+
+
 def symbols(r: Regex) -> frozenset[str]:
     """The symbols occurring in `r`, computed once per node and stored on it."""
     out = r._symbols
@@ -178,6 +194,8 @@ def symbols(r: Regex) -> frozenset[str]:
         if isinstance(r, Sym):
             out = frozenset({r.ch})
         elif isinstance(r, Cat):
+            for c in _unstored_spine(r, "_symbols"):
+                symbols(c)
             out = symbols(r.left) | symbols(r.right)
         elif isinstance(r, Alt):
             out = frozenset().union(*[symbols(p) for p in r.items])
@@ -209,6 +227,8 @@ def show(r: Regex, prec: int = 0) -> str:
         elif isinstance(r, Star):
             s = show(r.inner, 2) + "*"
         elif isinstance(r, Cat):
+            for c in _unstored_spine(r, "_shown"):
+                show(c)
             s = show(r.left, 1) + show(r.right, 1)
         elif isinstance(r, Alt):
             s = "|".join(show(p, 1) for p in r.items)
@@ -230,12 +250,14 @@ def is_empty_language(r: Regex) -> bool:
 # Derivatives and automata
 
 def nullable(r: Regex) -> bool:
+    while isinstance(r, Cat):  # down the left spine, which a trace makes long
+        if not nullable(r.right):
+            return False
+        r = r.left
     if isinstance(r, (Eps, Star)):
         return True
     if isinstance(r, Auto):
         return r.dfa.start in r.dfa.accepting
-    if isinstance(r, Cat):
-        return nullable(r.left) and nullable(r.right)
     if isinstance(r, Alt):
         return any(nullable(p) for p in r.items)
     return False
@@ -255,10 +277,11 @@ def derivative(r: Regex, a: str) -> Regex:
         return alt(*(derivative(p, a) for p in r.items))
     if isinstance(r, Star):
         return cat(derivative(r.inner, a), r)
-    if isinstance(r, Auto):
+    if isinstance(r, Auto):  # the start moved; the table and its co-reachable states shared
         d = r.dfa
         q = d.trans[d.start][d.alphabet.index(a)] if a in d.alphabet else None
-        return Auto(replace(d, start=q)) if q in r.live else EMPTY
+        co = _coreachable(d)
+        return Auto(Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co)) if q in co else EMPTY
     raise AssertionError(r)
 
 
@@ -270,6 +293,9 @@ class Dfa:
     accepting: frozenset[int]
     # trans[state][symbol index] -> state; total over the alphabet
     trans: tuple[tuple[int, ...], ...]
+    # The states that can reach acceptance, whatever the start: stored by
+    # `_coreachable` on first use, and passed on when the start moves.
+    coreach: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
 
 
 DEFAULT_STATE_BUDGET = 512
@@ -369,13 +395,20 @@ def equivalent(a: Regex, b: Regex) -> bool:
 READBACK_BUDGET = 100_000  # characters per arc; printed continuations have some hundreds
 
 
+def _coreachable(dfa: Dfa) -> frozenset[int]:
+    """The states that can reach acceptance, computed once per transition table."""
+    if dfa.coreach is None:
+        co = set(dfa.accepting)
+        while grown := {q for q, t in enumerate(dfa.trans) if q not in co and not co.isdisjoint(t)}:
+            co |= grown
+        object.__setattr__(dfa, "coreach", frozenset(co))
+    return dfa.coreach
+
+
 def _live(dfa: Dfa) -> frozenset[int]:
     """The states reachable from the start that can reach acceptance."""
     reach, _ = _explore(dfa.start, dfa.trans.__getitem__, dfa.n_states + 1, None)
-    live = dfa.accepting.intersection(reach)
-    while grown := {q for q in reach if q not in live and not live.isdisjoint(dfa.trans[q])}:
-        live |= grown
-    return live
+    return _coreachable(dfa).intersection(reach)
 
 
 def regex_from_dfa(dfa: Dfa) -> Regex:
@@ -509,6 +542,18 @@ def parse_regex(text: str) -> Regex:
     return r
 
 
+def _word(x: Regex) -> Optional[list[str]]:
+    """The symbols of x when all of x is a word: `eps`, a symbol, or a
+    right-nested Cat whose every left is a symbol and whose last right is one."""
+    word = []
+    while isinstance(x, Cat) and isinstance(x.left, Sym):
+        word.append(x.left.ch)
+        x = x.right
+    if isinstance(x, Sym):
+        return word + [x.ch]
+    return word if isinstance(x, Eps) else None
+
+
 # ---------------------------------------------------------------------------
 # The regex OPM: free monoid of nonempty regular languages, ordered by inclusion
 
@@ -539,8 +584,15 @@ class RegexOpm(Opm):
         return equivalent(x, y)
 
     def best_continuation(self, x: Regex, y: Regex) -> Optional[Regex]:
-        pd = product_derivative(y, x)
-        return None if is_empty_language(pd) else pd
+        word = _word(x)
+        if word is None:
+            pd = product_derivative(y, x)
+            return None if is_empty_language(pd) else pd
+        # The quotient by a word: y's automaton with its start moved along it.
+        z = y if isinstance(y, Auto) else Auto(to_dfa(y, _joint_alphabet(y)))
+        for a in word:
+            z = derivative(z, a)
+        return z if isinstance(z, Auto) and z.dfa.start in _coreachable(z.dfa) else None
 
     def droppable(self, x: Regex) -> bool:
         return nullable(x)

@@ -11,6 +11,7 @@ PROGRAMS = ROOT / "programs"
 SMOKE = PROGRAMS / "smoke"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SCALING = ROOT / "perfbench" / "scaling.py"
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,11 @@ def workload_round(name: str) -> list:
         sys.modules["workloads"] = module
         spec.loader.exec_module(module)
     return sys.modules["workloads"].WORKLOADS[name](1, 0)
+
+
+def scaling_families() -> dict:
+    """The program families of the benchmark's scaling report, by name."""
+    spec = importlib.util.spec_from_file_location("scaling", SCALING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAMILIES

@@ -1,4 +1,3 @@
-import importlib.util
 import sys
 from collections import Counter
 
@@ -14,7 +13,7 @@ from ordlang.checker import TypeCheckError, check_program
 from ordlang.interp import Config, _heap_delta, run, runtime_oracle, step
 from ordlang.opm import get_opm
 
-from conftest import PROGRAMS, ROOT, program_source, smoke_programs, workload_round
+from conftest import PROGRAMS, program_source, scaling_families, smoke_programs, workload_round
 import oracles
 from oracles import ReferenceConfig, _find_redex, reference_find_redex, reference_step
 
@@ -423,11 +422,8 @@ def _lockstep(term, opm, label, fuel=100_000):
 
 
 def _scaling_programs(n):
-    spec = importlib.util.spec_from_file_location("scaling", ROOT / "perfbench" / "scaling.py")
-    scaling = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scaling)
     opm = get_opm("regex")
-    for family, make in scaling.FAMILIES.items():
+    for family, make in scaling_families().items():
         yield f"{family}({n})", opm, check_program(sf.parse(make(n), opm), opm)
 
 

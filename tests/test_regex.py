@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from ordlang.cli import main
 from ordlang.interp import run
 from ordlang.opm import OpmError
 
-from conftest import GOLDEN, workload_round
+from conftest import GOLDEN, scaling_families, workload_round
 from oracles import (
     dfa_accepts,
     language_sample,
@@ -193,6 +194,20 @@ def test_a_long_trace_builds_under_the_recursion_limit(regex_opm):
     assert (trace, length) == (R, 3000)
 
 
+@pytest.mark.parametrize("op", [R, rx.star(R)])
+def test_a_long_trace_shows_hashes_and_derives_facts_under_the_recursion_limit(regex_opm, op):
+    # the trace of one location through 3000 ops, as `RC-Op` grows it
+    assert sys.getrecursionlimit() < 3000
+    trace = regex_opm.unit()
+    for _ in range(3000):
+        trace = regex_opm.mul(trace, op)
+    assert isinstance(trace.left, rx.Cat)  # nested to the left
+    assert rx.show(trace) == rx.show(op, 1) * 3000
+    assert hash(trace) == hash((trace.left, op))
+    assert rx.symbols(trace) == {"r"}
+    assert rx.nullable(trace) == rx.nullable(op)
+
+
 def test_opm_operations(regex_opm):
     assert regex_opm.mul(rx.star(R), C) == rx.cat(rx.star(R), C)
     assert regex_opm.leq(rx.star(R), RW_STAR)
@@ -214,6 +229,40 @@ def test_residual_iff_product_derivative_nonempty(x, y):
     assert opm.residual_exists(x, y) == (
         not rx.is_empty_language(rx.product_derivative(y, x))
     )
+
+
+def words(alphabet="rwcd", max_size=4):
+    """eps, a symbol or a right-nested Cat of symbols, as `parse_regex` gives them."""
+    return st.lists(st.sampled_from(alphabet), max_size=max_size).map(
+        lambda chars: rx.seq(*map(rx.sym, chars))
+    )
+
+
+@given(
+    st.one_of(words(), regexes(max_depth=3)), regexes(), regexes(), words(),
+    st.sampled_from(["literal", "leaf", "moved"]),
+)
+@example(x=rx.cat(R, rx.star(W)), num=rx.star(W), den=R, prefix=R, kind="literal")  # no word
+@example(x=rx.parse_regex("rw"), num=rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), den=W, prefix=W,
+         kind="moved")
+@example(x=rx.EPS, num=ENVELOPE, den=ENVELOPE, prefix=rx.EPS, kind="leaf")
+@settings(max_examples=150, deadline=None)
+def test_the_continuation_after_a_word_is_the_product_derivative(x, num, den, prefix, kind):
+    # y is an envelope, the automaton of a continuation, or one whose start a
+    # word moved (so that states before it are unreachable)
+    opm = rx.RegexOpm()
+    y = {
+        "literal": lambda: num,
+        "leaf": lambda: rx.product_derivative(num, den),
+        "moved": lambda: opm.best_continuation(prefix, num),
+    }[kind]()
+    if y is None or rx.is_empty_language(y):
+        return
+    got, want = opm.best_continuation(x, y), rx.product_derivative(y, x)
+    assert (got is None) == rx.is_empty_language(want)
+    if got is not None:
+        assert reference_includes(got, want) and reference_includes(want, got)
+        assert rx.show(got) == rx.show(want)
 
 
 def _budget_outcome(search, *args):
@@ -610,9 +659,67 @@ def test_checking_reads_back_only_the_printed_continuation(regex_opm, monkeypatc
     assert rejected_reads > 0  # the round's defects print their continuation
 
 
+def _is_word(x):
+    while isinstance(x, rx.Cat) and isinstance(x.left, rx.Sym):
+        x = x.right
+    return isinstance(x, (rx.Sym, rx.Eps))
+
+
+def _product_calls(monkeypatch):
+    """Count word ops, and the product searches made inside and outside them."""
+    calls = Counter()
+    inside = []
+    for name in ("_reached", "_continuation_dfa", "_live"):
+        uncounted = getattr(rx, name)
+
+        def counted(*args, _name=name, _uncounted=uncounted):
+            calls[_name + (" in a word op" if inside else "")] += 1
+            return _uncounted(*args)
+
+        monkeypatch.setattr(rx, name, counted)
+    uncounted_op = rx.RegexOpm.best_continuation
+
+    def best_continuation(self, x, y):
+        if not _is_word(x):
+            return uncounted_op(self, x, y)
+        calls["word ops"] += 1
+        inside.append(x)
+        try:
+            return uncounted_op(self, x, y)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rx.RegexOpm, "best_continuation", best_continuation)
+    return calls
+
+
+def test_a_word_op_builds_no_product(regex_opm, monkeypatch):
+    # `!{m}` and `split` in the checker, and `RC-Op` in the evaluator, move the
+    # start of the index's automaton along a word; only other ops build products
+    calls = _product_calls(monkeypatch)
+    sources = [job.source for job in workload_round("borrow")] + [scaling_families()["ops"](64)]
+    word_ops = {"check": 0, "run": 0}
+    for source in sources:
+        before = calls["word ops"]
+        try:
+            checked = check_program(sf.parse(source, regex_opm), regex_opm)
+        except TypeCheckError:  # the round's defects: checked up to the bad op
+            continue
+        word_ops["check"] += calls["word ops"] - before
+        before = calls["word ops"]
+        assert run(checked.core, regex_opm).outcome == "value"
+        word_ops["run"] += calls["word ops"] - before
+    assert word_ops["check"] > 0 and word_ops["run"] > 0, word_ops
+    assert not [k for k in calls if k.endswith("in a word op")], calls
+    # the counters do see the product an op that is no word builds
+    regex_opm.best_continuation(rx.cat(R, rx.star(W)), rx.star(W))
+    assert calls["_reached"] > 0 and calls["_continuation_dfa"] > 0
+
+
 def test_derivative_calls_do_not_grow_with_the_walk(regex_opm, monkeypatch):
-    # each op's continuation is its DFA, so the next op renumbers it and
-    # derives nothing of it: the calls follow the envelope, not the walk
+    # each op's continuation is its DFA, so the next op moves its start, one
+    # derivative of the leaf per symbol, and derives no regex of it: the calls
+    # follow the envelope and the ops' length, not the walk
     calls = _counting(monkeypatch, "derivative")
     per_walk = {}
     for k in (1, 3):
