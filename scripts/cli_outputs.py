@@ -9,10 +9,12 @@ script). Its `ordlang.cli.main` runs in this process for each of `check`,
 `regex` and the `ownership` OPM, on TREE's `programs/**/*.ord` and on the
 programs of seed-1 rounds 0-2 of the benchmark's `borrow`, `wide` and `deep`
 workloads, which TREE's `perfbench/workloads.py` generates into a temporary
-directory. Each call prints its arguments, exit code, stdout and stderr, with
-that directory's path replaced by `<tmp>`, so the outputs of two trees can be
-compared with diff. A call that raises prints its exception instead of an
-exit code, and the script then exits 1.
+directory; then for `dump-graph --binding NAME` under both OPMs, on each
+`programs/**/*.ord` file with NAME each let binder written in it and one
+name that none binds. Each call prints its arguments, exit code, stdout and
+stderr, with that directory's path replaced by `<tmp>`, so the outputs of
+two trees can be compared with diff. A call that raises prints its
+exception instead of an exit code, and the script then exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -33,6 +36,8 @@ OPMS = ("regex", "ownership")
 WORKLOADS = ("borrow", "wide", "deep")
 ROUNDS = range(3)
 SEED = 1
+LET_BINDERS = re.compile(r"\blet\s+(\w+)(?:\s*,\s*(\w+))?")  # `let x` and `let x, y`
+UNBOUND = "no_such_binding"
 
 
 def _write_rounds(tree: Path, out: Path) -> list[str]:
@@ -50,6 +55,20 @@ def _write_rounds(tree: Path, out: Path) -> list[str]:
     return paths
 
 
+def _calls(programs: list[str], rounds: list[str]):
+    """The argument lists of every call, in the order they are printed."""
+    for path in programs + rounds:
+        for command in COMMANDS:
+            for opm in OPMS:
+                yield [command[0], path, "--opm", opm, *command[1:]]
+    for path in programs:
+        source = Path(path).read_text(encoding="utf-8")
+        names = [n for m in LET_BINDERS.finditer(source) for n in m.groups() if n]
+        for name in [*dict.fromkeys(names), UNBOUND]:
+            for opm in OPMS:
+                yield ["dump-graph", path, "--opm", opm, "--binding", name]
+
+
 def main() -> int:
     tree = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
     tree = tree.resolve()
@@ -59,25 +78,21 @@ def main() -> int:
     os.chdir(tree)  # the example programs by their paths relative to the tree
     raised = 0
     with tempfile.TemporaryDirectory() as tmp:
-        files = [str(p.relative_to(tree)) for p in sorted(tree.glob("programs/**/*.ord"))]
-        files += _write_rounds(tree, Path(tmp))
-        for path in files:
-            for command in COMMANDS:
-                for opm in OPMS:
-                    argv = [command[0], path, "--opm", opm, *command[1:]]
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        try:
-                            status = f"exit {cli_main(argv)}"
-                        except Exception as exc:  # a traceback the CLI let through
-                            status = f"raised {type(exc).__name__}: {exc}"
-                            traceback.print_exc(file=stderr)
-                            raised += 1
-                    text = "\n".join([
-                        "$ ordlang " + " ".join(argv), status,
-                        "--- stdout", stdout.getvalue(), "--- stderr", stderr.getvalue(),
-                    ])
-                    print(text.replace(tmp, "<tmp>"))
+        programs = [str(p.relative_to(tree)) for p in sorted(tree.glob("programs/**/*.ord"))]
+        for argv in _calls(programs, _write_rounds(tree, Path(tmp))):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    status = f"exit {cli_main(argv)}"
+                except Exception as exc:  # a traceback the CLI let through
+                    status = f"raised {type(exc).__name__}: {exc}"
+                    traceback.print_exc(file=stderr)
+                    raised += 1
+            text = "\n".join([
+                "$ ordlang " + " ".join(argv), status,
+                "--- stdout", stdout.getvalue(), "--- stderr", stderr.getvalue(),
+            ])
+            print(text.replace(tmp, "<tmp>"))
     return 1 if raised else 0
 
 

@@ -50,15 +50,30 @@ def loc_bind(ident: int, index: Any) -> Binding:
 
 @dataclass(frozen=True)
 class Ctx:
-    # Ordered bindings, variable names and tidiness, stored by `_facts` on
-    # first use; not a dataclass field, so equality, hashing and repr ignore
-    # it.
-    _facts = None
+    # (ordered bindings, variable names, tidy, holes), stored when the node
+    # is built, from its binding or its sides'; not a dataclass field, so
+    # equality, hashing and repr ignore it.  A tidy context binds only
+    # variables, has no hole and is in unit normal form.
+
+    def __post_init__(self) -> None:
+        if isinstance(self, Bind):
+            b = self.binding
+            names = frozenset({b.name}) if b.kind == "var" else frozenset()
+            facts = (frozenset({b}) if b.is_ord() else frozenset(), names, bool(names), 0)
+        elif isinstance(self, (Seq, Par)):
+            (o1, v1, t1, h1), (o2, v2, t2, h2) = self.left._facts, self.right._facts
+            units = isinstance(self.left, Empty) or isinstance(self.right, Empty)
+            # share a side's set when the other side adds nothing
+            facts = (o1 | o2 if o1 and o2 else o1 or o2, v1 | v2 if v1 and v2 else v1 or v2,
+                     t1 and t2 and not units, h1 + h2)
+        else:  # `·` and `[]` keep theirs on the class
+            return
+        object.__setattr__(self, "_facts", facts)
 
 
 @dataclass(frozen=True)
 class Empty(Ctx):
-    pass
+    _facts = (frozenset(), frozenset(), True, 0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ class Par(Ctx):
 
 @dataclass(frozen=True)
 class Hole(Ctx):
-    pass
+    _facts = (frozenset(), frozenset(), False, 1)
 
 
 EMPTY = Empty()
@@ -115,11 +130,7 @@ def bindings(ctx: Ctx) -> tuple[Binding, ...]:
 
 
 def hole_count(ctx: Ctx) -> int:
-    if isinstance(ctx, Hole):
-        return 1
-    if isinstance(ctx, (Seq, Par)):
-        return hole_count(ctx.left) + hole_count(ctx.right)
-    return 0
+    return _facts(ctx)[3]
 
 
 def fill(pattern: Ctx, ctx: Ctx) -> Ctx:
@@ -137,26 +148,9 @@ def fill(pattern: Ctx, ctx: Ctx) -> Ctx:
     raise ValueError("pattern has no hole")
 
 
-def _facts(ctx: Ctx) -> tuple[frozenset[Binding], frozenset[str], bool]:
-    """(ordered bindings, variable names, tidy), computed once per node and
-    stored on it.  A tidy context binds only variables, has no hole and is
-    in unit normal form."""
-    if ctx._facts is not None:
-        return ctx._facts
-    if isinstance(ctx, Bind):
-        b = ctx.binding
-        names = frozenset({b.name}) if b.kind == "var" else frozenset()
-        out = (frozenset({b}) if b.is_ord() else frozenset(), names, bool(names))
-    elif isinstance(ctx, (Seq, Par)):
-        (o1, v1, t1), (o2, v2, t2) = _facts(ctx.left), _facts(ctx.right)
-        units = isinstance(ctx.left, Empty) or isinstance(ctx.right, Empty)
-        # share a side's set when the other side adds nothing
-        out = (o1 | o2 if o1 and o2 else o1 or o2, v1 | v2 if v1 and v2 else v1 or v2,
-               t1 and t2 and not units)
-    else:
-        out = (frozenset(), frozenset(), isinstance(ctx, Empty))
-    object.__setattr__(ctx, "_facts", out)
-    return out
+def _facts(ctx: Ctx) -> tuple[frozenset[Binding], frozenset[str], bool, int]:
+    """(ordered bindings, variable names, tidy, holes), stored on the node."""
+    return ctx._facts
 
 
 def dom_vars(ctx: Ctx) -> frozenset[str]:
@@ -369,7 +363,7 @@ def restrict(ctx: Ctx, names: frozenset[str]) -> Ctx:
     """Drop the variable bindings outside `names`.  A tidy subtree comes
     back unchanged when it binds only names in `names`, and as `·` when it
     binds none of them."""
-    _, dom, tidy = _facts(ctx)
+    _, dom, tidy, _ = _facts(ctx)
     if tidy and dom <= names:
         return ctx
     if tidy and dom.isdisjoint(names):

@@ -120,9 +120,13 @@ def show_type(t: CoreType, opm: Opm, prec: int = 0) -> str:
 
 @dataclass(frozen=True)
 class CoreTerm:
-    # Free variables and locations, stored by `fv` and `locations` on first
-    # use; not dataclass fields, so equality, hashing and repr ignore them.
-    _fv = _locs = None
+    # Free variables, stored when the node is built, and locations, stored by
+    # `locations` on first use; not dataclass fields, so equality, hashing
+    # and repr ignore them.
+    _locs = None
+
+    def __post_init__(self) -> None:
+        store_fv(self, SHAPES)
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,9 @@ class Loc(CoreTerm):
 class Var(CoreTerm):
     name: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_fv", frozenset({self.name}))
+
 
 @dataclass(frozen=True)
 class Lam(CoreTerm):
@@ -193,10 +200,8 @@ class LetPair(CoreTerm):
     def __post_init__(self) -> None:
         if self.x == self.y:
             raise ValueError("let-pair binders must be distinct")
+        super().__post_init__()
 
-
-UNIT = UnitConst()
-DROP = DropConst()
 
 # The binding structure of each former with subterms: its subterm fields in
 # order, each with the binder fields it binds there. Other formers are leaves.
@@ -209,30 +214,26 @@ SHAPES: dict[type, Shape] = {
 }
 
 
-def is_constant(m: CoreTerm) -> bool:
-    return isinstance(m, (UnitConst, NewConst, OpConst, SplitConst, DropConst))
+def store_fv(node: Any, shapes: dict[type, Shape]) -> None:
+    """Store on a new node its free variables, from its subterms' stored sets
+    and the binders of its former's entry in `shapes` (none for a leaf)."""
+    out = frozenset()
+    for field, binders in shapes.get(type(node), ()):
+        sub = getattr(node, field)._fv
+        for b in binders:
+            sub = sub - {getattr(node, b)}
+        out = out | sub if out else sub  # no copy into an empty set
+    object.__setattr__(node, "_fv", out)
 
 
-def is_value(m: CoreTerm) -> bool:
-    if is_constant(m) or isinstance(m, (Loc, Lam)):
-        return True
-    if isinstance(m, Pair):
-        return is_value(m.left) and is_value(m.right)
-    return False
+# built once `SHAPES` and `store_fv`, which their hook reads, exist
+UNIT = UnitConst()
+DROP = DropConst()
 
 
 def fv(m: CoreTerm) -> frozenset[str]:
-    """Free variables, computed once per node and stored on it."""
-    if m._fv is not None:
-        return m._fv
-    out = frozenset({m.name}) if isinstance(m, Var) else frozenset()
-    for field, binders in SHAPES.get(type(m), ()):
-        sub = fv(getattr(m, field))
-        for b in binders:
-            sub = sub - {getattr(m, b)}
-        out = out | sub if out else sub  # no copy into an empty set
-    object.__setattr__(m, "_fv", out)
-    return out
+    """Free variables, stored on the node when it was built."""
+    return m._fv
 
 
 def locations(m: CoreTerm) -> tuple[int, ...]:
@@ -249,6 +250,7 @@ class Closure(NamedTuple):
     """A flat closure: an abstraction and the values of its free variables."""
     lam: Lam
     env: dict
+    _fv = frozenset()  # closed, as a subterm of a value `Pair`
 
 
 def capture(m: CoreTerm, env: dict) -> dict:

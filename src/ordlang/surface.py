@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import takewhile
 from typing import Callable, NamedTuple, Union
 
-from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T
+from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T, store_fv
 from .opm import Opm, OpmError
 
 
@@ -55,9 +55,11 @@ class ParseError(Exception):
 @dataclass(frozen=True)
 class SurfaceExpr:
     span: Span
-    # Free variables, stored by `surface_fv` on first use; not a dataclass
-    # field, so equality, hashing and repr ignore it.
-    _fv = None
+    # Free variables, stored when the node is built; not a dataclass field,
+    # so equality, hashing and repr ignore it.
+
+    def __post_init__(self) -> None:
+        store_fv(self, SHAPES)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,9 @@ class SDrop(SurfaceExpr):
 @dataclass(frozen=True)
 class SVar(SurfaceExpr):
     name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_fv", frozenset({self.name}))
 
 
 @dataclass(frozen=True)
@@ -155,29 +160,8 @@ SHAPES: dict[type, Shape] = {
 
 
 def surface_fv(e: SurfaceExpr) -> frozenset[str]:
-    """Free variables, computed once per node and stored on it, without recursion:
-    a walk with its own stack lists the nodes without a set, which are computed
-    children first, each child's set read through this function (once per node).
-    """
-    if e._fv is not None:
-        return e._fv
-    order, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for field, _ in SHAPES.get(type(node), ()):
-            child = getattr(node, field)
-            if child._fv is None:
-                stack.append(child)
-    for node in reversed(order):
-        out = frozenset({node.name}) if isinstance(node, SVar) else frozenset()
-        for field, binders in SHAPES.get(type(node), ()):
-            sub = surface_fv(getattr(node, field))
-            for b in binders:
-                sub = sub - {getattr(node, b)}
-            out = out | sub if out else sub  # no copy into an empty set
-        object.__setattr__(node, "_fv", out)
-    return out
+    """Free variables, stored on the node when it was built."""
+    return e._fv
 
 
 def rename_var(e: SurfaceExpr, old: str, new: str) -> SurfaceExpr:

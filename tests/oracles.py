@@ -17,8 +17,8 @@ one-branch-per-former `reference_locations` is the reference for
 counted lines and columns as it went, is the reference for the positions
 `surface.lex` computes from offsets.  The substitution evaluator
 (`reference_step` over `ReferenceConfig`, with the capture-avoiding
-`reference_subst` and the redex search `_find_redex`) is the reference for
-the environment machine `interp.step`.
+`reference_subst`, the value test `is_value` and the redex search
+`_find_redex`) is the reference for the environment machine `interp.step`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ordlang.core import (
     UnitConst,
     Var,
     fv,
-    is_value,
 )
 from ordlang.interp import Heap
 from ordlang.opm import Opm, OpmError
@@ -1010,6 +1009,18 @@ class ReferenceParser(sf.Parser):
 # ---------------------------------------------------------------------------
 # Evaluator side
 
+def is_constant(m: CoreTerm) -> bool:
+    return isinstance(m, (UnitConst, NewConst, OpConst, SplitConst, DropConst))
+
+
+def is_value(m: CoreTerm) -> bool:
+    if is_constant(m) or isinstance(m, (Loc, Lam)):
+        return True
+    if isinstance(m, Pair):
+        return is_value(m.left) and is_value(m.right)
+    return False
+
+
 def reference_locations(m: co.CoreTerm) -> tuple[int, ...]:
     """All location occurrences, with multiplicity."""
     if isinstance(m, co.Loc):
@@ -1031,34 +1042,34 @@ def reference_find_redex(m: co.CoreTerm):
     Left-to-right everywhere except left application, whose argument is
     evaluated before its function part.  Returns None for values.
     """
-    if co.is_value(m):
+    if is_value(m):
         return None
     if isinstance(m, co.App):
         if m.mode == "l":
-            if not co.is_value(m.arg):
+            if not is_value(m.arg):
                 sub = reference_find_redex(m.arg)
                 assert sub is not None
                 inner, rebuild = sub
                 return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, m.fn, rb(t))
-            if not co.is_value(m.fn):
+            if not is_value(m.fn):
                 sub = reference_find_redex(m.fn)
                 assert sub is not None
                 inner, rebuild = sub
                 return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, rb(t), m.arg)
             return m, lambda t: t
-        if not co.is_value(m.fn):
+        if not is_value(m.fn):
             sub = reference_find_redex(m.fn)
             assert sub is not None
             inner, rebuild = sub
             return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, rb(t), m.arg)
-        if not co.is_value(m.arg):
+        if not is_value(m.arg):
             sub = reference_find_redex(m.arg)
             assert sub is not None
             inner, rebuild = sub
             return inner, lambda t, m=m, rb=rebuild: co.App(m.mode, m.fn, rb(t))
         return m, lambda t: t
     if isinstance(m, co.Pair):
-        if not co.is_value(m.left):
+        if not is_value(m.left):
             sub = reference_find_redex(m.left)
             assert sub is not None
             inner, rebuild = sub
@@ -1068,7 +1079,7 @@ def reference_find_redex(m: co.CoreTerm):
         inner, rebuild = sub
         return inner, lambda t, m=m, rb=rebuild: co.Pair(m.ordered, m.left, rb(t))
     if isinstance(m, co.LetPair):
-        if not co.is_value(m.header):
+        if not is_value(m.header):
             sub = reference_find_redex(m.header)
             assert sub is not None
             inner, rebuild = sub

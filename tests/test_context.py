@@ -345,6 +345,21 @@ def test_stored_facts_leave_equality_hash_and_repr_alone(ctx, names, warm):
     assert cx.restrict(ctx, names) == naive_restrict(ctx, names)
 
 
+def test_facts_of_a_5000_deep_seq_chain():
+    # built bottom-up around the hole, so each node's facts are stored from
+    # its sides' and reading them needs no walk
+    n = 5000
+    ctx = cx.HOLE
+    for i in range(n):
+        ctx = cx.Seq(cx.Bind(cx.var_bind(f"u{i}", UA)), ctx)
+    assert cx.dom_vars(ctx) == {f"u{i}" for i in range(n)}
+    assert cx.all_unr(ctx) and cx.hole_count(ctx) == 1
+    ordered = cx.Seq(ctx, X)
+    assert cx.dom_vars(ordered) == cx.dom_vars(ctx) | {"x"}
+    assert not cx.all_unr(ordered) and cx.hole_count(ordered) == 1
+    assert cx.hole_count(cx.Par(ordered, ctx)) == 2
+
+
 # -- decomposition
 
 def test_decompose_single_ordered_binding():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
+from ordlang.checker import TypeCheckError, check_program
 from ordlang.opm import get_opm
 
-from oracles import reference_locations, reference_subst
+from conftest import PROGRAMS
+from oracles import is_value, naive_surface_fv, reference_locations, reference_subst
 
 OPM = get_opm("regex")
 R = rx.sym("r")
@@ -143,6 +145,46 @@ def test_stored_fv_leaves_equality_hash_and_repr_alone():
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
 
 
+def _nodes(root, shapes):
+    """Every node of a tree, listed without recursion."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(getattr(node, field) for field, _binders in shapes.get(type(node), ()))
+    return out
+
+
+def test_fv_is_stored_on_every_node_as_it_is_built_over_the_corpus():
+    # `_fv` is read with no accessor called first, on the surface tree and on
+    # the core term the checker elaborates from it
+    elaborated = 0
+    for path in sorted(PROGRAMS.glob("**/*.ord")):
+        program = sf.parse(path.read_text(), OPM)
+        for node in _nodes(program, sf.SHAPES):
+            assert node._fv == naive_surface_fv(node), (path.name, node)
+        try:
+            core = check_program(program, OPM).core
+        except TypeCheckError:  # the intended rejections
+            continue
+        elaborated += 1
+        for node in _nodes(core, co.SHAPES):
+            assert node._fv == _fv_from_scratch(node), (path.name, node)
+    assert elaborated >= 20
+
+
+def test_fv_and_capture_of_a_5000_deep_term():
+    # built bottom-up, so each node's set is stored from its subterms' and
+    # reading it needs no walk
+    n = 5000
+    m = co.Pair(False, co.Var("x0"), co.Var("x1"))  # x1 is bound by the innermost λ
+    for i in range(n):
+        m = co.App(co.PLAIN, co.Lam(co.PLAIN, f"x{i + 1}", m), co.Var(f"y{i}"))
+    assert co.fv(m) == {"x0"} | {f"y{i}" for i in range(n)}
+    env = {"x0": co.UNIT, "x1": co.UNIT, "y7": co.Loc(7), "z": co.UNIT}
+    assert co.capture(m, env) == {"x0": co.UNIT, "y7": co.Loc(7)}
+
+
 @given(terms(), values(), st.sampled_from("xyz"))
 @settings(max_examples=200)
 def test_stored_fv_matches_recomputation_after_subst(m, v, x):
@@ -173,12 +215,12 @@ def test_letpair_binders_must_differ():
 # -- values
 
 def test_is_value():
-    assert co.is_value(co.Pair(True, co.Loc(0), co.Loc(0)))  # l .o l
-    assert not co.is_value(co.App(co.PLAIN, co.Lam(co.PLAIN, "x", co.Var("x")), co.UNIT))
-    assert co.is_value(co.OpConst(R))
-    assert co.is_value(co.Lam(co.LEFT, "x", co.Var("x")))
-    assert not co.is_value(co.Pair(False, co.UNIT, co.Var("x") ))
-    assert not co.is_value(co.Var("x"))
+    assert is_value(co.Pair(True, co.Loc(0), co.Loc(0)))  # l .o l
+    assert not is_value(co.App(co.PLAIN, co.Lam(co.PLAIN, "x", co.Var("x")), co.UNIT))
+    assert is_value(co.OpConst(R))
+    assert is_value(co.Lam(co.LEFT, "x", co.Var("x")))
+    assert not is_value(co.Pair(False, co.UNIT, co.Var("x") ))
+    assert not is_value(co.Var("x"))
 
 
 def test_locations_with_multiplicity():

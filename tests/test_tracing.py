@@ -102,11 +102,12 @@ def test_traced_pass_counts_every_level_of_the_rewired_recursions(tmp_path):
     counts = json.loads(out.stdout)
     for name, (in_cli, _direct) in counts.items():
         assert in_cli > 0, name
-    # one call per node: 8 for the whole tree (through the checker's own
-    # binding of surface_fv), 3 for the inner let's header `!{r} x` (its
-    # body is shadowed), 4 for `(λx. x) unit`
+    # free variables are stored when a node is built, so reading them is one
+    # call (through the checker's own binding of surface_fv); rename_var is
+    # one call per node: 3 for the inner let's header `!{r} x` (its body is
+    # shadowed)
     assert {name: direct for name, (_in_cli, direct) in counts.items()} == {
-        "surface.surface_fv": 8,
+        "surface.surface_fv": 1,
         "surface.rename_var": 3,
-        "core.fv": 4,
+        "core.fv": 1,
     }
