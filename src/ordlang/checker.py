@@ -330,8 +330,9 @@ class Checker:
                 e.header.span,
                 "let-pair header must be effect-free; bind it first",
             )
-        x, body = self._freshen_binder(e.x, e.body, cx.fill(pattern, ctx_h), e.y)
-        y, body = self._freshen_binder(e.y, body, cx.fill(pattern, ctx_h), x)
+        # the filled pattern binds the names `ctx` binds
+        x, body = self._freshen_binder(e.x, e.body, ctx, e.y)
+        y, body = self._freshen_binder(e.y, body, ctx, x)
         bx = cx.var_bind(x, rh.type.left)
         by = cx.var_bind(y, rh.type.right)
         if rh.type.ordered:
@@ -361,20 +362,15 @@ class Checker:
         binding = cx.Bind(cx.var_bind(name, rh.type))
 
         # Least to most restrictive: unrestricted, unordered-linear, ordered.
-        if (
-            unr(rh.type)
-            and cx.all_unr(ctx_b)
-            and cx.split_violation(ctx, ctx_b, ctx_h, cx.seq) is None
-        ):
-            mode = PLAIN
-            body_ctx: cx.Ctx = cx.seq(ctx_b, binding)
-        elif cx.split_violation(ctx, ctx_b, ctx_h, cx.par) is None:
-            mode = UNORD
-            body_ctx = cx.par(ctx_b, binding)
+        # `,` and `∥` split an all-unrestricted ctx_b alike: one test fits both.
+        if cx.split_violation(ctx, ctx_b, ctx_h, cx.par) is None:
+            if unr(rh.type) and cx.all_unr(ctx_b):
+                mode, body_ctx = PLAIN, cx.seq(ctx_b, binding)
+            else:
+                mode, body_ctx = UNORD, cx.par(ctx_b, binding)
         else:
             self._split(span, "no binding mode fits", ctx, ctx_h, ctx_b, cx.seq)
-            mode = LEFT
-            body_ctx = cx.seq(binding, ctx_b)
+            mode, body_ctx = LEFT, cx.seq(binding, ctx_b)
         self.note_binding(name, body_ctx)
         rb = self.infer(body_ctx, body)
         core = App(mode, Lam(mode, name, rb.core), rh.core)

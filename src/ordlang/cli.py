@@ -139,13 +139,13 @@ def _command(args: argparse.Namespace, checked, opm) -> int:
         return 0
 
     if args.command == "dump-graph":
-        interp = checked.binding_contexts.get(args.binding)
-        if interp is None:
-            known = ", ".join(sorted(checked.binding_contexts)) or "(none)"
+        tree = checked.binding_trees.get(args.binding)
+        if tree is None:
+            known = ", ".join(sorted(checked.binding_trees)) or "(none)"
             message = f"no binding named {args.binding!r}; known: {known}"
             _report(args.file, "unknown-binding", message, args.json)
             return 1
-        print(cx.to_dot(interp, opm, title=args.binding))
+        print(cx.to_dot(cx.interpret(tree), opm, title=args.binding))
         return 0
 
     # run / trace

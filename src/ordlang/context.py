@@ -120,15 +120,6 @@ def par(left: Ctx, right: Ctx) -> Ctx:
     return Par(left, right)
 
 
-def bindings(ctx: Ctx) -> tuple[Binding, ...]:
-    """Leaf bindings left to right (with multiplicity)."""
-    if isinstance(ctx, Bind):
-        return (ctx.binding,)
-    if isinstance(ctx, (Seq, Par)):
-        return bindings(ctx.left) + bindings(ctx.right)
-    return ()
-
-
 def hole_count(ctx: Ctx) -> int:
     return _facts(ctx)[3]
 
@@ -379,48 +370,19 @@ def restrict(ctx: Ctx, names: frozenset[str]) -> Ctx:
 
 # Pattern extractors: partial normalizers up to context equivalence.  The
 # hole may be freed from a former only by floating unrestricted neighbours
-# (their position in a context is irrelevant).
+# (their position in a context is irrelevant).  The one-sided extractors are
+# `pat_closed` with an all-unrestricted far side, floated beside the near one.
 
 def pat_right(g: Ctx) -> Optional[Ctx]:
     """Δ with g ≃ (Δ, []): everything in g precedes the hole."""
-    if isinstance(g, Hole):
-        return EMPTY
-    if isinstance(g, Seq):
-        if hole_count(g.right):
-            d = pat_right(g.right)
-            return None if d is None else seq(g.left, d)
-        if all_unr(g.right):
-            d = pat_right(g.left)
-            return None if d is None else par(d, g.right)
-        return None
-    if isinstance(g, Par):
-        side, other = (g.left, g.right) if hole_count(g.left) else (g.right, g.left)
-        if not all_unr(other):
-            return None
-        d = pat_right(side)
-        return None if d is None else par(d, other)
-    return None
+    k = pat_closed(g)
+    return par(*k) if k is not None and all_unr(k[1]) else None
 
 
 def pat_left(g: Ctx) -> Optional[Ctx]:
     """Δ with g ≃ ([], Δ): everything in g follows the hole."""
-    if isinstance(g, Hole):
-        return EMPTY
-    if isinstance(g, Seq):
-        if hole_count(g.left):
-            d = pat_left(g.left)
-            return None if d is None else seq(d, g.right)
-        if all_unr(g.left):
-            d = pat_left(g.right)
-            return None if d is None else par(g.left, d)
-        return None
-    if isinstance(g, Par):
-        side, other = (g.left, g.right) if hole_count(g.left) else (g.right, g.left)
-        if not all_unr(other):
-            return None
-        d = pat_left(side)
-        return None if d is None else par(d, other)
-    return None
+    k = pat_closed(g)
+    return par(*k) if k is not None and all_unr(k[0]) else None
 
 
 def pat_par(g: Ctx) -> Optional[Ctx]:
@@ -482,53 +444,45 @@ def _decompose(ctx: Ctx, names: frozenset[str]) -> Optional[tuple[Ctx, Ctx]]:
         if ctx.binding.is_ord():
             return (HOLE, ctx)
         return (par(HOLE, ctx), ctx)
+    if not isinstance(ctx, (Seq, Par)):
+        raise ValueError("cannot decompose a context pattern")
+    g1, g2 = ctx.left, ctx.right
+    join = seq if isinstance(ctx, Seq) else par
+    if not (dom_vars(g1) & names):
+        r = _decompose(g2, names)
+        return None if r is None else (join(g1, r[0]), r[1])
+    if not (dom_vars(g2) & names):
+        r = _decompose(g1, names)
+        return None if r is None else (join(r[0], g2), r[1])
+    r1, r2 = _decompose(g1, names), _decompose(g2, names)
+    if r1 is None or r2 is None:
+        return None
+    (p1, c1), (p2, c2) = r1, r2
     if isinstance(ctx, Seq):
-        g1, g2 = ctx.left, ctx.right
-        if not (dom_vars(g1) & names):
-            r = _decompose(g2, names)
-            return None if r is None else (seq(g1, r[0]), r[1])
-        if not (dom_vars(g2) & names):
-            r = _decompose(g1, names)
-            return None if r is None else (seq(r[0], g2), r[1])
-        r1, r2 = _decompose(g1, names), _decompose(g2, names)
-        if r1 is not None and r2 is not None:
-            gr, gl = pat_right(r1[0]), pat_left(r2[0])
-            if gr is not None and gl is not None:
-                return (seq(gr, seq(HOLE, gl)), seq(r1[1], r2[1]))
+        gr, gl = pat_right(p1), pat_left(p2)
+        if gr is not None and gl is not None:
+            return (seq(gr, seq(HOLE, gl)), seq(c1, c2))
         return None
-    if isinstance(ctx, Par):
-        g1, g2 = ctx.left, ctx.right
-        if not (dom_vars(g1) & names):
-            r = _decompose(g2, names)
-            return None if r is None else (par(g1, r[0]), r[1])
-        if not (dom_vars(g2) & names):
-            r = _decompose(g1, names)
-            return None if r is None else (par(r[0], g2), r[1])
-        r1, r2 = _decompose(g1, names), _decompose(g2, names)
-        if r1 is None or r2 is None:
-            return None
-        (p1, c1), (p2, c2) = r1, r2
-        a1, a2 = pat_par(p1), pat_par(p2)
-        if a1 is not None and a2 is not None:
-            return (par(par(a1, a2), HOLE), par(c1, c2))
-        l1, l2 = pat_left(p1), pat_left(p2)
-        if l1 is not None and l2 is not None:
-            return (seq(HOLE, par(l1, l2)), par(c1, c2))
-        q1, q2 = pat_right(p1), pat_right(p2)
-        if q1 is not None and q2 is not None:
-            return (seq(par(q1, q2), HOLE), par(c1, c2))
-        if q1 is not None and l2 is not None:
-            return (seq(q1, seq(HOLE, l2)), seq(c2, c1))
-        if l1 is not None and q2 is not None:
-            return (seq(q2, seq(HOLE, l1)), seq(c1, c2))
-        k1, k2 = pat_closed(p1), pat_closed(p2)
-        if k1 is not None and k2 is not None:
-            return (
-                seq(par(k1[0], k2[0]), seq(HOLE, par(k1[1], k2[1]))),
-                par(c1, c2),
-            )
-        return None
-    raise ValueError("cannot decompose a context pattern")
+    a1, a2 = pat_par(p1), pat_par(p2)
+    if a1 is not None and a2 is not None:
+        return (par(par(a1, a2), HOLE), par(c1, c2))
+    l1, l2 = pat_left(p1), pat_left(p2)
+    if l1 is not None and l2 is not None:
+        return (seq(HOLE, par(l1, l2)), par(c1, c2))
+    q1, q2 = pat_right(p1), pat_right(p2)
+    if q1 is not None and q2 is not None:
+        return (seq(par(q1, q2), HOLE), par(c1, c2))
+    if q1 is not None and l2 is not None:
+        return (seq(q1, seq(HOLE, l2)), seq(c2, c1))
+    if l1 is not None and q2 is not None:
+        return (seq(q2, seq(HOLE, l1)), seq(c1, c2))
+    k1, k2 = pat_closed(p1), pat_closed(p2)
+    if k1 is not None and k2 is not None:
+        return (
+            seq(par(k1[0], k2[0]), seq(HOLE, par(k1[1], k2[1]))),
+            par(c1, c2),
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

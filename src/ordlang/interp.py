@@ -159,10 +159,9 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
     if not (resource_op and isinstance(arg, Loc) and arg.ident in heap):
         return stuck("no-rule")
     n, envelope, trace = heap[arg.ident]
-    # A heap given to `Config` without `left` has it from the trace.
-    left = cfg.left[arg.ident] if arg.ident in cfg.left else opm.best_continuation(trace, envelope)
+    left = cfg.left[arg.ident]
     if isinstance(fn, OpConst):
-        if left is None or (left := opm.best_continuation(fn.index, left)) is None:
+        if (left := opm.best_continuation(fn.index, left)) is None:
             return stuck("op-inadmissible")
         new_heap = {**heap, arg.ident: (n, envelope, opm.mul(trace, fn.index))}
         return stepped("RC-Op", arg, None, new_heap, left={**cfg.left, arg.ident: left})
@@ -171,11 +170,11 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
         return stepped("RC-Sp", Pair(True, arg, arg), None, new_heap)
     if n > 0:
         return stepped("RC-Cl1", UNIT, None, {**heap, arg.ident: (n - 1, envelope, trace)})
-    if left is None or not opm.droppable(left):
+    if not opm.droppable(left):
         return stuck("close-incomplete")
     new_heap, rest = dict(heap), dict(cfg.left)
     del new_heap[arg.ident]
-    rest.pop(arg.ident, None)  # absent from a heap given to `Config` without it
+    del rest[arg.ident]
     return stepped("RC-Cl2", UNIT, None, new_heap, left=rest)
 
 

@@ -19,6 +19,9 @@ counted lines and columns as it went, is the reference for the positions
 (`reference_step` over `ReferenceConfig`, with the capture-avoiding
 `reference_subst`, the value test `is_value` and the redex search
 `_find_redex`) is the reference for the environment machine `interp.step`.
+The one-sided pattern extractors `reference_pat_right` and
+`reference_pat_left`, each recursing on its own, are the references for
+`context.pat_right` and `context.pat_left`, which read `pat_closed`.
 """
 
 from __future__ import annotations
@@ -504,6 +507,15 @@ def in_unit_normal_form(ctx: cx.Ctx) -> bool:
     return True
 
 
+def bindings(ctx: cx.Ctx) -> tuple[cx.Binding, ...]:
+    """Leaf bindings left to right (with multiplicity)."""
+    if isinstance(ctx, cx.Bind):
+        return (ctx.binding,)
+    if isinstance(ctx, (cx.Seq, cx.Par)):
+        return bindings(ctx.left) + bindings(ctx.right)
+    return ()
+
+
 def is_pattern(ctx: cx.Ctx) -> bool:
     return cx.hole_count(ctx) == 1
 
@@ -512,7 +524,7 @@ def well_formed(ctx: cx.Ctx) -> bool:
     """Each variable has one type; ordered variable bindings occur at most once."""
     seen: dict[str, CoreType] = {}
     counts: dict[cx.Binding, int] = {}
-    for b in cx.bindings(ctx):
+    for b in bindings(ctx):
         if b.kind != "var":
             continue
         if b.name in seen and seen[b.name] != b.type:
@@ -522,6 +534,48 @@ def well_formed(ctx: cx.Ctx) -> bool:
         if b.is_ord() and counts[b] > 1:
             return False
     return True
+
+
+def reference_pat_right(g: cx.Ctx) -> Optional[cx.Ctx]:
+    """Δ with g ≃ (Δ, []): everything in g precedes the hole."""
+    if isinstance(g, cx.Hole):
+        return cx.EMPTY
+    if isinstance(g, cx.Seq):
+        if cx.hole_count(g.right):
+            d = reference_pat_right(g.right)
+            return None if d is None else cx.seq(g.left, d)
+        if cx.all_unr(g.right):
+            d = reference_pat_right(g.left)
+            return None if d is None else cx.par(d, g.right)
+        return None
+    if isinstance(g, cx.Par):
+        side, other = (g.left, g.right) if cx.hole_count(g.left) else (g.right, g.left)
+        if not cx.all_unr(other):
+            return None
+        d = reference_pat_right(side)
+        return None if d is None else cx.par(d, other)
+    return None
+
+
+def reference_pat_left(g: cx.Ctx) -> Optional[cx.Ctx]:
+    """Δ with g ≃ ([], Δ): everything in g follows the hole."""
+    if isinstance(g, cx.Hole):
+        return cx.EMPTY
+    if isinstance(g, cx.Seq):
+        if cx.hole_count(g.left):
+            d = reference_pat_left(g.left)
+            return None if d is None else cx.seq(d, g.right)
+        if cx.all_unr(g.left):
+            d = reference_pat_left(g.right)
+            return None if d is None else cx.par(g.left, d)
+        return None
+    if isinstance(g, cx.Par):
+        side, other = (g.left, g.right) if cx.hole_count(g.left) else (g.right, g.left)
+        if not cx.all_unr(other):
+            return None
+        d = reference_pat_left(side)
+        return None if d is None else cx.par(d, other)
+    return None
 
 
 def focus(ctx: cx.Ctx, ident: int) -> cx.Ctx:

@@ -9,7 +9,7 @@ from ordlang.interp import run
 from ordlang.opm import get_opm
 
 from conftest import PROGRAMS, program_source, smoke_programs
-from oracles import in_unit_normal_form
+from oracles import bindings, in_unit_normal_form
 
 OPM = get_opm("regex")
 SPAN = sf.Span(1, 1, 1, 1)
@@ -360,7 +360,7 @@ def test_decompose_postconditions_hold_on_every_checker_call(monkeypatch):
             pattern, inner = got
             assert cx.subcontext(ctx, cx.fill(pattern, inner))
             assert cx.dom_vars(inner) <= names
-            for b in cx.bindings(pattern):
+            for b in bindings(pattern):
                 if b.kind == "var" and b.is_ord():
                     assert b.name not in names
             calls.append(ctx)
@@ -381,7 +381,7 @@ def test_checker_contexts_stay_in_unit_normal_form(monkeypatch):
     def checked_split_violation(ctx, first, second, former):
         for c in (ctx, first, second):
             assert in_unit_normal_form(c), (ctx, first, second)
-        ords = [b for b in cx.bindings(ctx) if b.is_ord()]
+        ords = [b for b in bindings(ctx) if b.is_ord()]
         assert len(ords) == len(set(ords)), ctx
         calls.append(ctx)
         return real(ctx, first, second, former)

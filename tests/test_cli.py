@@ -16,7 +16,7 @@ from ordlang import cli
 from ordlang.cli import main
 from ordlang.regex import READBACK_BUDGET, StateBudgetExceeded
 
-from conftest import PROGRAMS, smoke_programs
+from conftest import PROGRAMS, scaling_families, smoke_programs
 
 
 def invoke(*argv):
@@ -120,6 +120,28 @@ def test_dump_graph_emits_dot(capsys):
 
 def test_dump_graph_unknown_binding(capsys):
     assert invoke("dump-graph", str(PROGRAMS / "copy.ord"), "--binding", "zz") == 1
+
+
+def test_dump_graph_interprets_only_the_binding_it_prints(tmp_path, monkeypatch, capsys):
+    # resources(60) notes 120 binding contexts: the 60 lets and the 60 `;`s
+    prog = tmp_path / "resources.ord"
+    prog.write_text(scaling_families()["resources"](60))
+    real, depth, top_level = cli.cx.interpret, [0], [0]
+
+    def counted(ctx):  # interpret recurses through the patched name
+        top_level[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(ctx)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cli.cx, "interpret", counted)
+    assert invoke("dump-graph", str(prog), "--binding", "x0") == 0
+    assert capsys.readouterr().out.startswith('digraph "x0"')
+    assert top_level[0] == 1
+    assert invoke("dump-graph", str(prog), "--binding", "zz") == 1
+    assert "x59" in capsys.readouterr().err and top_level[0] == 1
 
 
 def test_usage_errors_exit_64(capsys):

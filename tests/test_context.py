@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from ordlang import regex as rx
 from ordlang.opm import get_opm
 
 from oracles import (
+    bindings,
     brute_equiv,
     brute_subcontext,
     focus,
@@ -17,6 +19,8 @@ from oracles import (
     is_pattern,
     naive_restrict,
     rebuild_ctx,
+    reference_pat_left,
+    reference_pat_right,
     restrict_keeping_units,
     unique_topological_ordering,
     usage_projection,
@@ -273,8 +277,8 @@ split_names = st.sets(st.sampled_from(SPLIT_NAMES)).map(frozenset)
 def test_split_violation_matches_brute_force(ctx, a, b):
     # A and B may overlap and may miss bindings of ctx
     first, second = cx.restrict(ctx, a), cx.restrict(ctx, b)
-    ords = {x for x in cx.bindings(ctx) if x.is_ord()}
-    side_a, side_b = set(cx.bindings(first)), set(cx.bindings(second))
+    ords = {x for x in bindings(ctx) if x.is_ord()}
+    side_a, side_b = set(bindings(first)), set(bindings(second))
     g = cx.interpret(ctx).graph
     edges = {(g.labels[i], g.labels[j]) for i, j in g.edges}
     for former in (cx.seq, cx.par):
@@ -336,7 +340,7 @@ def test_stored_facts_leave_equality_hash_and_repr_alone(ctx, names, warm):
     # the hash the generated dataclass hash gives: that of the field tuple
     assert hash(ctx) == hash(tuple(getattr(ctx, f.name) for f in dataclasses.fields(ctx)))
     # the stored facts agree with a walk over the leaves
-    leaves = cx.bindings(ctx)
+    leaves = bindings(ctx)
     assert cx.dom_vars(ctx) == {b.name for b in leaves if b.kind == "var"}
     assert cx.all_unr(ctx) == all(b.is_unr() for b in leaves)
     for name in SPLIT_NAMES:
@@ -413,20 +417,73 @@ def _check_postconditions(ctx, names):
     # (b) the result binds only requested names
     assert cx.dom_vars(inner) <= names
     # (c) no ordered binding of a requested name remains in the pattern
-    for b in cx.bindings(pattern):
+    for b in bindings(pattern):
         if b.kind == "var" and b.is_ord():
             assert b.name not in names
     # (d) unrestricted requested bindings occur on both sides
-    for b in cx.bindings(ctx):
+    for b in bindings(ctx):
         if b.kind == "var" and b.is_unr() and b.name in names:
-            assert b in cx.bindings(pattern)
-            assert b in cx.bindings(inner)
+            assert b in bindings(pattern)
+            assert b in bindings(inner)
 
 
 @given(contexts(), st.sets(st.sampled_from(["x", "y", "u"]), max_size=3))
 @settings(max_examples=400)
 def test_decompose_postconditions(ctx, names):
     _check_postconditions(ctx, frozenset(names))
+
+
+def _trees(leaves):
+    """Every tree with `leaves` in this order, with both formers at each node."""
+    if len(leaves) == 1:
+        return [leaves[0]]
+    return [
+        former(left, right)
+        for i in range(1, len(leaves))
+        for left in _trees(leaves[:i])
+        for right in _trees(leaves[i:])
+        for former in (cx.seq, cx.par)
+    ]
+
+
+def test_decompose_matches_the_recursive_extractors_exhaustively(monkeypatch):
+    # pat_right and pat_left read pat_closed; the references recurse on
+    # their own.  Every tree of 1-4 distinct leaves from three ordered and
+    # two unrestricted bindings, under each name set: the same Γ' (or None),
+    # the same filled interpretation, and the postconditions.  The filled
+    # pattern binds the names ctx binds, so the checker freshens pair
+    # binders against ctx.
+    a, b, c = (cx.Bind(cx.var_bind(n, M1)) for n in "abc")
+    u, v = (cx.Bind(cx.var_bind(n, UA)) for n in "uv")
+    z = cx.Bind(cx.var_bind("z", M2))
+    pool = (a, b, c, u, v)
+    ctxs = [
+        t for k in range(1, 5) for leaves in itertools.permutations(pool, k) for t in _trees(leaves)
+    ]
+    name_sets = [frozenset(s) for s in ("a", "ab", "au", "abu", "bc", "acv")]
+    cases = [(ctx, names) for ctx in ctxs for names in name_sets]
+
+    monkeypatch.setattr(cx, "pat_right", reference_pat_right)
+    monkeypatch.setattr(cx, "pat_left", reference_pat_left)
+    expected = [cx.decompose(ctx, names) for ctx, names in cases]
+    monkeypatch.undo()
+    # the postcondition pass decomposes each case once; keep its answer
+    real, last = cx.decompose, []
+    monkeypatch.setattr(cx, "decompose", lambda ctx, names: last.append(real(ctx, names)) or last[-1])
+    for (ctx, names), want in zip(cases, expected):
+        _check_postconditions(ctx, names)
+        got = last.pop()
+        assert (got is None) == (want is None), (ctx, names)
+        if got is not None:
+            # equal patterns fill alike; unequal ones may only group
+            # unrestricted bindings differently
+            assert got[1] == want[1], (ctx, names)
+            if got[0] != want[0]:
+                fills = (cx.fill(got[0], z), cx.fill(want[0], z))
+                assert cx.interpret(fills[0]) == cx.interpret(fills[1]), (ctx, names)
+            assert cx.dom_vars(cx.fill(*got)) == cx.dom_vars(ctx)
+    assert len(cases) == 6 * (5 + 40 + 480 + 4800)
+    assert sum(want is not None for want in expected) == 27786
 
 
 # -- pattern extractors

@@ -41,6 +41,13 @@ def drop(arg):
 
 # -- single steps
 
+def with_left(term, heap):
+    """`Config(term, heap)` with the index each cell has left read from its
+    trace, as `step` finds it after the cell's allocation and operations."""
+    left = {loc: OPM.best_continuation(trace, env) for loc, (_, env, trace) in heap.items()}
+    return Config(term, heap, left=left)
+
+
 def test_beta_step():
     cfg = Config(app(co.Lam(co.PLAIN, "x", co.Var("x")), co.UNIT), {})
     out = step(cfg, OPM)
@@ -65,7 +72,7 @@ def test_alloc_step():
 
 def test_split_step_increments_refcount_only():
     heap = {0: (0, RC, rx.EPS)}
-    cfg = Config(app(co.SplitConst(R, rx.sym("c")), co.Loc(0)), heap)
+    cfg = with_left(app(co.SplitConst(R, rx.sym("c")), co.Loc(0)), heap)
     out = step(cfg, OPM)
     assert out.rule == "RC-Sp"
     assert out.config.term == co.Pair(True, co.Loc(0), co.Loc(0))
@@ -74,7 +81,7 @@ def test_split_step_increments_refcount_only():
 
 def test_op_extends_trace():
     heap = {0: (0, RC, rx.EPS)}
-    out = step(Config(op(R, co.Loc(0)), heap), OPM)
+    out = step(with_left(op(R, co.Loc(0)), heap), OPM)
     assert out.rule == "RC-Op"
     n, env, trace = out.config.heap[0]
     assert n == 0 and rx.equivalent(trace, R)
@@ -82,21 +89,21 @@ def test_op_extends_trace():
 
 def test_op_stuck_when_inadmissible():
     heap = {0: (0, rx.sym("c"), rx.EPS)}
-    out = step(Config(op(R, co.Loc(0)), heap), OPM)
+    out = step(with_left(op(R, co.Loc(0)), heap), OPM)
     assert out.status == "stuck" and out.reason == "op-inadmissible"
 
 
 def test_drop_decrements_then_removes():
     heap = {0: (1, RC, RC)}
-    out = step(Config(drop(co.Loc(0)), heap), OPM)
+    out = step(with_left(drop(co.Loc(0)), heap), OPM)
     assert out.rule == "RC-Cl1" and out.config.heap[0] == (0, RC, RC)
-    out2 = step(Config(drop(co.Loc(0)), out.config.heap), OPM)
+    out2 = step(with_left(drop(co.Loc(0)), out.config.heap), OPM)
     assert out2.rule == "RC-Cl2" and out2.config.heap == {}
 
 
 def test_final_drop_requires_complete_trace():
     heap = {0: (0, RC, R)}  # only r performed; rc expected
-    out = step(Config(drop(co.Loc(0)), heap), OPM)
+    out = step(with_left(drop(co.Loc(0)), heap), OPM)
     assert out.status == "stuck" and out.reason == "close-incomplete"
 
 
