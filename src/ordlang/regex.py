@@ -28,21 +28,38 @@ class StateBudgetExceeded(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Regex:
-    # Hash (a generated dataclass hash: that of the field tuple), prec-0
-    # `show` string and alphabet, stored on first use; not fields, so repr
-    # ignores them.
-    _hash = None
+    # Hash (a generated dataclass hash: that of the field tuple), alphabet and
+    # nullability, stored when the node is built from those of its fields
+    # (a continuation's hash and alphabet on first use); prec-0 `show` string,
+    # stored on first use. Not fields, so repr ignores them.
     _shown = None
-    _symbols = None
+
+    def __post_init__(self) -> None:
+        cls, stored = self.__class__, self.__dict__
+        if cls is Cat:
+            left, right = self.left, self.right
+            a, b = left._symbols, right._symbols
+            facts = (hash((left, right)), a if b <= a else b if a <= b else a | b,
+                     left._nullable and right._nullable)
+        elif cls is Sym:
+            facts = hash((self.ch,)), frozenset({self.ch}), False
+        elif cls is Alt:
+            items = self.items
+            facts = (hash((items,)), frozenset().union(*[p._symbols for p in items]),
+                     any([p._nullable for p in items]))
+        elif cls is Star:
+            facts = hash((self.inner,)), self.inner._symbols, True
+        elif cls is Auto:  # its hash and alphabet on first use
+            stored["_nullable"] = self.dfa.start in self.dfa.accepting
+            return
+        else:  # Empty, Eps
+            facts = hash(()), frozenset(), cls is Eps
+        stored["_hash"], stored["_symbols"], stored["_nullable"] = facts
 
     def _key(self) -> tuple:  # the field values, in field order
         return tuple([getattr(self, f) for f in self.__match_args__])
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            for c in _unstored_spine(self, "_hash"):
-                hash(c)
-            object.__setattr__(self, "_hash", hash(self._key()))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -52,9 +69,7 @@ class Regex:
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if a.__class__ is not b.__class__ or (
-                a._hash is not None and b._hash is not None and a._hash != b._hash
-            ):
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
                 return False
             for f in a.__match_args__:
                 x, y = getattr(a, f), getattr(b, f)
@@ -121,6 +136,15 @@ class Auto(Regex):
         return _live(self.dfa)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.dfa,))
+
+    @cached_property
+    def _symbols(self) -> frozenset[str]:  # the labels between live states
+        d, live = self.dfa, self.live
+        return frozenset(a for q in live for a, t in zip(d.alphabet, d.trans[q]) if t in live)
+
+    @cached_property
     def readback(self) -> Regex:
         """Read back on first use, by the module-global name a tracer can wrap,
         renumbered from the start as a product numbers its states, so that a
@@ -178,38 +202,18 @@ def seq(*parts: Regex) -> Regex:
     return out
 
 
-def _unstored_spine(r: Regex, stored: str) -> list[Regex]:
-    """The Cats below r down its left spine (a trace's) that lack `stored`,
-    deepest first; storing it on each in turn recurses one level at a time."""
+def _unstored_spine(r: Regex) -> list[Regex]:
+    """The Cats below r down its left spine (a trace's) that lack a `show`
+    string, deepest first; showing each in turn recurses one level at a time."""
     spine = []
-    while isinstance(r, Cat) and isinstance(r.left, Cat) and getattr(r.left, stored) is None:
+    while isinstance(r, Cat) and isinstance(r.left, Cat) and r.left._shown is None:
         spine.append(r := r.left)
     return spine[::-1]
 
 
 def symbols(r: Regex) -> frozenset[str]:
-    """The symbols occurring in `r`, computed once per node and stored on it."""
-    out = r._symbols
-    if out is None:
-        if isinstance(r, Sym):
-            out = frozenset({r.ch})
-        elif isinstance(r, Cat):
-            for c in _unstored_spine(r, "_symbols"):
-                symbols(c)
-            out = symbols(r.left) | symbols(r.right)
-        elif isinstance(r, Alt):
-            out = frozenset().union(*[symbols(p) for p in r.items])
-        elif isinstance(r, Star):
-            out = symbols(r.inner)
-        elif isinstance(r, Auto):  # the labels between live states
-            d, live = r.dfa, r.live
-            out = frozenset(
-                a for q in live for a, t in zip(d.alphabet, d.trans[q]) if t in live
-            )
-        else:
-            out = frozenset()
-        object.__setattr__(r, "_symbols", out)
-    return out
+    """The symbols occurring in `r`, stored on it."""
+    return r._symbols
 
 
 def show(r: Regex, prec: int = 0) -> str:
@@ -227,7 +231,7 @@ def show(r: Regex, prec: int = 0) -> str:
         elif isinstance(r, Star):
             s = show(r.inner, 2) + "*"
         elif isinstance(r, Cat):
-            for c in _unstored_spine(r, "_shown"):
+            for c in _unstored_spine(r):
                 show(c)
             s = show(r.left, 1) + show(r.right, 1)
         elif isinstance(r, Alt):
@@ -250,17 +254,7 @@ def is_empty_language(r: Regex) -> bool:
 # Derivatives and automata
 
 def nullable(r: Regex) -> bool:
-    while isinstance(r, Cat):  # down the left spine, which a trace makes long
-        if not nullable(r.right):
-            return False
-        r = r.left
-    if isinstance(r, (Eps, Star)):
-        return True
-    if isinstance(r, Auto):
-        return r.dfa.start in r.dfa.accepting
-    if isinstance(r, Alt):
-        return any(nullable(p) for p in r.items)
-    return False
+    return r._nullable
 
 
 def derivative(r: Regex, a: str) -> Regex:
@@ -336,10 +330,7 @@ def to_dfa(r: Regex, alphabet: tuple[str, ...], budget: int = DEFAULT_STATE_BUDG
 
 
 def _joint_alphabet(*rs: Regex) -> tuple[str, ...]:
-    syms: set[str] = set()
-    for r in rs:
-        syms |= symbols(r)
-    return tuple(sorted(syms))
+    return tuple(sorted(frozenset().union(*[symbols(r) for r in rs])))
 
 
 def _dfa_over(r: Regex, alphabet: tuple[str, ...]) -> Dfa:

@@ -510,18 +510,13 @@ def test_repr_and_fields_ignore_stored_attributes():
         assert [f.name for f in dataclasses.fields(cls)] == names
 
 
-@given(regexes(), regexes(), st.sampled_from(["none", "hash", "show", "symbols"]), st.booleans())
+@given(regexes(), regexes(), st.sampled_from(["none", "show"]), st.booleans())
 @settings(max_examples=150)
 def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
     before = repr(r)
     copy = rebuild_regex(r)
-    warmed = r if warm_original else copy
-    if warm == "hash":
-        hash(warmed)
-    elif warm == "show":
-        rx.show(warmed, 2)
-    elif warm == "symbols":
-        rx.symbols(warmed)
+    if warm == "show":
+        rx.show(r if warm_original else copy, 2)
     assert copy is not r
     assert copy == r and r == copy and not copy != r
     assert hash(copy) == hash(r)
@@ -536,7 +531,7 @@ def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
 
 def _chain(n, last):
     """A right-nested Cat chain of n symbols and then `last`, built with the raw
-    constructor, so that no hash is stored on it."""
+    constructor, so that no smart constructor normalizes it."""
     out = rx.Sym(last)
     for i in range(n):
         out = rx.Cat(rx.Sym("rw"[i % 2]), out)
@@ -553,7 +548,52 @@ def test_equality_of_deep_chains_needs_no_deep_recursion():
     assert a != _chain(depth, "d") and a != _chain(depth - 1, "c")
     assert rx.Alt((R, rx.Star(W))) != rx.Alt((R, rx.Star(W), C))  # nor a prefix of items
     assert rx.Alt((rx.Star(W), rx.Star(C))) != rx.Alt((rx.Star(W), rx.Star(W)))
-    assert a._hash is None and b._hash is None
+    assert a._hash == hash(a._key()) and b._hash == hash(b._key())
+
+
+def _nodes(r):
+    """Every node of r, r first, with no accessor called on any."""
+    out, stack = [], [r]
+    while stack:
+        out.append(n := stack.pop())
+        for f in n.__match_args__:
+            x = getattr(n, f)
+            stack.extend(x if x.__class__ is tuple else [x] if isinstance(x, rx.Regex) else [])
+    return out
+
+
+def _stored_facts(nodes):
+    """Each node's hash, alphabet and nullability as stored when it was built."""
+    return [(vars(n)["_hash"], vars(n)["_symbols"], vars(n)["_nullable"]) for n in nodes]
+
+
+@given(regexes())
+@settings(max_examples=300)
+def test_every_node_stores_its_hash_alphabet_and_nullability_when_built(r):
+    nodes = _nodes(r)
+    stored = _stored_facts(nodes)  # read before anything could compute a fact
+    assert stored == [(hash(n._key()), naive_symbols(n), naive_match(n, "")) for n in nodes]
+
+
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_facts_of_a_5000_deep_raw_chain(nest):
+    # built with the raw constructor, each node from its sides' stored facts;
+    # the one non-nullable leaf, and the only `c`, sits in the middle
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    leaves = [rx.Star(rx.Sym("rw"[i % 2])) for i in range(depth + 1)]
+    leaves[depth // 2] = rx.Sym("c")
+    if nest == "right":
+        leaves.reverse()
+    chain, want = leaves[0], []
+    symbols, null = naive_symbols(chain), naive_match(chain, "")
+    for leaf in leaves[1:]:
+        chain = rx.Cat(chain, leaf) if nest == "left" else rx.Cat(leaf, chain)
+        symbols, null = symbols | naive_symbols(leaf), null and naive_match(leaf, "")
+        want.append((chain, symbols, null))
+    stored = _stored_facts([n for n, _, _ in want])
+    assert stored == [(hash(n._key()), s, b) for n, s, b in want]
+    assert (rx.symbols(chain), rx.nullable(chain)) == ({"r", "w", "c"}, False)
 
 
 def test_pickled_regex_rehashes_in_a_process_with_another_hash_seed():
@@ -608,28 +648,6 @@ def test_show_calls_per_alt_do_not_grow_with_ops(regex_opm, monkeypatch):
         check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
         per_alt[k] = calls["show"] / calls["alt"]
     assert per_alt[3] <= 2 * per_alt[1], per_alt
-
-
-def test_symbols_computes_each_node_once(regex_opm, monkeypatch):
-    # the continuations read back grow with the ops per phase, so the new
-    # nodes per top-level call grow too; what must not happen is a second
-    # computation of one node's alphabet (the parent walked every regex in
-    # full on every call)
-    uncounted = rx.symbols
-    computed = []  # the nodes themselves, so that no id is reused
-
-    def counted(r):
-        if getattr(r, "_symbols", None) is None:
-            computed.append(r)
-        return uncounted(r)
-
-    monkeypatch.setattr(rx, "symbols", counted)
-    for k in (1, 3):
-        rx.to_dfa.cache_clear()
-        computed.clear()
-        check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
-        distinct = len({id(r) for r in computed})
-        assert computed and len(computed) == distinct, (k, len(computed), distinct)
 
 
 @pytest.mark.parametrize("family, n", [(_borrow, 1), (_borrow, 2), (_borrow, 3), (_ops, 32)])
