@@ -579,11 +579,17 @@ class RegexOpm(Opm):
         if word is None:
             pd = product_derivative(y, x)
             return None if is_empty_language(pd) else pd
-        # The quotient by a word: y's automaton with its start moved along it.
-        z = y if isinstance(y, Auto) else Auto(to_dfa(y, _joint_alphabet(y)))
+        # The quotient by a word: y's automaton with its start moved along it,
+        # stopping where no word leads to acceptance; one leaf where it ends.
+        d = y.dfa if isinstance(y, Auto) else to_dfa(y, _joint_alphabet(y))
+        q, co = d.start, _coreachable(d)
         for a in word:
-            z = derivative(z, a)
-        return z if isinstance(z, Auto) and z.dfa.start in _coreachable(z.dfa) else None
+            if q not in co or a not in d.alphabet:
+                return None
+            q = d.trans[q][d.alphabet.index(a)]
+        if q not in co or not word and isinstance(y, Auto):
+            return y if q in co else None
+        return Auto(Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co))
 
     def droppable(self, x: Regex) -> bool:
         return nullable(x)

@@ -26,20 +26,36 @@ class Span(NamedTuple):
     end_col: int
 
     def cover(self, other: "Span") -> "Span":
-        return Span(*min(self[:2], other[:2]), *max(self[2:], other[2:]))
+        line, col, end_line, end_col = self
+        o_line, o_col, o_end_line, o_end_col = other
+        if o_line < line or o_line == line and o_col < col:
+            line, col = o_line, o_col
+        if o_end_line > end_line or o_end_line == end_line and o_end_col > end_col:
+            end_line, end_col = o_end_line, o_end_col
+        return _new(Span, (line, col, end_line, end_col))
+
+
+# Spans and tokens are built by `tuple.__new__`, without the named tuples'
+# Python-level `__new__`.
+_new = tuple.__new__
+
+
+# Compiled on import, not by the first `Lines` of each process.
+_NEWLINE = re.compile("\n")
 
 
 class Lines:
     """Where the lines of one source start; `span` maps offsets to positions."""
 
     def __init__(self, source: str):  # only a newline ends a line, not a `\r`
-        self.starts = [0, *(m.end() for m in re.finditer("\n", source))]
+        self.starts = [0, *(m.end() for m in _NEWLINE.finditer(source))]
 
     def span(self, start: int, end: int) -> Span:
         starts = self.starts
         line = bisect_right(starts, start)
         end_line = bisect_right(starts, end, line)
-        return Span(line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1)
+        col, end_col = start - starts[line - 1] + 1, end - starts[end_line - 1] + 1
+        return _new(Span, (line, col, end_line, end_col))
 
 
 class ParseError(Exception):
@@ -213,29 +229,30 @@ _LEXEME = re.compile(
 
 def lex(source: str) -> list[Token]:
     toks: list[Token] = []
+    match, append = _LEXEME.match, toks.append
     lines, pos, eof = Lines(source), 0, len(source)
-    while group := (m := _LEXEME.match(source, pos)).lastgroup:
+    while group := (m := match(source, pos)).lastgroup:
         start, pos = m.span(group)
-        text = m.group(group)
-        if group == "comment":  # EOF after a comment goes where the comment starts
+        text = source[start:pos]
+        if group == "word" and (text[0].isalpha() or text[0] == "_"):
+            kind = text if text in KEYWORDS else "IDENT"
+        elif group == "punct":
+            kind = text
+        elif group == "elem":
+            kind, text = "ELEM", text[1:-1]
+        elif group == "word" and text[0].isdigit():
+            kind, text = "NUM", "".join(takewhile(str.isdigit, text))
+            pos = start + len(text)
+        elif group == "comment":  # EOF after a comment goes where the comment starts
             eof = start if pos == len(source) else eof
             continue
-        kind = "ELEM" if group == "elem" else text
-        if group == "word":
-            if text[0].isdigit():
-                kind, text = "NUM", "".join(takewhile(str.isdigit, text))
-                pos = start + len(text)
-            elif text[0].isalpha() or text[0] == "_":
-                kind = text if text in KEYWORDS else "IDENT"
-            else:
-                group = "other"
-        if group == "other" or group == "open":
+        else:  # a `{` without its `}`, or a character that starts no token
             message = f"unsupported character {text[0]!r}"
             if group == "open":
                 message = "unterminated `{` resource literal"
             raise ParseError(message, lines.span(start, start + 1))
-        toks.append(Token(kind, text[1:-1] if kind == "ELEM" else text, start, pos, lines))
-    toks.append(Token("EOF", "", eof, eof, lines))
+        append(_new(Token, (kind, text, start, pos, lines)))
+    append(_new(Token, ("EOF", "", eof, eof, lines)))
     return toks
 
 
@@ -254,6 +271,7 @@ class Parser:
         self.opm = opm
         self._fresh = 0
         self._used = {t.text for t in self.toks if t.kind == "IDENT"}
+        self._elements: dict[str, object] = {}  # literal text -> its index, parsed once
 
     # -- token plumbing; `pos` never passes EOF, as only other kinds are consumed
 
@@ -284,10 +302,13 @@ class Parser:
                 return name
 
     def element(self, tok: Token) -> object:
-        try:
-            return self.opm.parse_element(tok.text)
-        except OpmError as exc:
-            raise ParseError(str(exc), tok.span) from None
+        elements = self._elements
+        if tok.text not in elements:
+            try:
+                elements[tok.text] = self.opm.parse_element(tok.text)
+            except OpmError as exc:
+                raise ParseError(str(exc), tok.span) from None
+        return elements[tok.text]
 
     # -- entry point
 

@@ -32,14 +32,15 @@ def smoke_programs() -> list[pathlib.Path]:
     return sorted(SMOKE.glob("*.ord"))
 
 
-def workload_round(name: str) -> list:
-    """Round 0, seed 1, of one of the benchmark's generated workloads, as jobs."""
+def workload_round(name: str, round_: int = 0) -> list:
+    """One round (0 unless given), seed 1, of one of the benchmark's generated
+    workloads, as jobs."""
     if "workloads" not in sys.modules:
         spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
         module = importlib.util.module_from_spec(spec)
         sys.modules["workloads"] = module
         spec.loader.exec_module(module)
-    return sys.modules["workloads"].WORKLOADS[name](1, 0)
+    return sys.modules["workloads"].WORKLOADS[name](1, round_)
 
 
 def scaling_families() -> dict:

@@ -11,9 +11,11 @@ hand-unrolled redex search are the references for `surface.lex`,
 `regex.parse_regex`, `regex.regex_from_dfa`, `surface.Parser` and the
 table-driven `_find_redex` below; the hand-written state searches `reference_to_dfa`,
 `reference_includes` and `reference_continuation_dfa` are the references for
-`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`, and the
-one-branch-per-former `reference_locations` is the reference for
-`core.locations`.  `reference_lex_counting`, the one-pattern lexer that
+`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`;
+`reference_best_continuation`, which takes the quotient by a word one
+`regex.derivative` per letter, is the reference for the regex OPM's walk
+along a word; and the one-branch-per-former `reference_locations` is the
+reference for `core.locations`.  `reference_lex_counting`, the one-pattern lexer that
 counted lines and columns as it went, is the reference for the positions
 `surface.lex` computes from offsets.  The substitution evaluator
 (`reference_step` over `ReferenceConfig`, with the capture-avoiding
@@ -306,6 +308,19 @@ def reference_continuation_dfa(num: rx.Regex, den: rx.Regex) -> Optional[rx.Dfa]
         ix for st, ix in states.items() if all(q in dn.accepting for q in st)
     )
     return rx.Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
+
+
+def reference_best_continuation(x: rx.Regex, y: rx.Regex) -> Optional[rx.Regex]:
+    """`RegexOpm.best_continuation` with the quotient by a word taken one
+    `derivative` of a leaf per letter, each building its own leaf."""
+    word = rx._word(x)
+    if word is None:
+        pd = rx.product_derivative(y, x)
+        return None if rx.is_empty_language(pd) else pd
+    z = y if isinstance(y, rx.Auto) else rx.Auto(rx.to_dfa(y, rx._joint_alphabet(y)))
+    for a in word:
+        z = rx.derivative(z, a)
+    return z if isinstance(z, rx.Auto) and z.dfa.start in rx._coreachable(z.dfa) else None
 
 
 def reference_regex_from_dfa(dfa: rx.Dfa) -> rx.Regex:

@@ -28,6 +28,7 @@ from oracles import (
     naive_symbols,
     random_regex,
     rebuild_regex,
+    reference_best_continuation,
     reference_continuation_dfa,
     reference_includes,
     reference_parse_regex,
@@ -746,6 +747,76 @@ def test_derivative_calls_do_not_grow_with_the_walk(regex_opm, monkeypatch):
         check_program(sf.parse(_borrow(k), regex_opm), regex_opm)
         per_walk[k] = calls["derivative"]
     assert per_walk[3] <= 1.2 * per_walk[1], per_walk
+
+
+def _leaf_builds(monkeypatch):
+    """Record each `best_continuation` call with the leaves built inside it."""
+    built, calls = [0], []
+    store = rx.Regex.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        store(self)
+
+    monkeypatch.setattr(rx.Auto, "__post_init__", counted)
+    walk = rx.RegexOpm.best_continuation
+
+    def best_continuation(self, x, y):
+        before = built[0]
+        got = walk(self, x, y)
+        calls.append((x, y, got, built[0] - before))
+        return got
+
+    monkeypatch.setattr(rx.RegexOpm, "best_continuation", best_continuation)
+    return calls
+
+
+def _assert_one_leaf_and_the_per_letter_result(calls):
+    for x, y, got, leaves in calls:
+        assert leaves <= 1, (rx.show(x), rx.show(y), leaves)
+        assert got == reference_best_continuation(x, y), (rx.show(x), rx.show(y))
+
+
+def test_a_word_walk_builds_one_leaf_on_the_benchmark_rounds(regex_opm, monkeypatch):
+    # the walk moves the start along the transition table and builds one leaf
+    # where it ends; the per-letter walk built one per letter
+    calls = _leaf_builds(monkeypatch)
+    for name in ("borrow", "deep"):
+        for job in workload_round(name):
+            if job.opm != "regex":
+                continue
+            try:
+                checked = check_program(sf.parse(job.source, regex_opm), regex_opm)
+            except TypeCheckError:  # the round's defects: checked up to the bad op
+                continue
+            run(checked.core, regex_opm)
+    monkeypatch.undo()  # the reference's leaves are not counted
+    assert sum(bool(rx._word(x)) for x, *_ in calls) > 100, len(calls)
+    _assert_one_leaf_and_the_per_letter_result(calls)
+
+
+@given(
+    st.one_of(words(), regexes(max_depth=3)), regexes(), regexes(), words(),
+    st.sampled_from(["literal", "leaf", "moved"]),
+)
+@example(x=rx.parse_regex("rwc"), num=rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), den=W, prefix=W,
+         kind="moved")
+@example(x=rx.EPS, num=ENVELOPE, den=ENVELOPE, prefix=R, kind="moved")
+@example(x=rx.parse_regex("dr"), num=ENVELOPE, den=R, prefix=R, kind="literal")
+@settings(max_examples=150, deadline=None)
+def test_a_word_walk_builds_one_leaf_on_generated_regexes(x, num, den, prefix, kind):
+    opm = rx.RegexOpm()
+    y = {
+        "literal": lambda: num,
+        "leaf": lambda: rx.product_derivative(num, den),
+        "moved": lambda: opm.best_continuation(prefix, num),
+    }[kind]()
+    if y is None or rx.is_empty_language(y):
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _leaf_builds(monkeypatch)
+        opm.best_continuation(x, y)
+    _assert_one_leaf_and_the_per_letter_result(calls)
 
 
 def test_no_read_back_node_is_derived(regex_opm, monkeypatch):

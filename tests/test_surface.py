@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from ordlang import core as co
 from ordlang import regex as rx
 from ordlang import surface as sf
+from ordlang.cli import main
 from ordlang.opm import get_opm
 
 from conftest import PROGRAMS, program_source, workload_round
@@ -209,6 +213,24 @@ def test_lex_matches_the_counting_lexer(source):
     assert _lexed(sf.lex, source) == _lexed(reference_lex_counting, source)
 
 
+def _benchmark_sources():
+    """Every `programs/` file and every seed-1 source of rounds 0 to 2 of the
+    generated workloads, each with the OPM it is written for."""
+    sources = [(path.read_text(), "regex") for path in sorted(PROGRAMS.glob("**/*.ord"))]
+    for name in ("wide", "borrow", "deep"):
+        sources += [(job.source, job.opm) for r in range(3) for job in workload_round(name, r)]
+    return sources
+
+
+BENCHMARK_SOURCES = _benchmark_sources()
+
+
+def test_lex_matches_the_counting_lexer_on_programs_and_workloads():
+    # the sources the benchmark lexes, besides the generated text above
+    for source, _opm in BENCHMARK_SOURCES:
+        assert _lexed(sf.lex, source) == _lexed(reference_lex_counting, source)
+
+
 def _children(e: sf.SurfaceExpr):
     return [getattr(e, name) for name, _binders in sf.SHAPES.get(type(e), ())]
 
@@ -289,6 +311,62 @@ def test_parser_matches_the_reference_parser_on_edited_sources(case, edits):
         i = int(where * len(source))
         source = source[:i] + piece + source[i + width:]
     assert _parsed(sf.Parser, source, opm) == _parsed(ReferenceParser, source, opm)
+
+
+def _indices(e: sf.SurfaceExpr) -> list:
+    """Every index in a tree: those of its nodes and of its annotations' types."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if field.name == "index":
+                out.append(value)
+            elif dataclasses.is_dataclass(value):
+                stack.append(value)
+    return out
+
+
+def test_each_distinct_literal_is_parsed_once_per_program(monkeypatch):
+    # every occurrence of a literal text shares the index parsed at its first
+    elements = []
+    element = sf.Parser.element
+
+    def recorded(self, tok):
+        index = element(self, tok)
+        elements.append((tok.text, index))
+        return index
+
+    monkeypatch.setattr(sf.Parser, "element", recorded)
+    for source, opm_name in BENCHMARK_SOURCES:
+        opm, parsed = get_opm(opm_name), Counter()
+        parse_element = opm.parse_element
+
+        def counted(text, _parsed=parsed, _parse=parse_element):
+            _parsed[text] += 1
+            return _parse(text)
+
+        monkeypatch.setattr(opm, "parse_element", counted)
+        elements.clear()
+        tree = sf.parse(source, opm)
+        texts = [t.text for t in sf.lex(source) if t.kind == "ELEM"]
+        assert parsed == Counter(set(texts)), source
+        first = {}
+        for text, index in elements:
+            assert first.setdefault(text, index) is index, (text, source)
+        assert sorted(map(id, _indices(tree))) == sorted(id(index) for _text, index in elements)
+        assert len(elements) == len(texts)
+
+
+def test_a_bad_literal_is_reported_at_its_first_occurrence(tmp_path, capsys):
+    path = tmp_path / "bad.ord"
+    path.write_text(
+        "let x = new {r*} in\nlet y = new {r|} in\ndrop x;\ndrop y;\nlet z = new {r|} in drop z\n"
+    )
+    assert main(["check", "--json", str(path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    diagnostic = json.loads(line)
+    assert (diagnostic["kind"], diagnostic["line"], diagnostic["col"]) == ("parse-error", 2, 13)
 
 
 def _nodes(e: sf.SurfaceExpr) -> int:
