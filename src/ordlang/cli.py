@@ -7,13 +7,18 @@ With --json every diagnostic is one JSON line (kind, line, col, message).
 Those without a source position are at line 0, col 0: io-error,
 limit-exceeded, unknown-binding (dump-graph), and the run-time failures
 fuel-exhausted, stuck, oracle-violation (one line each) and leaked-resources.
+
+Arguments are read from a table of the commands and their options, in any
+order, as `--name VALUE`, `--name=VALUE` or a unique prefix of --name; `--`
+may come before FILE, and -h or --help prints help.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import context as cx
@@ -26,20 +31,120 @@ from .surface import ParseError, parse
 
 USAGE_EXIT = 64
 LIMITS = (RecursionError, StateBudgetExceeded)
+OPTIONS = {  # option: (kind, default, help); one whose default is None is required
+    "--help": ("flag", False, "show this help message and exit"),
+    "--opm": ("opm", "regex", "OPM that reads the resource literals (default regex)"),
+    "--json": ("flag", False, "JSON-lines diagnostics"),
+    "--fuel": ("int", 100_000, "allow at most FUEL evaluation steps (default 100000)"),
+    "--paranoid": ("flag", False, "run the heap oracle at every step"),
+    "--binding": ("name", None, "name of the let binding to inspect"),
+}
+COMMON = ("--help", "--opm", "--json")
+COMMANDS = {  # command: (help, its options in usage order)
+    "check": ("typecheck a program", COMMON),
+    "run": ("typecheck and evaluate", (*COMMON, "--fuel", "--paranoid")),
+    "trace": ("run, printing one line per step", (*COMMON, "--fuel")),
+    "dump-core": ("print the elaborated core term", COMMON),
+    "dump-graph": ("print the typing context DAG at a binding, as DOT", (*COMMON, "--binding")),
+}
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")  # a negative number is a positional
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+class _UsageError(Exception):
+    """args: the command whose usage applies (None: the top level), the message."""
+
+
+def _spelled(name: str) -> str:
+    metavar = "{" + ",".join(known_opms()) + "}" if name == "--opm" else name[2:].upper()
+    return name if OPTIONS[name][0] == "flag" else f"{name} {metavar}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: ordlang [-h] {" + ",".join(COMMANDS) + "} ..."
+    names = COMMANDS[command][1][1:]
+    words = [_spelled(n) if OPTIONS[n][1] is None else f"[{_spelled(n)}]" for n in names]
+    return f"usage: ordlang {command} [-h] {' '.join(words)} file"
+
+
+def _help(command: Optional[str]) -> str:
+    about, names = COMMANDS[command] if command else ((__doc__ or "").strip(), tuple(OPTIONS))
+    rows = [("file", "source file (.ord)")] if command else [(c, v[0]) for c, v in COMMANDS.items()]
+    rows += [("-h, --help" if n == "--help" else _spelled(n), OPTIONS[n][2]) for n in names]
+    return "\n".join([_usage(command), "", about, "", *(f"  {a:<26}{b}" for a, b in rows)])
+
+
+def _option(arg: str, names: tuple[str, ...]) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """None for a positional `arg`, else the option it names (None when
+    unknown) and its value after `=` or glued to -h (None when absent)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "h":
+        return "--help", arg[2:].removeprefix("=") if arg[2:] else None
+    prefix, eq, value = arg.partition("=")
+    matches = [name for name in names if name.startswith(prefix)] if arg[1] == "-" else []
+    if len(matches) == 1:
+        return matches[0], value if eq else None
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _parse_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The command and its values, or None once help is printed. A usage error
+    raises _UsageError: a bad option as met, then a missing argument, then
+    extra arguments, then a negative --fuel."""
+    command, names, values, extras = None, ("--help",), {"file": None}, []
+    separated, rest = False, iter(argv)  # after `--`: FILE and extra arguments
+    for arg in rest:
+        if arg == "--" and command is not None and not separated:
+            separated = True
+            continue
+        option = None if separated or arg == "--" else _option(arg, names)
+        # a positional is the command, then FILE, then an extra argument
+        name, text = option or ("command" if command is None else "file", arg)
+        if name is None or name == "file" and values["file"] is not None:
+            extras.append(arg)
+            continue
+        kind = OPTIONS[name][0] if name in OPTIONS else name
+        if kind == "flag":
+            if text is not None:
+                label = "-h/--help" if name == "--help" else name
+                raise _UsageError(command, f"argument {label}: ignored explicit argument {text!r}")
+            if name == "--help":
+                print(_help(command))
+                return None
+            values[name[2:]] = True
+            continue
+        if text is None:
+            text = next(rest, "--")  # an option, `--` or the end is no value
+            if text == "--" or _option(text, names) is not None:
+                raise _UsageError(command, f"argument {name}: expected one argument")
+        try:
+            value = int(text) if kind == "int" else text
+        except ValueError:
+            raise _UsageError(command, f"argument {name}: invalid int value: {text!r}") from None
+        choices = {"command": tuple(COMMANDS), "opm": tuple(known_opms())}.get(kind, ())
+        if choices and value not in choices:
+            message = f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+            raise _UsageError(command, f"argument {name}: {message}")
+        values[name.lstrip("-")] = value
+        if name == "command":
+            command, names = value, COMMANDS[value][1]
+            values.update((n[2:], OPTIONS[n][1]) for n in names[1:])
+    if command is None:
+        raise _UsageError(None, "the following arguments are required: command")
+    missing = [name for name in ("file", *names[1:]) if values[name.lstrip("-")] is None]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(extras)}")
+    if values.get("fuel", 0) < 0:
+        raise _UsageError(command, f"argument --fuel: must be at least 0, got {values['fuel']}")
+    return SimpleNamespace(**values)
 
 
 def _diag(path: str, kind: str, line: int, col: int, message: str, as_json: bool) -> str:
     if as_json:
-        return json.dumps(
-            {"kind": kind, "line": line, "col": col, "message": message}
-        )
+        return json.dumps({"kind": kind, "line": line, "col": col, "message": message})
     return f"{path}:{line}:{col}: {kind}: {message}"
 
 
@@ -59,66 +164,30 @@ def _load_and_check(path: str, opm_name: str, as_json: bool):
         print(_diag(path, "io-error", 0, 0, str(exc), as_json), file=sys.stderr)
         return None
     try:
-        program = parse(source, opm)
-        checked = check_program(program, opm)
+        return check_program(parse(source, opm), opm), opm
     except ParseError as exc:
-        print(
-            _diag(path, "parse-error", exc.span.line, exc.span.col, exc.message, as_json),
-            file=sys.stderr,
-        )
-        return None
+        kind, span, message = "parse-error", exc.span, exc.message
     except TypeCheckError as exc:
-        message = exc.message
+        kind, span, message = exc.kind, exc.span, exc.message
         if exc.expected is not None:
             message += f" (expected {exc.expected}, got {exc.actual})"
-        print(
-            _diag(path, exc.kind, exc.span.line, exc.span.col, message, as_json),
-            file=sys.stderr,
-        )
-        return None
     except LIMITS as exc:
-        print(_diag(path, "limit-exceeded", 0, 0, str(exc), as_json), file=sys.stderr)
-        return None
-    return checked, opm
+        kind, span, message = "limit-exceeded", None, str(exc)
+    line, col = (0, 0) if span is None else (span.line, span.col)
+    print(_diag(path, kind, line, col, message, as_json), file=sys.stderr)
+    return None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _Parser(prog="ordlang", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file", help="source file (.ord)")
-        p.add_argument("--opm", default="regex", choices=known_opms())
-        p.add_argument("--json", action="store_true", help="JSON-lines diagnostics")
-
-    p_check = sub.add_parser("check", help="typecheck a program")
-    common(p_check)
-
-    p_run = sub.add_parser("run", help="typecheck and evaluate")
-    common(p_run)
-    p_run.add_argument("--fuel", type=int, default=100_000)
-    p_run.add_argument(
-        "--paranoid", action="store_true", help="run the heap oracle at every step"
-    )
-
-    p_trace = sub.add_parser("trace", help="run, printing one line per step")
-    common(p_trace)
-    p_trace.add_argument("--fuel", type=int, default=100_000)
-
-    p_dump = sub.add_parser("dump-core", help="print the elaborated core term")
-    common(p_dump)
-
-    p_graph = sub.add_parser(
-        "dump-graph", help="print the typing context DAG at a binding, as DOT"
-    )
-    common(p_graph)
-    p_graph.add_argument(
-        "--binding", required=True, help="name of the let binding to inspect"
-    )
-
-    args = parser.parse_args(argv)
-    if getattr(args, "fuel", 0) < 0:
-        sub.choices[args.command].error(f"argument --fuel: must be at least 0, got {args.fuel}")
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = "ordlang" if command is None else f"ordlang {command}"
+        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return USAGE_EXIT
+    if args is None:  # help was printed
+        return 0
     loaded = _load_and_check(args.file, args.opm, args.json)
     if loaded is None:
         return 1
@@ -129,13 +198,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if args.command in ("run", "trace") else 1
 
 
-def _command(args: argparse.Namespace, checked, opm) -> int:
-    if args.command == "check":
-        print("ok")
-        return 0
-
-    if args.command == "dump-core":
-        print(pretty_core(checked.core, opm))
+def _command(args: SimpleNamespace, checked, opm) -> int:
+    if args.command in ("check", "dump-core"):
+        print("ok" if args.command == "check" else pretty_core(checked.core, opm))
         return 0
 
     if args.command == "dump-graph":
@@ -160,10 +225,8 @@ def _command(args: argparse.Namespace, checked, opm) -> int:
         _report(args.file, "fuel-exhausted", message, args.json)
         return 2
     if result.outcome == "stuck":
-        message = (
-            f"stuck({result.stuck_reason}) at {pretty_core(result.stuck_redex, opm)} "
-            f"with heap {show_heap(result.config.heap, opm)}"
-        )
+        redex, heap = pretty_core(result.stuck_redex, opm), show_heap(result.config.heap, opm)
+        message = f"stuck({result.stuck_reason}) at {redex} with heap {heap}"
         _report(args.file, "stuck", message, args.json)
         return 2
     for index, violation in result.violations:

@@ -20,10 +20,7 @@ from conftest import PROGRAMS, scaling_families, smoke_programs
 
 
 def invoke(*argv):
-    try:
-        return main(list(argv))
-    except SystemExit as exc:  # argparse usage failures
-        return exc.code
+    return main(list(argv))  # every exit code, usage errors and help included
 
 
 def test_check_accepts_copy(capsys):
@@ -148,6 +145,93 @@ def test_usage_errors_exit_64(capsys):
     assert invoke() == 64
     assert invoke("nonsense") == 64
     assert invoke("dump-graph", str(PROGRAMS / "copy.ord")) == 64  # missing --binding
+
+
+COPY = str(PROGRAMS / "copy.ord")
+MISUSE = str(PROGRAMS / "misuse.ord")
+TOP_USAGE = "usage: ordlang [-h] {check,run,trace,dump-core,dump-graph} ..."
+CHOOSE = "(choose from 'check', 'run', 'trace', 'dump-core', 'dump-graph')"
+
+
+# argv, exit code, first line of stdout, last line of stderr. The error lines
+# are the ones argparse prints under Python 3.11, so that scripts reading them
+# see the same text.
+USAGE_MATRIX = [
+    ([], 64, "", "ordlang: error: the following arguments are required: command"),
+    (["nonsense", COPY], 64, "",
+     f"ordlang: error: argument command: invalid choice: 'nonsense' {CHOOSE}"),
+    (["check"], 64, "", "ordlang check: error: the following arguments are required: file"),
+    (["dump-graph"], 64, "",
+     "ordlang dump-graph: error: the following arguments are required: file, --binding"),
+    (["check", COPY, "extra"], 64, "", "ordlang: error: unrecognized arguments: extra"),
+    (["check", COPY, "--fuel", "3"], 64, "", "ordlang: error: unrecognized arguments: --fuel 3"),
+    (["check", COPY, "--opm", "foo"], 64, "", "ordlang check: error: argument --opm: "
+     "invalid choice: 'foo' (choose from 'ownership', 'regex')"),
+    (["run", COPY, "--fuel", "x"], 64, "",
+     "ordlang run: error: argument --fuel: invalid int value: 'x'"),
+    (["trace", "--fuel=-5", COPY], 64, "",
+     "ordlang trace: error: argument --fuel: must be at least 0, got -5"),
+    (["dump-graph", COPY], 64, "",
+     "ordlang dump-graph: error: the following arguments are required: --binding"),
+    (["check", COPY, "--opm"], 64, "",
+     "ordlang check: error: argument --opm: expected one argument"),
+    (["run", "--fuel", "--json", COPY], 64, "",
+     "ordlang run: error: argument --fuel: expected one argument"),
+    (["check", COPY, "--json=1"], 64, "",
+     "ordlang check: error: argument --json: ignored explicit argument '1'"),
+    (["check", "--opm=ownership", COPY], 1, "",
+     f"{COPY}:1:12: parse-error: not an element of the ownership OPM: 'r*'"),
+    (["run", "--fuel", "22", "--paranoid", COPY], 0, "unit", ""),
+    (["run", "--par", COPY], 0, "unit", ""),
+    (["check", "--jso", MISUSE], 1, "", '{"kind": "context-misuse", "line": 6, "col": 1, '
+     '"message": "no binding mode fits: `x2` must be used after `f`"}'),
+    (["check", "--", COPY], 0, "ok", ""),
+    (["dump-graph", "--b=if1", COPY], 0, 'digraph "if1" {', ""),
+    (["-h"], 0, TOP_USAGE, ""),
+    (["run", "-h"], 0, "usage: ordlang run [-h] [--opm {ownership,regex}] [--json] [--fuel FUEL] "
+     "[--paranoid] file", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    USAGE_MATRIX,
+    ids=[" ".join(argv).replace(str(PROGRAMS), "programs") or "-" for argv, *_ in USAGE_MATRIX],
+)
+def test_usage_matrix(argv, code, out, err, capsys):
+    assert invoke(*argv) == code
+    stdout, stderr = capsys.readouterr()
+    assert (stdout.partition("\n")[0], stderr.splitlines()[-1:]) == (out, [err] if err else [])
+    if code == 64:  # the usage line of the command named in the error line
+        command = err.partition(":")[0].removeprefix("ordlang")
+        expected = TOP_USAGE if not command else f"usage: ordlang{command} [-h] "
+        assert len(stderr.splitlines()) == 2 and stderr.startswith(expected)
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_every_command_and_option(command, capsys):
+    argv = ["--help"] if command is None else [command, COPY, "--he"]
+    assert invoke(*argv) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    names = ["file", *cli.COMMANDS[command][1]] if command else [*cli.COMMANDS, *cli.OPTIONS]
+    for name in names:  # each at the start of a row
+        assert f"\n  {'-h, --help' if name == '--help' else name} " in stdout, name
+
+
+def test_a_cli_call_imports_no_argparse_gettext_or_locale():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from ordlang.cli import main\n"
+        "main(['check', sys.argv[1]])\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, COPY], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n[]\n", "")
 
 
 def test_fuel_allows_exactly_that_many_steps(capsys):
