@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 from . import context as cx
 from . import surface as sf
@@ -63,21 +62,18 @@ KINDS = (
 
 
 class TypeCheckError(Exception):
-    def __init__(
-        self,
-        kind: str,
-        span: Span,
-        message: str,
-        expected: Optional[str] = None,
-        actual: Optional[str] = None,
-    ):
+    def __init__(self, kind: str, span: Span, message: str):
         assert kind in KINDS
         super().__init__(message)
         self.kind = kind
         self.span = span
         self.message = message
-        self.expected = expected
-        self.actual = actual
+
+
+def _mismatch(span: Span, message: str, expected: str, actual: CoreType, opm: Opm):
+    """The type-mismatch error, its message ending in what was expected and got."""
+    got = show_type(actual, opm)
+    return TypeCheckError("type-mismatch", span, f"{message} (expected {expected}, got {got})")
 
 
 @dataclass
@@ -229,13 +225,7 @@ class Checker:
 
     def _trace_index(self, t: CoreType, span: Span, what: str):
         if not isinstance(t, TraceType):
-            raise TypeCheckError(
-                "type-mismatch",
-                span,
-                f"{what} expects a resource",
-                expected="a resource type [m]",
-                actual=show_type(t, self.opm),
-            )
+            raise _mismatch(span, f"{what} expects a resource", "a resource type [m]", t, self.opm)
         return t.index
 
     def _infer_app(self, ctx: cx.Ctx, e: sf.SApp) -> InferResult:
@@ -243,13 +233,8 @@ class Checker:
         ctx_a = cx.restrict(ctx, surface_fv(e.arg))
         rf = self.infer(ctx_f, e.fn)
         if not isinstance(rf.type, ArrowType):
-            raise TypeCheckError(
-                "type-mismatch",
-                e.fn.span,
-                "only functions can be applied",
-                expected="a function type",
-                actual=show_type(rf.type, self.opm),
-            )
+            what = "only functions can be applied"
+            raise _mismatch(e.fn.span, what, "a function type", rf.type, self.opm)
         arrow = rf.type
         first, second = (ctx_a, ctx_f) if arrow.mode == LEFT else (ctx_f, ctx_a)
         former = cx.par if arrow.mode == UNORD else cx.seq
@@ -257,13 +242,8 @@ class Checker:
         self._split(e.span, what, ctx, first, second, former)
         ra = self.infer(ctx_a, e.arg)
         if not types_equal(ra.type, arrow.param, self.opm):
-            raise TypeCheckError(
-                "type-mismatch",
-                e.arg.span,
-                "argument type does not match the function parameter",
-                expected=show_type(arrow.param, self.opm),
-                actual=show_type(ra.type, self.opm),
-            )
+            what = "argument type does not match the function parameter"
+            raise _mismatch(e.arg.span, what, show_type(arrow.param, self.opm), ra.type, self.opm)
         if arrow.mode == RIGHT and ra.effect != 0:
             raise TypeCheckError(
                 "effect-violation",
@@ -317,13 +297,8 @@ class Checker:
         pattern, ctx_h = split
         rh = self.infer(ctx_h, e.header)
         if not isinstance(rh.type, ProdType):
-            raise TypeCheckError(
-                "type-mismatch",
-                e.header.span,
-                "let-pair header must be a pair",
-                expected="a pair type",
-                actual=show_type(rh.type, self.opm),
-            )
+            what = "let-pair header must be a pair"
+            raise _mismatch(e.header.span, what, "a pair type", rh.type, self.opm)
         if rh.effect != 0:
             raise TypeCheckError(
                 "effect-violation",
@@ -383,13 +358,8 @@ class Checker:
     ) -> tuple[Effect, CoreTerm]:
         if isinstance(e, sf.SLam):
             if not isinstance(ty, ArrowType):
-                raise TypeCheckError(
-                    "type-mismatch",
-                    e.span,
-                    "lambda checked against a non-function type",
-                    expected="a function type",
-                    actual=show_type(ty, self.opm),
-                )
+                what = "lambda checked against a non-function type"
+                raise _mismatch(e.span, what, "a function type", ty, self.opm)
             if ty.mode == PLAIN and not cx.all_unr(ctx):
                 raise TypeCheckError(
                     "mode-mismatch",
@@ -418,13 +388,8 @@ class Checker:
 
         result = self.infer(ctx, e)
         if not types_equal(result.type, ty, self.opm):
-            raise TypeCheckError(
-                "type-mismatch",
-                e.span,
-                "expression type does not match the annotation",
-                expected=show_type(ty, self.opm),
-                actual=show_type(result.type, self.opm),
-            )
+            what = "expression type does not match the annotation"
+            raise _mismatch(e.span, what, show_type(ty, self.opm), result.type, self.opm)
         return result.effect, result.core
 
 
@@ -446,13 +411,8 @@ def check_program(program: SurfaceExpr, opm: Opm) -> CheckedProgram:
     checker = Checker(opm)
     result = checker.infer(cx.EMPTY, program)
     if not unr(result.type):
-        raise TypeCheckError(
-            "type-mismatch",
-            program.span,
-            "a whole program must have an unrestricted type",
-            expected="an unrestricted type",
-            actual=show_type(result.type, opm),
-        )
+        what = "a whole program must have an unrestricted type"
+        raise _mismatch(program.span, what, "an unrestricted type", result.type, opm)
     return CheckedProgram(
         result.type, result.effect, result.core, checker.binding_trees
     )

@@ -1,7 +1,8 @@
 """Command-line driver: check, run, trace, dump-core, dump-graph.
 
 Exit codes: 0 success, 1 parse/type errors, unreadable files and check-time
-limits, 2 runtime violations and run-time limits, 64 usage.
+limits, 2 runtime violations and run-time limits, 64 usage; a call whose
+stdout is closed early (`| head -1`) stops printing and exits 1, quietly.
 
 With --json every diagnostic is one JSON line (kind, line, col, message).
 Those without a source position are at line 0, col 0: io-error,
@@ -165,12 +166,8 @@ def _load_and_check(path: str, opm_name: str, as_json: bool):
         return None
     try:
         return check_program(parse(source, opm), opm), opm
-    except ParseError as exc:
-        kind, span, message = "parse-error", exc.span, exc.message
-    except TypeCheckError as exc:
+    except (ParseError, TypeCheckError) as exc:
         kind, span, message = exc.kind, exc.span, exc.message
-        if exc.expected is not None:
-            message += f" (expected {exc.expected}, got {exc.actual})"
     except LIMITS as exc:
         kind, span, message = "limit-exceeded", None, str(exc)
     line, col = (0, 0) if span is None else (span.line, span.col)
@@ -180,7 +177,18 @@ def _load_and_check(path: str, opm_name: str, as_json: bool):
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = _main(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed stdout fails here rather than at exit
+        return code
+    except BrokenPipeError:  # stdout was closed: print nothing more, even at exit
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str]) -> int:
+    try:
+        args = _parse_args(argv)
     except _UsageError as exc:
         command, message = exc.args
         prog = "ordlang" if command is None else f"ordlang {command}"

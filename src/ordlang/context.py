@@ -201,33 +201,28 @@ class Interp:
 EMPTY_GRAPH = GraphRep(0, (), frozenset())
 
 
-def graph_join(g1: GraphRep, g2: GraphRep) -> GraphRep:
-    """Disjoint sum plus every edge from a g1 vertex to a g2 vertex."""
-    shifted = {(a + g1.n, b + g1.n) for (a, b) in g2.edges}
-    cross = {(a, b + g1.n) for a in range(g1.n) for b in range(g2.n)}
-    return GraphRep(g1.n + g2.n, g1.labels + g2.labels, g1.edges | shifted | cross)
-
-
-def graph_union(g1: GraphRep, g2: GraphRep) -> GraphRep:
-    shifted = {(a + g1.n, b + g1.n) for (a, b) in g2.edges}
-    return GraphRep(g1.n + g2.n, g1.labels + g2.labels, g1.edges | shifted)
-
-
 def interpret(ctx: Ctx) -> Interp:
-    if isinstance(ctx, Empty):
-        return Interp(EMPTY_GRAPH, frozenset())
-    if isinstance(ctx, Bind):
-        b = ctx.binding
-        if b.is_unr():
-            return Interp(EMPTY_GRAPH, frozenset({b}))
-        return Interp(GraphRep(1, (b,), frozenset()), frozenset())
-    if isinstance(ctx, Seq):
-        i1, i2 = interpret(ctx.left), interpret(ctx.right)
-        return Interp(graph_join(i1.graph, i2.graph), i1.unrs | i2.unrs)
-    if isinstance(ctx, Par):
-        i1, i2 = interpret(ctx.left), interpret(ctx.right)
-        return Interp(graph_union(i1.graph, i2.graph), i1.unrs | i2.unrs)
-    raise ValueError("cannot interpret a context pattern")
+    """The ordered bindings as vertices in tree order, with an edge from each
+    vertex left of a `,` to each vertex right of it; the unrestricted aside."""
+    labels: list[Binding] = []
+    edges: set[tuple[int, int]] = set()
+    unrs: set[Binding] = set()
+
+    def walk(c: Ctx) -> None:
+        if isinstance(c, Bind):
+            (unrs.add if c.binding.is_unr() else labels.append)(c.binding)
+        elif isinstance(c, (Seq, Par)):
+            first = len(labels)
+            walk(c.left)
+            mid = len(labels)
+            walk(c.right)
+            if isinstance(c, Seq):  # a subtree's vertices are consecutive
+                edges.update((a, b) for a in range(first, mid) for b in range(mid, len(labels)))
+        elif not isinstance(c, Empty):
+            raise ValueError("cannot interpret a context pattern")
+
+    walk(ctx)
+    return Interp(GraphRep(len(labels), tuple(labels), frozenset(edges)), frozenset(unrs))
 
 
 def _label_classes(g: GraphRep) -> dict[Binding, list[int]]:

@@ -59,6 +59,8 @@ class Lines:
 
 
 class ParseError(Exception):
+    kind = "parse-error"
+
     def __init__(self, message: str, span: Span):
         super().__init__(message)
         self.message = message

@@ -75,6 +75,50 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse-error" in capsys.readouterr().err
 
 
+# One program per place the checker raises a type mismatch, with the position
+# and message `check` prints for it.
+MISMATCHES = [
+    (
+        "drop (!{r} unit)",
+        1, 12, "operation expects a resource (expected a resource type [m], got Unit)",
+    ),
+    ("unit unit", 1, 1, "only functions can be applied (expected a function type, got Unit)"),
+    (
+        "let f : {r*} -[u 0]-> Unit f x = drop x in f (new {w})",
+        1, 47, "argument type does not match the function parameter (expected [r*], got [w])",
+    ),
+    (
+        "let a, b = new {r} in unit",
+        1, 12, "let-pair header must be a pair (expected a pair type, got [r])",
+    ),
+    (
+        "let f : Unit f x = x in f",
+        1, 16, "lambda checked against a non-function type (expected a function type, got Unit)",
+    ),
+    (
+        "(new {w} : {r*})",
+        1, 2, "expression type does not match the annotation (expected [r*], got [w])",
+    ),
+    (
+        "new {r*}",
+        1, 1,
+        "a whole program must have an unrestricted type (expected an unrestricted type, got [r*])",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, line, col, message", MISMATCHES)
+def test_type_mismatch_messages(source, line, col, message, tmp_path, capsys):
+    prog = tmp_path / "mismatch.ord"
+    prog.write_text(source + "\n")
+    assert invoke("check", "--json", str(prog)) == 1
+    assert _one_diagnostic(capsys) == {
+        "kind": "type-mismatch", "line": line, "col": col, "message": message,
+    }
+    assert invoke("check", str(prog)) == 1
+    assert capsys.readouterr().err == f"{prog}:{line}:{col}: type-mismatch: {message}\n"
+
+
 def test_run_prints_value_and_checks_heap(capsys):
     assert invoke("run", str(PROGRAMS / "copy.ord"), "--paranoid") == 0
     assert capsys.readouterr().out.strip() == "unit"
@@ -232,6 +276,22 @@ def test_a_cli_call_imports_no_argparse_gettext_or_locale():
         [sys.executable, "-c", code, COPY], env=env, capture_output=True, text=True, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n[]\n", "")
+
+
+def test_closed_stdout_stops_printing_quietly(tmp_path):
+    # The trace of resources(40) is far longer than a pipe buffer, so the
+    # writer meets the closed pipe while it still has steps to print.
+    prog = tmp_path / "resources40.ord"
+    prog.write_text(scaling_families()["resources"](40))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "ordlang.cli", "trace", str(prog)]
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"[0] ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_fuel_allows_exactly_that_many_steps(capsys):

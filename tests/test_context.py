@@ -83,18 +83,19 @@ def test_interpret_unr_goes_to_set():
 
 
 def test_graph_join_units():
+    # the empty context is a unit of `,` and `∥`, on either side
     g = cx.interpret(cx.Seq(X, Y)).graph
-    assert cx.graph_join(g, cx.EMPTY_GRAPH) == g
-    assert cx.graph_join(cx.EMPTY_GRAPH, g) == g
-    assert cx.graph_union(g, cx.EMPTY_GRAPH) == g
-    assert cx.graph_union(cx.EMPTY_GRAPH, g) == g
+    for former in (cx.Seq, cx.Par):
+        assert cx.interpret(former(cx.Seq(X, Y), cx.EMPTY)).graph == g
+        assert cx.interpret(former(cx.EMPTY, cx.Seq(X, Y))).graph == g
 
 
 def test_graph_join_cross_edges():
-    a = cx.interpret(X).graph
-    b = cx.interpret(Y).graph
-    assert cx.graph_join(a, b).edges == {(0, 1)}
-    assert cx.graph_union(a, b).edges == frozenset()
+    # `,` adds an edge from each vertex on its left to each on its right; `∥` none
+    assert cx.interpret(cx.Seq(cx.Par(X, Y), L0)).graph.edges == {(0, 2), (1, 2)}
+    assert cx.interpret(cx.Seq(X, cx.Par(Y, L0))).graph.edges == {(0, 1), (0, 2)}
+    assert cx.interpret(cx.Par(cx.Seq(X, Y), L0)).graph.edges == {(0, 1)}
+    assert cx.interpret(cx.Par(X, cx.Seq(Y, L0))).graph.edges == {(1, 2)}
 
 
 # -- iso / equiv / subcontext
@@ -105,11 +106,9 @@ def test_iso_reflexive():
 
 
 def test_union_commutes_up_to_iso():
-    a = cx.interpret(cx.Seq(X, Y)).graph
-    b = cx.interpret(U).graph  # empty graph
-    c = cx.interpret(L0).graph
-    assert cx.iso(cx.graph_union(a, c), cx.graph_union(c, a))
-    assert cx.iso(cx.graph_union(a, b), a)
+    a = cx.Seq(X, Y)
+    assert cx.iso(cx.interpret(cx.Par(a, L0)).graph, cx.interpret(cx.Par(L0, a)).graph)
+    assert cx.iso(cx.interpret(cx.Par(a, U)).graph, cx.interpret(a).graph)  # U: no vertex
 
 
 def test_iso_distinguishes_edges():
