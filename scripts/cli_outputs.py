@@ -10,8 +10,10 @@ script). Its `ordlang.cli.main` runs in this process for each of `check`,
 programs of seed-1 rounds 0-2 of the benchmark's `borrow`, `wide` and `deep`
 workloads, which TREE's `perfbench/workloads.py` generates into a temporary
 directory; then for `dump-graph --binding NAME` under both OPMs, on each
-`programs/**/*.ord` file with NAME each let binder written in it and one
-name that none binds. Each call prints its arguments, exit code, stdout and
+`programs/**/*.ord` file with NAME each let binder written in it, each other
+binder whose context TREE's checker records for it under either OPM (lambda
+and pattern parameters, the names of `;`), and one name that none binds.
+That makes 6522 calls. Each call prints its arguments, exit code, stdout and
 stderr, with that directory's path replaced by `<tmp>`, so the outputs of
 two trees can be compared with diff. A call that raises prints its
 exception instead of an exit code, and the script then exits 1.
@@ -55,6 +57,23 @@ def _write_rounds(tree: Path, out: Path) -> list[str]:
     return paths
 
 
+def _binders(path: str) -> list[str]:
+    """The let binders written in the program at `path`, then the other
+    binders that the checker records when the program checks."""
+    import ordlang
+    from ordlang.regex import StateBudgetExceeded
+
+    source = Path(path).read_text(encoding="utf-8")
+    names = [n for m in LET_BINDERS.finditer(source) for n in m.groups() if n]
+    for name in OPMS:
+        opm = ordlang.get_opm(name)
+        try:
+            names += ordlang.check_program(ordlang.parse(source, opm), opm).binding_trees
+        except (ordlang.ParseError, ordlang.TypeCheckError, RecursionError, StateBudgetExceeded):
+            pass  # it records nothing; its dump-graph calls print why
+    return list(dict.fromkeys(names))
+
+
 def _calls(programs: list[str], rounds: list[str]):
     """The argument lists of every call, in the order they are printed."""
     for path in programs + rounds:
@@ -62,9 +81,7 @@ def _calls(programs: list[str], rounds: list[str]):
             for opm in OPMS:
                 yield [command[0], path, "--opm", opm, *command[1:]]
     for path in programs:
-        source = Path(path).read_text(encoding="utf-8")
-        names = [n for m in LET_BINDERS.finditer(source) for n in m.groups() if n]
-        for name in [*dict.fromkeys(names), UNBOUND]:
+        for name in [*_binders(path), UNBOUND]:
             for opm in OPMS:
                 yield ["dump-graph", path, "--opm", opm, "--binding", name]
 

@@ -99,8 +99,14 @@ class Checker:
             if name not in avoid:
                 return name
 
-    def note_binding(self, name: str, ctx: cx.Ctx) -> None:
-        self.binding_trees.setdefault(name, ctx)
+    def _bind(self, name: str, ty: CoreType, ctx: cx.Ctx, mode: str) -> cx.Ctx:
+        """`ctx` extended by a binder of `mode`: `,` after it for u and r, `∥`
+        for o, `,` before it for l.  Recorded as the binder's tree."""
+        b = cx.Bind(cx.var_bind(name, ty))
+        first, second = (b, ctx) if mode == LEFT else (ctx, b)
+        inner = (cx.par if mode == UNORD else cx.seq)(first, second)
+        self.binding_trees.setdefault(name, inner)
+        return inner
 
     def _split(
         self, span: Span, what: str, ctx: cx.Ctx, first: cx.Ctx, second: cx.Ctx, former
@@ -118,6 +124,25 @@ class Checker:
         else:
             why = f"`{cx.label(x)}` would be discarded"
         raise TypeCheckError("context-misuse", span, f"{what}: {why}")
+
+    def _ordered(self, span: Span, what: str, ctx: cx.Ctx, first: cx.Ctx, second: cx.Ctx) -> bool:
+        """The weakest former that splits ctx into first and second: False
+        for `∥`, True for `,`; context-misuse `what` when neither does."""
+        if cx.split_violation(ctx, first, second, cx.par) is None:
+            return False
+        self._split(span, what, ctx, first, second, cx.seq)
+        return True
+
+    def _continuation(self, ctx: cx.Ctx, e: sf.SOp | sf.SSplit, what: str, refused: str):
+        """(e.arg's result, the best continuation of its index after e.index);
+        opm-violation `refused`, formatted with both indices, when there is none."""
+        sub = self.infer(ctx, e.arg)
+        m = self._trace_index(sub.type, e.arg.span, what)
+        rest = self.opm.best_continuation(e.index, m)
+        if rest is None:
+            shown = (f"{{{self.opm.show_element(i)}}}" for i in (e.index, m))
+            raise TypeCheckError("opm-violation", e.span, refused.format(*shown))
+        return sub, rest
 
     def _freshen_binder(
         self, name: str, body: SurfaceExpr, ctx: cx.Ctx, sibling: str = ""
@@ -143,31 +168,14 @@ class Checker:
             )
 
         if isinstance(e, sf.SOp):
-            sub = self.infer(ctx, e.arg)
-            m = self._trace_index(sub.type, e.arg.span, "operation")
-            rest = self.opm.best_continuation(e.index, m)
-            if rest is None:
-                raise TypeCheckError(
-                    "opm-violation",
-                    e.span,
-                    f"operation {{{self.opm.show_element(e.index)}}} is not "
-                    f"admitted by remaining usage "
-                    f"{{{self.opm.show_element(m)}}}",
-                )
+            refused = "operation {} is not admitted by remaining usage {}"
+            sub, rest = self._continuation(ctx, e, "operation", refused)
             core = App(PLAIN, OpConst(e.index), sub.core)
             return InferResult(TraceType(rest), max(sub.effect, 1), core)
 
         if isinstance(e, sf.SSplit):
-            sub = self.infer(ctx, e.arg)
-            m = self._trace_index(sub.type, e.arg.span, "split")
-            rest = self.opm.best_continuation(e.index, m)
-            if rest is None:
-                raise TypeCheckError(
-                    "opm-violation",
-                    e.span,
-                    f"cannot split {{{self.opm.show_element(e.index)}}} off "
-                    f"remaining usage {{{self.opm.show_element(m)}}}",
-                )
+            refused = "cannot split {} off remaining usage {}"
+            sub, rest = self._continuation(ctx, e, "split", refused)
             core = App(PLAIN, SplitConst(e.index, rest), sub.core)
             ty = ProdType(True, TraceType(e.index), TraceType(rest))
             return InferResult(ty, sub.effect, core)
@@ -266,20 +274,17 @@ class Checker:
         ctx_r = cx.restrict(ctx, surface_fv(e.right))
         rl = self.infer(ctx_l, e.left)
         rr = self.infer(ctx_r, e.right)
-        if cx.split_violation(ctx, ctx_l, ctx_r, cx.par) is None:
-            ty = ProdType(False, rl.type, rr.type)
-            return InferResult(ty, max(rl.effect, rr.effect), Pair(False, rl.core, rr.core))
         what = "pair components interleave resources"
-        self._split(e.span, what, ctx, ctx_l, ctx_r, cx.seq)
-        if ord_(rl.type) and rr.effect != 0:
+        ordered = self._ordered(e.span, what, ctx, ctx_l, ctx_r)
+        if ordered and ord_(rl.type) and rr.effect != 0:
             raise TypeCheckError(
                 "effect-violation",
                 e.right.span,
                 "second component of an ordered pair must be effect-free "
                 "when the first carries resources",
             )
-        ty = ProdType(True, rl.type, rr.type)
-        return InferResult(ty, max(rl.effect, rr.effect), Pair(True, rl.core, rr.core))
+        ty = ProdType(ordered, rl.type, rr.type)
+        return InferResult(ty, max(rl.effect, rr.effect), Pair(ordered, rl.core, rr.core))
 
     def _infer_letpair(self, ctx: cx.Ctx, e: sf.SLetPair) -> InferResult:
         if e.x == e.y:
@@ -308,15 +313,11 @@ class Checker:
         # the filled pattern binds the names `ctx` binds
         x, body = self._freshen_binder(e.x, e.body, ctx, e.y)
         y, body = self._freshen_binder(e.y, body, ctx, x)
-        bx = cx.var_bind(x, rh.type.left)
-        by = cx.var_bind(y, rh.type.right)
-        if rh.type.ordered:
-            plug: cx.Ctx = cx.seq(cx.Bind(bx), cx.Bind(by))
-        else:
-            plug = cx.par(cx.Bind(bx), cx.Bind(by))
+        join = cx.seq if rh.type.ordered else cx.par
+        plug = join(cx.Bind(cx.var_bind(x, rh.type.left)), cx.Bind(cx.var_bind(y, rh.type.right)))
         body_ctx = cx.fill(pattern, plug)
-        self.note_binding(x, body_ctx)
-        self.note_binding(y, body_ctx)
+        self.binding_trees.setdefault(x, body_ctx)
+        self.binding_trees.setdefault(y, body_ctx)
         rb = self.infer(body_ctx, body)
         core = LetPair(rh.type.ordered, x, y, rh.core, rb.core)
         return InferResult(rb.type, rb.effect, core)
@@ -334,20 +335,13 @@ class Checker:
                 span,
                 f"binding {name!r} holds resources but is never used",
             )
-        binding = cx.Bind(cx.var_bind(name, rh.type))
-
         # Least to most restrictive: unrestricted, unordered-linear, ordered.
         # `,` and `∥` split an all-unrestricted ctx_b alike: one test fits both.
-        if cx.split_violation(ctx, ctx_b, ctx_h, cx.par) is None:
-            if unr(rh.type) and cx.all_unr(ctx_b):
-                mode, body_ctx = PLAIN, cx.seq(ctx_b, binding)
-            else:
-                mode, body_ctx = UNORD, cx.par(ctx_b, binding)
+        if self._ordered(span, "no binding mode fits", ctx, ctx_h, ctx_b):
+            mode = LEFT
         else:
-            self._split(span, "no binding mode fits", ctx, ctx_h, ctx_b, cx.seq)
-            mode, body_ctx = LEFT, cx.seq(binding, ctx_b)
-        self.note_binding(name, body_ctx)
-        rb = self.infer(body_ctx, body)
+            mode = PLAIN if unr(rh.type) and cx.all_unr(ctx_b) else UNORD
+        rb = self.infer(self._bind(name, rh.type, ctx_b, mode), body)
         core = App(mode, Lam(mode, name, rb.core), rh.core)
         return InferResult(rb.type, max(rh.effect, rb.effect), core)
 
@@ -368,15 +362,7 @@ class Checker:
                     f"{cx.show_ctx(ctx, self.opm)}",
                 )
             var, body = self._freshen_binder(e.var, e.body, ctx)
-            binding = cx.Bind(cx.var_bind(var, ty.param))
-            if ty.mode == LEFT:
-                inner: cx.Ctx = cx.seq(binding, ctx)
-            elif ty.mode == UNORD:
-                inner = cx.par(ctx, binding)
-            else:  # PLAIN and RIGHT both extend on the right
-                inner = cx.seq(ctx, binding)
-            self.note_binding(var, inner)
-            eff, core = self.check(inner, body, ty.result)
+            eff, core = self.check(self._bind(var, ty.param, ctx, ty.mode), body, ty.result)
             if eff > ty.effect:
                 raise TypeCheckError(
                     "effect-violation",
@@ -394,10 +380,7 @@ class Checker:
 
 
 @dataclass
-class CheckedProgram:
-    type: CoreType
-    effect: Effect
-    core: CoreTerm
+class CheckedProgram(InferResult):
     binding_trees: dict[str, cx.Ctx] = field(default_factory=dict)
 
     @cached_property

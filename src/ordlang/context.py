@@ -128,14 +128,11 @@ def fill(pattern: Ctx, ctx: Ctx) -> Ctx:
     """Plug `ctx` into the unique hole of `pattern`."""
     if isinstance(pattern, Hole):
         return ctx
-    if isinstance(pattern, Seq):
+    if isinstance(pattern, (Seq, Par)):
+        join = seq if isinstance(pattern, Seq) else par
         if hole_count(pattern.left):
-            return seq(fill(pattern.left, ctx), pattern.right)
-        return seq(pattern.left, fill(pattern.right, ctx))
-    if isinstance(pattern, Par):
-        if hole_count(pattern.left):
-            return par(fill(pattern.left, ctx), pattern.right)
-        return par(pattern.left, fill(pattern.right, ctx))
+            return join(fill(pattern.left, ctx), pattern.right)
+        return join(pattern.left, fill(pattern.right, ctx))
     raise ValueError("pattern has no hole")
 
 
@@ -356,10 +353,9 @@ def restrict(ctx: Ctx, names: frozenset[str]) -> Ctx:
         return EMPTY
     if isinstance(ctx, Bind):  # a location: variable bindings are tidy
         return ctx
-    if isinstance(ctx, Seq):
-        return seq(restrict(ctx.left, names), restrict(ctx.right, names))
-    if isinstance(ctx, Par):
-        return par(restrict(ctx.left, names), restrict(ctx.right, names))
+    if isinstance(ctx, (Seq, Par)):
+        join = seq if isinstance(ctx, Seq) else par
+        return join(restrict(ctx.left, names), restrict(ctx.right, names))
     raise ValueError("cannot restrict a context pattern")
 
 

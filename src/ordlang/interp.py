@@ -220,20 +220,18 @@ class RunResult:
         return [s.rule for s in self.steps if s.rule.startswith("RC-")]
 
 
+def _show_cell(cell: HeapCell, opm: Opm) -> str:
+    return f"({cell[0]}, {opm.show_element(cell[1])}, {opm.show_element(cell[2])})"
+
+
 def show_heap(heap: Heap, opm: Opm) -> str:
     if not heap:
         return "{}"
-    cells = ", ".join(
-        f"l{i} -> ({n}, {opm.show_element(env)}, {opm.show_element(tr)})"
-        for i, (n, env, tr) in sorted(heap.items())
-    )
+    cells = ", ".join(f"l{i} -> {_show_cell(c, opm)}" for i, c in sorted(heap.items()))
     return "{" + cells + "}"
 
 
 def _heap_delta(before: Heap, after: Heap, opm: Opm) -> str:
-    def show(cell: HeapCell) -> str:
-        return f"({cell[0]}, {opm.show_element(cell[1])}, {opm.show_element(cell[2])})"
-
     out = []
     for ident in sorted(set(before) | set(after)):
         b, a = before.get(ident), after.get(ident)
@@ -243,10 +241,10 @@ def _heap_delta(before: Heap, after: Heap, opm: Opm) -> str:
         if b is a:
             continue
         if b is None:
-            out.append(f"alloc l{ident} -> {show(a)}")
+            out.append(f"alloc l{ident} -> {_show_cell(a, opm)}")
         elif a is None:
             out.append(f"free l{ident}")
-        elif (was := show(b)) != (now := show(a)):
+        elif (was := _show_cell(b, opm)) != (now := _show_cell(a, opm)):
             out.append(f"l{ident}: {was} -> {now}")
     return "; ".join(out) if out else "-"
 

@@ -319,11 +319,11 @@ def _explore(start, successors, budget: int, message):
 
 
 @lru_cache(maxsize=4096)
-def to_dfa(r: Regex, alphabet: tuple[str, ...], budget: int = DEFAULT_STATE_BUDGET) -> Dfa:
+def to_dfa(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
     """Total DFA over `alphabet` whose language is L(r), by derivative classes."""
     order, trans = _explore(
-        r, lambda cur: (derivative(cur, a) for a in alphabet), budget,
-        lambda: f"more than {budget} derivative classes for {show(r)}",
+        r, lambda cur: (derivative(cur, a) for a in alphabet), DEFAULT_STATE_BUDGET,
+        lambda: f"more than {DEFAULT_STATE_BUDGET} derivative classes for {show(r)}",
     )
     accepting = frozenset(ix for ix, cls in enumerate(order) if nullable(cls))
     return Dfa(alphabet, len(order), 0, accepting, trans)

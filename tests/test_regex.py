@@ -103,9 +103,21 @@ def test_to_dfa_rw_star():
         assert dfa_accepts(dfa, word) == naive_match(RW_STAR, word)
 
 
+def _to_dfa_under(budget, r, alphabet):
+    """`to_dfa` with the state budget patched to `budget`, its cache cleared
+    before and after so that no DFA built under another budget answers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rx, "DEFAULT_STATE_BUDGET", budget)
+        rx.to_dfa.cache_clear()
+        try:
+            return rx.to_dfa(r, alphabet)
+        finally:
+            rx.to_dfa.cache_clear()
+
+
 def test_to_dfa_state_budget():
     with pytest.raises(rx.StateBudgetExceeded):
-        rx.to_dfa(ENVELOPE, ("r", "w", "c"), budget=1)
+        _to_dfa_under(1, ENVELOPE, ("r", "w", "c"))
 
 
 def test_includes_examples():
@@ -283,7 +295,7 @@ def test_state_searches_match_the_references(a, b, extra):
     # and budget message, state for state.
     alphabet = tuple(sorted(rx.symbols(a) | extra))
     for budget in (1, 2, 3, 4, rx.DEFAULT_STATE_BUDGET):
-        assert _budget_outcome(rx.to_dfa, a, alphabet, budget) == _budget_outcome(
+        assert _budget_outcome(_to_dfa_under, budget, a, alphabet) == _budget_outcome(
             reference_to_dfa, a, alphabet, budget
         )
     assert rx.includes(a, b) == reference_includes(a, b)
@@ -363,6 +375,7 @@ def test_carried_continuations_match_the_references(num, den, other):
 @example(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"))
 @example(ENVELOPE, rx.star(R))
 @example(ENVELOPE, ENVELOPE)  # the continuation eps
+@example(rx.parse_regex("((r|w*)(rr|ww))*"), rx.EPS)  # reads back past the budget
 @settings(max_examples=150, deadline=None)
 def test_continuation_leaf_matches_its_readback(num, den):
     if rx.is_empty_language(den):
@@ -371,7 +384,10 @@ def test_continuation_leaf_matches_its_readback(num, den):
     if not isinstance(leaf, rx.Auto):  # the empty language
         assert leaf is rx.EMPTY
         return
-    back = rx.regex_from_dfa(leaf.dfa)
+    back = _budget_outcome(rx.regex_from_dfa, leaf.dfa)
+    if not isinstance(back, rx.Regex):  # the leaf prints by the same readback
+        assert _budget_outcome(rx.show, leaf) == back
+        return
     assert rx.symbols(leaf) == rx.symbols(back)
     assert rx.nullable(leaf) == rx.nullable(back)
     for p in (0, 1, 2):
