@@ -6,7 +6,10 @@ Brzozowski quotient: the index's automaton with its start moved along the
 word.  After any other operand it is the product derivative, a product and
 subset construction.  Regexes are normalized on construction (ACI
 alternation, unit/zero laws, star collapse) so that iterated derivatives
-fall into finitely many classes.
+fall into finitely many classes.  An automaton is built from derivative
+rows: a regex's derivatives over the whole alphabet at once, each
+sub-regex's row derived once per automaton; the per-symbol recursion is
+the reference in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -173,15 +176,16 @@ def cat(a: Regex, b: Regex) -> Regex:
 
 
 def alt(*parts: Regex) -> Regex:
+    live = [p for p in parts if not isinstance(p, Empty)]
+    if len(live) < 2:  # nothing to merge or sort
+        return live[0] if live else EMPTY
     items: list[Regex] = []
-    for p in parts:
+    for p in live:
         if isinstance(p, Alt):
             items.extend(p.items)
-        elif not isinstance(p, Empty):
+        else:
             items.append(p)
     uniq = sorted(set(items), key=show)
-    if not uniq:
-        return EMPTY
     if len(uniq) == 1:
         return uniq[0]
     return Alt(tuple(uniq))
@@ -202,12 +206,13 @@ def seq(*parts: Regex) -> Regex:
     return out
 
 
-def _unstored_spine(r: Regex) -> list[Regex]:
-    """The Cats below r down its left spine (a trace's) that lack a `show`
-    string, deepest first; showing each in turn recurses one level at a time."""
+def _unstored_spine(r: Regex, side: str) -> list[Regex]:
+    """The Cats below r down its left spine (a trace's) or its right spine (a
+    word's) that lack a `show` string, deepest first; showing each in turn
+    recurses one level at a time."""
     spine = []
-    while isinstance(r, Cat) and isinstance(r.left, Cat) and r.left._shown is None:
-        spine.append(r := r.left)
+    while isinstance(r, Cat) and isinstance(nxt := getattr(r, side), Cat) and nxt._shown is None:
+        spine.append(r := nxt)
     return spine[::-1]
 
 
@@ -231,7 +236,7 @@ def show(r: Regex, prec: int = 0) -> str:
         elif isinstance(r, Star):
             s = show(r.inner, 2) + "*"
         elif isinstance(r, Cat):
-            for c in _unstored_spine(r):
+            for c in _unstored_spine(r, "left") + _unstored_spine(r, "right"):
                 show(c)
             s = show(r.left, 1) + show(r.right, 1)
         elif isinstance(r, Alt):
@@ -258,25 +263,36 @@ def nullable(r: Regex) -> bool:
 
 
 def derivative(r: Regex, a: str) -> Regex:
-    if isinstance(r, (Empty, Eps)):
-        return EMPTY
+    return _row(r, (a,), {})[0]
+
+
+def _row(r: Regex, alphabet: tuple[str, ...], memo: dict) -> tuple[Regex, ...]:
+    """r's derivatives by each symbol of `alphabet`, in order; `memo` holds the
+    row of each sub-regex already derived, so that each is derived once."""
+    row = memo.get(r)
+    if row is not None:
+        return row
     if isinstance(r, Sym):
-        return EPS if r.ch == a else EMPTY
-    if isinstance(r, Cat):
-        d = cat(derivative(r.left, a), r.right)
-        if nullable(r.left):
-            return alt(d, derivative(r.right, a))
-        return d
-    if isinstance(r, Alt):
-        return alt(*(derivative(p, a) for p in r.items))
-    if isinstance(r, Star):
-        return cat(derivative(r.inner, a), r)
-    if isinstance(r, Auto):  # the start moved; the table and its co-reachable states shared
-        d = r.dfa
-        q = d.trans[d.start][d.alphabet.index(a)] if a in d.alphabet else None
-        co = _coreachable(d)
-        return Auto(Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co)) if q in co else EMPTY
-    raise AssertionError(r)
+        row = tuple([EPS if a == r.ch else EMPTY for a in alphabet])
+    elif isinstance(r, Cat):
+        right = r.right
+        row = tuple([cat(d, right) for d in _row(r.left, alphabet, memo)])
+        if r.left._nullable:
+            row = tuple(map(alt, row, _row(right, alphabet, memo)))
+    elif isinstance(r, Alt):
+        row = tuple(map(alt, *[_row(p, alphabet, memo) for p in r.items]))
+    elif isinstance(r, Star):
+        row = tuple([cat(d, r) for d in _row(r.inner, alphabet, memo)])
+    elif isinstance(r, Auto):  # the start moved; the table and its co-reachable states shared
+        d, co = r.dfa, _coreachable(r.dfa)
+        step = dict(zip(d.alphabet, d.trans[d.start]))
+        row = tuple([EMPTY if (q := step.get(a)) not in co
+                     else Auto(Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co))
+                     for a in alphabet])
+    else:  # Empty, Eps
+        row = (EMPTY,) * len(alphabet)
+    memo[r] = row
+    return row
 
 
 @dataclass(frozen=True)
@@ -320,9 +336,11 @@ def _explore(start, successors, budget: int, message):
 
 @lru_cache(maxsize=4096)
 def to_dfa(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
-    """Total DFA over `alphabet` whose language is L(r), by derivative classes."""
+    """Total DFA over `alphabet` whose language is L(r), by derivative classes,
+    each state's derivatives over the whole alphabet taken as one row."""
+    memo: dict = {}  # each sub-regex's row, derived once per call
     order, trans = _explore(
-        r, lambda cur: (derivative(cur, a) for a in alphabet), DEFAULT_STATE_BUDGET,
+        r, lambda cur: _row(cur, alphabet, memo), DEFAULT_STATE_BUDGET,
         lambda: f"more than {DEFAULT_STATE_BUDGET} derivative classes for {show(r)}",
     )
     accepting = frozenset(ix for ix, cls in enumerate(order) if nullable(cls))

@@ -11,13 +11,15 @@ hand-unrolled redex search are the references for `surface.lex`,
 `regex.parse_regex`, `regex.regex_from_dfa`, `surface.Parser` and the
 table-driven `_find_redex` below; the hand-written state searches `reference_to_dfa`,
 `reference_includes` and `reference_continuation_dfa` are the references for
-`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`;
-`reference_best_continuation`, which takes the quotient by a word one
-`regex.derivative` per letter, is the reference for the regex OPM's walk
-along a word; and the one-branch-per-former `reference_locations` is the
-reference for `core.locations`.  `reference_lex_counting`, the one-pattern lexer that
-counted lines and columns as it went, is the reference for the positions
-`surface.lex` computes from offsets.  The substitution evaluator
+`regex.to_dfa`, `regex.includes` and `regex._continuation_dfa`, and derive
+one symbol at a time with `reference_derivative`, the per-symbol recursion
+that `regex.to_dfa`'s rows replace; `reference_best_continuation`, which
+takes the quotient by a word one `reference_derivative` per letter, is the
+reference for the regex OPM's walk along a word; and the one-branch-per-former
+`reference_locations` is the reference for `core.locations`.
+`reference_lex_counting`, the one-pattern lexer that counted lines and
+columns as it went, is the reference for the positions `surface.lex`
+computes from offsets.  The substitution evaluator
 (`reference_step` over `ReferenceConfig`, with the capture-avoiding
 `reference_subst`, the value test `is_value` and the redex search
 `_find_redex`) is the reference for the environment machine `interp.step`.
@@ -212,6 +214,31 @@ def rebuild_regex(r: rx.Regex) -> rx.Regex:
     return type(r)()
 
 
+def reference_derivative(r: rx.Regex, a: str) -> rx.Regex:
+    """The derivative of `r` by one symbol, recursing per node and per symbol."""
+    if isinstance(r, (rx.Empty, rx.Eps)):
+        return rx.EMPTY
+    if isinstance(r, rx.Sym):
+        return rx.EPS if r.ch == a else rx.EMPTY
+    if isinstance(r, rx.Cat):
+        d = rx.cat(reference_derivative(r.left, a), r.right)
+        if rx.nullable(r.left):
+            return rx.alt(d, reference_derivative(r.right, a))
+        return d
+    if isinstance(r, rx.Alt):
+        return rx.alt(*(reference_derivative(p, a) for p in r.items))
+    if isinstance(r, rx.Star):
+        return rx.cat(reference_derivative(r.inner, a), r)
+    if isinstance(r, rx.Auto):  # the start moved; the table and its co-reachable states shared
+        d = r.dfa
+        q = d.trans[d.start][d.alphabet.index(a)] if a in d.alphabet else None
+        co = rx._coreachable(d)
+        if q not in co:
+            return rx.EMPTY
+        return rx.Auto(rx.Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co))
+    raise AssertionError(r)
+
+
 def reference_to_dfa(
     r: rx.Regex, alphabet: tuple[str, ...], budget: int = rx.DEFAULT_STATE_BUDGET
 ) -> rx.Dfa:
@@ -224,7 +251,7 @@ def reference_to_dfa(
         cur = order[i]
         row: list[int] = []
         for a in alphabet:
-            d = rx.derivative(cur, a)
+            d = reference_derivative(cur, a)
             if d not in states:
                 if len(states) >= budget:
                     raise rx.StateBudgetExceeded(
@@ -312,14 +339,14 @@ def reference_continuation_dfa(num: rx.Regex, den: rx.Regex) -> Optional[rx.Dfa]
 
 def reference_best_continuation(x: rx.Regex, y: rx.Regex) -> Optional[rx.Regex]:
     """`RegexOpm.best_continuation` with the quotient by a word taken one
-    `derivative` of a leaf per letter, each building its own leaf."""
+    `reference_derivative` of a leaf per letter, each building its own leaf."""
     word = rx._word(x)
     if word is None:
         pd = rx.product_derivative(y, x)
         return None if rx.is_empty_language(pd) else pd
-    z = y if isinstance(y, rx.Auto) else rx.Auto(rx.to_dfa(y, rx._joint_alphabet(y)))
+    z = y if isinstance(y, rx.Auto) else rx.Auto(reference_to_dfa(y, rx._joint_alphabet(y)))
     for a in word:
-        z = rx.derivative(z, a)
+        z = reference_derivative(z, a)
     return z if isinstance(z, rx.Auto) and z.dfa.start in rx._coreachable(z.dfa) else None
 
 

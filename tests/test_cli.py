@@ -364,6 +364,16 @@ def test_recursion_depth_is_limit_exceeded(tmp_path, capsys):
     assert _one_diagnostic(capsys)["kind"] == "limit-exceeded"
 
 
+def test_a_long_word_literal_is_printed_in_its_diagnostic(tmp_path, capsys):
+    # a word literal is a right-nested Cat, one level per symbol; printing it
+    # walks that spine in a loop, so the drop is rejected for its usage
+    prog = tmp_path / "word.ord"
+    prog.write_text(f"let x = new {{{'a' * 5000}}} in drop x\n")
+    assert invoke("check", str(prog), "--json") == 1
+    obj = _one_diagnostic(capsys)
+    assert obj["kind"] == "opm-violation" and "a" * 5000 in obj["message"]
+
+
 # Rejected at `drop x2`, whose diagnostic prints the continuation; the
 # regex it reads back to has millions of characters.
 FOUND = (

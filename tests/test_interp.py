@@ -582,13 +582,13 @@ def test_a_plain_run_substitutes_nothing_and_builds_no_term(monkeypatch):
 @pytest.mark.parametrize("family", ["ops", "splits"])
 def test_derivative_calls_per_op_do_not_grow_with_n(family, monkeypatch):
     calls = [0]
-    uncounted = rx.derivative
+    uncounted = rx._row  # one call derives a regex's row over the whole alphabet
 
-    def counted(r, a):
+    def counted(r, alphabet, memo):
         calls[0] += 1
-        return uncounted(r, a)
+        return uncounted(r, alphabet, memo)
 
-    monkeypatch.setattr(rx, "derivative", counted)
+    monkeypatch.setattr(rx, "_row", counted)
     per_op = {}
     for n in (16, 32, 64):
         [checked] = [c for label, _opm, c in _scaling_programs(n) if label == f"{family}({n})"]
@@ -597,7 +597,7 @@ def test_derivative_calls_per_op_do_not_grow_with_n(family, monkeypatch):
         result = run(checked.core, OPM)
         assert result.outcome == "value"
         per_op[n] = calls[0] / result.gamma_rules.count("RC-Op")
-    assert 0 < max(per_op.values()) < 4, per_op
+    assert 0 < max(per_op.values()) < 2, per_op
     assert per_op[64] <= per_op[16], per_op
 
 
