@@ -126,6 +126,17 @@ def test_unbound_variable():
     assert err_kind(lambda: infer(cx.EMPTY, "nope")) == "unbound-variable"
 
 
+def test_a_bare_lambda_is_not_inferred():
+    # the parser puts every lambda under its binding's annotation, so no
+    # program reaches this diagnostic; it is pinned on the lambda alone
+    lam = parse("let f : Unit -[u 0]-> Unit f z = z in f").header.expr
+    assert isinstance(lam, sf.SLam)
+    with pytest.raises(TypeCheckError) as exc:
+        infer(cx.EMPTY, lam)
+    assert (exc.value.kind, exc.value.span) == ("type-mismatch", lam.span)
+    assert exc.value.message == "cannot infer a type for a lambda; annotate its binding"
+
+
 # -- checking lambdas against arrows
 
 def lam(var, body):

@@ -119,6 +119,75 @@ def test_type_mismatch_messages(source, line, col, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"{prog}:{line}:{col}: type-mismatch: {message}\n"
 
 
+# One program in tests/diagnostics/ per checker diagnostic that no other test
+# pins from source, with the kind, position and message `check` prints for it.
+# They stay out of programs/, which the benchmark's corpus workload reads.
+DIAGNOSTICS = pathlib.Path(__file__).resolve().parent / "diagnostics"
+DIAGNOSED = {
+    "effect_right_argument": (
+        "effect-violation", 1, 42, "argument of a right-ordered application must be effect-free",
+    ),
+    "effect_left_function": (
+        "effect-violation", 1, 40,
+        "function part of a left-ordered application must be effect-free",
+    ),
+    "effect_ordered_pair": (
+        "effect-violation", 1, 53,
+        "second component of an ordered pair must be effect-free when the first carries resources",
+    ),
+    "effect_letpair_header": (
+        "effect-violation", 1, 12, "let-pair header must be effect-free; bind it first",
+    ),
+    "effect_lambda_body": (
+        "effect-violation", 1, 30,
+        "function body performs operations but the arrow declares latent effect 0",
+    ),
+    "mode_mismatch": (
+        "mode-mismatch", 1, 49, "a non-capturing function cannot close over resources in x:[r]",
+    ),
+    "decomposition_failure": (
+        "decomposition-failure", 1, 92,
+        "cannot isolate ['b1', 'h2'] in context b1:[r*], (b2:[r*], h2:[r*c])",
+    ),
+    "never_used": ("context-misuse", 1, 1, "binding 'x' holds resources but is never used"),
+    "pair_binders_distinct": ("context-misuse", 1, 1, "pair binders must be distinct"),
+    "split_refused": ("opm-violation", 1, 31, "cannot split {w} off remaining usage {r}"),
+    "op_refused": ("opm-violation", 1, 26, "operation {w} is not admitted by remaining usage {r}"),
+    "drop_refused": ("opm-violation", 1, 20, "resource with remaining usage {r} is not droppable"),
+    "new_discards": (
+        "context-misuse", 1, 32, "new consumes no resources: `x` would be discarded",
+    ),
+    "variable_discards": (
+        "context-misuse", 1, 49, "variable 'y' would discard resources: `x` would be discarded",
+    ),
+    "application_split": (
+        "context-misuse", 1, 108,
+        "application splits the context badly: `h` must be used after `f`",
+    ),
+    "split_expects_resource": (
+        "type-mismatch", 1, 11,
+        "split expects a resource (expected a resource type [m], got Unit)",
+    ),
+    "drop_expects_resource": (
+        "type-mismatch", 1, 6, "drop expects a resource (expected a resource type [m], got Unit)",
+    ),
+}
+
+
+def test_every_diagnostic_program_is_pinned():
+    assert sorted(p.stem for p in DIAGNOSTICS.glob("*.ord")) == sorted(DIAGNOSED)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSED))
+def test_checker_diagnostics(name, capsys):
+    kind, line, col, message = DIAGNOSED[name]
+    prog = str(DIAGNOSTICS / f"{name}.ord")
+    assert invoke("check", "--json", prog) == 1
+    assert _one_diagnostic(capsys) == {"kind": kind, "line": line, "col": col, "message": message}
+    assert invoke("check", prog) == 1
+    assert capsys.readouterr().err == f"{prog}:{line}:{col}: {kind}: {message}\n"
+
+
 def test_run_prints_value_and_checks_heap(capsys):
     assert invoke("run", str(PROGRAMS / "copy.ord"), "--paranoid") == 0
     assert capsys.readouterr().out.strip() == "unit"
