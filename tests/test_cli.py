@@ -160,6 +160,7 @@ DIAGNOSED = {
     "variable_discards": (
         "context-misuse", 1, 49, "variable 'y' would discard resources: `x` would be discarded",
     ),
+    "shared_binding": ("context-misuse", 1, 64, "no binding mode fits: `x` is used by both sides"),
     "application_split": (
         "context-misuse", 1, 108,
         "application splits the context badly: `h` must be used after `f`",
