@@ -76,6 +76,19 @@ def _mismatch(span: Span, message: str, expected: str, actual: CoreType, opm: Op
     return TypeCheckError("type-mismatch", span, f"{message} (expected {expected}, got {got})")
 
 
+def _effect_free(effect: Effect, span: Span, message: str) -> None:
+    """Raise effect-violation `message` unless `effect` is 0: no operations."""
+    if effect != 0:
+        raise TypeCheckError("effect-violation", span, message)
+
+
+def _placed(mode: str, ctx: cx.Ctx, new: cx.Ctx):
+    """(former, first, second) placing `new` beside `ctx` as `mode` does: `,`
+    after `ctx` for u and r, `∥` for o, `,` before `ctx` for l."""
+    former = cx.par if mode == UNORD else cx.seq
+    return (former, new, ctx) if mode == LEFT else (former, ctx, new)
+
+
 @dataclass
 class InferResult:
     type: CoreType
@@ -100,11 +113,9 @@ class Checker:
                 return name
 
     def _bind(self, name: str, ty: CoreType, ctx: cx.Ctx, mode: str) -> cx.Ctx:
-        """`ctx` extended by a binder of `mode`: `,` after it for u and r, `∥`
-        for o, `,` before it for l.  Recorded as the binder's tree."""
-        b = cx.Bind(cx.var_bind(name, ty))
-        first, second = (b, ctx) if mode == LEFT else (ctx, b)
-        inner = (cx.par if mode == UNORD else cx.seq)(first, second)
+        """`ctx` extended by a binder placed by `mode`, recorded as its tree."""
+        former, first, second = _placed(mode, ctx, cx.Bind(cx.var_bind(name, ty)))
+        inner = former(first, second)
         self.binding_trees.setdefault(name, inner)
         return inner
 
@@ -244,26 +255,18 @@ class Checker:
             what = "only functions can be applied"
             raise _mismatch(e.fn.span, what, "a function type", rf.type, self.opm)
         arrow = rf.type
-        first, second = (ctx_a, ctx_f) if arrow.mode == LEFT else (ctx_f, ctx_a)
-        former = cx.par if arrow.mode == UNORD else cx.seq
-        what = "application splits the context badly"
-        self._split(e.span, what, ctx, first, second, former)
+        former, first, second = _placed(arrow.mode, ctx_f, ctx_a)
+        self._split(e.span, "application splits the context badly", ctx, first, second, former)
         ra = self.infer(ctx_a, e.arg)
         if not types_equal(ra.type, arrow.param, self.opm):
             what = "argument type does not match the function parameter"
             raise _mismatch(e.arg.span, what, show_type(arrow.param, self.opm), ra.type, self.opm)
-        if arrow.mode == RIGHT and ra.effect != 0:
-            raise TypeCheckError(
-                "effect-violation",
-                e.arg.span,
-                "argument of a right-ordered application must be effect-free",
-            )
-        if arrow.mode == LEFT and rf.effect != 0:
-            raise TypeCheckError(
-                "effect-violation",
-                e.fn.span,
-                "function part of a left-ordered application must be effect-free",
-            )
+        if arrow.mode == RIGHT:
+            what = "argument of a right-ordered application must be effect-free"
+            _effect_free(ra.effect, e.arg.span, what)
+        elif arrow.mode == LEFT:
+            what = "function part of a left-ordered application must be effect-free"
+            _effect_free(rf.effect, e.fn.span, what)
         # The checks above leave the argument effect-free under a right
         # application and the function under a left one, so one rule fits all.
         eff = max(arrow.effect, rf.effect, ra.effect)
@@ -276,13 +279,9 @@ class Checker:
         rr = self.infer(ctx_r, e.right)
         what = "pair components interleave resources"
         ordered = self._ordered(e.span, what, ctx, ctx_l, ctx_r)
-        if ordered and ord_(rl.type) and rr.effect != 0:
-            raise TypeCheckError(
-                "effect-violation",
-                e.right.span,
-                "second component of an ordered pair must be effect-free "
-                "when the first carries resources",
-            )
+        if ordered and ord_(rl.type):
+            what = "second component of an ordered pair must be effect-free"
+            _effect_free(rr.effect, e.right.span, f"{what} when the first carries resources")
         ty = ProdType(ordered, rl.type, rr.type)
         return InferResult(ty, max(rl.effect, rr.effect), Pair(ordered, rl.core, rr.core))
 
@@ -304,12 +303,7 @@ class Checker:
         if not isinstance(rh.type, ProdType):
             what = "let-pair header must be a pair"
             raise _mismatch(e.header.span, what, "a pair type", rh.type, self.opm)
-        if rh.effect != 0:
-            raise TypeCheckError(
-                "effect-violation",
-                e.header.span,
-                "let-pair header must be effect-free; bind it first",
-            )
+        _effect_free(rh.effect, e.header.span, "let-pair header must be effect-free; bind it first")
         # the filled pattern binds the names `ctx` binds
         x, body = self._freshen_binder(e.x, e.body, ctx, e.y)
         y, body = self._freshen_binder(e.y, body, ctx, x)
@@ -363,13 +357,9 @@ class Checker:
                 )
             var, body = self._freshen_binder(e.var, e.body, ctx)
             eff, core = self.check(self._bind(var, ty.param, ctx, ty.mode), body, ty.result)
-            if eff > ty.effect:
-                raise TypeCheckError(
-                    "effect-violation",
-                    e.span,
-                    f"function body performs operations but the arrow "
-                    f"declares latent effect {ty.effect}",
-                )
+            if ty.effect == 0:  # effects are 0 or 1
+                what = "function body performs operations but the arrow declares latent effect 0"
+                _effect_free(eff, e.span, what)
             return 0, Lam(ty.mode, var, core)
 
         result = self.infer(ctx, e)

@@ -33,7 +33,8 @@ Heap = dict[int, HeapCell]
 
 @dataclass
 class Config:
-    """A machine state; `Config(term, heap)` starts evaluating `term`."""
+    """A machine state; `Config(term, {})` starts evaluating `term`.  A state
+    with locations needs `left`, each location's index left."""
 
     focus: Any  # code under `env`, or a value when `env` is None
     heap: Heap
@@ -159,7 +160,8 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
     if not (resource_op and isinstance(arg, Loc) and arg.ident in heap):
         return stuck("no-rule")
     n, envelope, trace = heap[arg.ident]
-    left = cfg.left[arg.ident]
+    if (left := cfg.left.get(arg.ident)) is None:
+        raise ValueError(f"l{arg.ident} has no index left in Config.left")
     if isinstance(fn, OpConst):
         if (left := opm.best_continuation(fn.index, left)) is None:
             return stuck("op-inadmissible")

@@ -38,7 +38,9 @@ class Opm:
         raise NotImplementedError
 
     def eq(self, x: Element, y: Element) -> bool:
-        return self.leq(x, y) and self.leq(y, x)
+        """Equivalence in the preorder, the equality of indices.  y ≤ x is
+        asked first: the regex OPM tests inclusions in `equivalent`'s order."""
+        return self.leq(y, x) and self.leq(x, y)
 
     def residual_exists(self, x: Element, y: Element) -> bool:
         """Decide whether some z in the carrier has x ⊙ z ≤ y."""
@@ -93,9 +95,6 @@ class FiniteOpm(Opm):
 
     def leq(self, x: str, y: str) -> bool:
         return (x, y) in self._leq
-
-    def eq(self, x: str, y: str) -> bool:
-        return x == y
 
     def best_continuation(self, x: str, y: str) -> Optional[str]:
         return self._best.get((x, y))

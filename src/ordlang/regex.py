@@ -589,9 +589,6 @@ class RegexOpm(Opm):
     def leq(self, x: Regex, y: Regex) -> bool:
         return includes(y, x)
 
-    def eq(self, x: Regex, y: Regex) -> bool:
-        return equivalent(x, y)
-
     def best_continuation(self, x: Regex, y: Regex) -> Optional[Regex]:
         word = _word(x)
         if word is None:

@@ -107,6 +107,14 @@ def test_final_drop_requires_complete_trace():
     assert out.status == "stuck" and out.reason == "close-incomplete"
 
 
+@pytest.mark.parametrize("fn", [co.OpConst(R), co.SplitConst(R, rx.EPS), co.DROP])
+def test_a_heap_without_the_index_left_is_a_value_error(fn):
+    # `Config(term, heap)` leaves `left` empty: the resource rules name the
+    # location they cannot read instead of raising KeyError
+    with pytest.raises(ValueError, match="l0"):
+        step(Config(app(fn, co.Loc(0)), {0: (0, R, rx.EPS)}), OPM)
+
+
 def test_a_step_leaves_the_index_left_of_its_config_as_it_was():
     # the envelope r admits one r: stepped twice from the same state, the op
     # is admitted twice, and the state still has the envelope left

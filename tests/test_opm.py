@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordlang import core as co
 from ordlang import regex as rx
 from ordlang.opm import FiniteOpm, OpmError, get_opm, known_opms, ownership_opm
 
@@ -68,6 +69,24 @@ def test_preorder_reflexive_transitive():
     for x, y, z in itertools.product(OWN.carrier, repeat=3):
         if OWN.leq(x, y) and OWN.leq(y, z):
             assert OWN.leq(x, z)
+
+
+def test_equivalent_distinct_elements_are_equal_indices():
+    # a ≤ b ≤ a: a preorder may hold two distinct elements equivalent
+    mul = {(x, y): "b" if "b" in (x, y) else "a" for x in "ab" for y in "ab"}
+    opm = FiniteOpm("cycle", ("a", "b"), "a", mul, set(itertools.product("ab", repeat=2)))
+    assert opm.eq("a", "b")
+    assert co.types_equal(co.TraceType("a"), co.TraceType("b"), opm)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_equivalence_is_the_order_both_ways(data):
+    for opm in map(get_opm, known_opms()):
+        elements = st.sampled_from(opm.carrier) if isinstance(opm, FiniteOpm) else regexes()
+        x = data.draw(elements)
+        y = data.draw(st.one_of(st.just(x), elements))
+        assert opm.eq(x, y) == (opm.leq(x, y) and opm.leq(y, x))
 
 
 def test_droppable():
