@@ -12,8 +12,10 @@ workloads, which TREE's `perfbench/workloads.py` generates into a temporary
 directory; then for `dump-graph --binding NAME` under both OPMs, on each
 `programs/**/*.ord` file with NAME each let binder written in it, each other
 binder whose context TREE's checker records for it under either OPM (lambda
-and pattern parameters, the names of `;`), and one name that none binds.
-That makes 6522 calls. Each call prints its arguments, exit code, stdout and
+and pattern parameters, the names of `;`), and one name that none binds;
+then for `check` and `check --json` under both OPMs on TREE's
+`tests/diagnostics/*.ord`, each of which raises one checker diagnostic.
+That makes 6594 calls. Each call prints its arguments, exit code, stdout and
 stderr, with that directory's path replaced by `<tmp>`, so the outputs of
 two trees can be compared with diff. A call that raises prints its
 exception instead of an exit code, and the script then exits 1.
@@ -34,6 +36,7 @@ from pathlib import Path
 COMMANDS = (
     ("check",), ("check", "--json"), ("run",), ("run", "--paranoid"), ("trace",), ("dump-core",),
 )
+DIAGNOSTIC_COMMANDS = COMMANDS[:2]
 OPMS = ("regex", "ownership")
 WORKLOADS = ("borrow", "wide", "deep")
 ROUNDS = range(3)
@@ -74,16 +77,27 @@ def _binders(path: str) -> list[str]:
     return list(dict.fromkeys(names))
 
 
-def _calls(programs: list[str], rounds: list[str]):
-    """The argument lists of every call, in the order they are printed."""
-    for path in programs + rounds:
-        for command in COMMANDS:
+def _paths(tree: Path, pattern: str) -> list[str]:
+    """The files under `tree` that match `pattern`, relative to it."""
+    return [str(p.relative_to(tree)) for p in sorted(tree.glob(pattern))]
+
+
+def _commands(paths: list[str], commands):
+    """Each of `commands` on each of `paths`, under each OPM."""
+    for path in paths:
+        for command in commands:
             for opm in OPMS:
                 yield [command[0], path, "--opm", opm, *command[1:]]
+
+
+def _calls(programs: list[str], rounds: list[str], diagnostics: list[str]):
+    """The argument lists of every call, in the order they are printed."""
+    yield from _commands(programs + rounds, COMMANDS)
     for path in programs:
         for name in [*_binders(path), UNBOUND]:
             for opm in OPMS:
                 yield ["dump-graph", path, "--opm", opm, "--binding", name]
+    yield from _commands(diagnostics, DIAGNOSTIC_COMMANDS)
 
 
 def main() -> int:
@@ -95,8 +109,9 @@ def main() -> int:
     os.chdir(tree)  # the example programs by their paths relative to the tree
     raised = 0
     with tempfile.TemporaryDirectory() as tmp:
-        programs = [str(p.relative_to(tree)) for p in sorted(tree.glob("programs/**/*.ord"))]
-        for argv in _calls(programs, _write_rounds(tree, Path(tmp))):
+        programs = _paths(tree, "programs/**/*.ord")
+        diagnostics = _paths(tree, "tests/diagnostics/*.ord")
+        for argv in _calls(programs, _write_rounds(tree, Path(tmp)), diagnostics):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
