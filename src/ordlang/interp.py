@@ -2,10 +2,10 @@
 
 Resource operations perform no real effects; the heap records, per
 location, a reference count (0 meaning one live reference), the envelope
-fixed at creation, and the trace so far, kept for display.  Admission
-reads the index each location has left (`Config.left`, at first the
-envelope): an operation needs a best continuation there, which becomes the
-index left, and the final drop needs a droppable one.  The runtime oracle
+fixed at creation, the trace so far, kept for display, and the index left,
+at first the envelope.  Admission reads the index left: an operation needs
+a best continuation there, which becomes the index left, and the final
+drop needs a droppable one.  The runtime oracle
 cross-checks heap reference counts against syntactic location occurrences,
 the executable projection of heap typing used by the soundness tests.
 
@@ -27,21 +27,19 @@ from .core import (
 )
 from .opm import Opm
 
-HeapCell = tuple[int, object, object]  # refcount, envelope, trace
+HeapCell = tuple[int, object, object, object]  # refcount, envelope, trace, index left
 Heap = dict[int, HeapCell]
 
 
 @dataclass
 class Config:
-    """A machine state; `Config(term, {})` starts evaluating `term`.  A state
-    with locations needs `left`, each location's index left."""
+    """A machine state; `Config(term, {})` starts evaluating `term`."""
 
     focus: Any  # code under `env`, or a value when `env` is None
     heap: Heap
     next_loc: int = 0
     env: Optional[dict] = field(default_factory=dict)
     stack: Optional[tuple] = None  # (frame, rest): former, its env, values so far
-    left: dict = field(default_factory=dict)  # location -> the index it has left
 
     def read(self, locs: Optional[list] = None) -> CoreTerm:
         """The state's term; given `locs`, returns it with the term's locations
@@ -132,9 +130,8 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
     def stuck(reason: str) -> StepOutcome:
         return StepOutcome("stuck", cfg, reason=reason, read_redex=redex)
 
-    def stepped(rule: str, m: Any, m_env: Optional[dict], heap=cfg.heap, next_loc=cfg.next_loc,
-                left=cfg.left):
-        config = Config(m, heap, next_loc, m_env, stack, left)
+    def stepped(rule: str, m: Any, m_env: Optional[dict], heap=cfg.heap, next_loc=cfg.next_loc):
+        config = Config(m, heap, next_loc, m_env, stack)
         return StepOutcome("stepped", config, rule, read_redex=redex)
 
     if not isinstance(former, App):  # a let-pair, or a free variable
@@ -154,30 +151,27 @@ def step(cfg: Config, opm: Opm) -> StepOutcome:
     if former.mode != PLAIN:
         return stuck("no-rule")
     if isinstance(fn, NewConst) and isinstance(arg, UnitConst):
-        cell, left = (0, fn.index, opm.unit()), {**cfg.left, loc: fn.index}
-        return stepped("RC-Ne", Loc(loc), None, {**heap, loc: cell}, loc + 1, left)
+        cell = (0, fn.index, opm.unit(), fn.index)
+        return stepped("RC-Ne", Loc(loc), None, {**heap, loc: cell}, loc + 1)
     resource_op = isinstance(fn, (OpConst, SplitConst, DropConst))
     if not (resource_op and isinstance(arg, Loc) and arg.ident in heap):
         return stuck("no-rule")
-    n, envelope, trace = heap[arg.ident]
-    if (left := cfg.left.get(arg.ident)) is None:
-        raise ValueError(f"l{arg.ident} has no index left in Config.left")
+    n, envelope, trace, left = heap[arg.ident]
     if isinstance(fn, OpConst):
         if (left := opm.best_continuation(fn.index, left)) is None:
             return stuck("op-inadmissible")
-        new_heap = {**heap, arg.ident: (n, envelope, opm.mul(trace, fn.index))}
-        return stepped("RC-Op", arg, None, new_heap, left={**cfg.left, arg.ident: left})
+        new_heap = {**heap, arg.ident: (n, envelope, opm.mul(trace, fn.index), left)}
+        return stepped("RC-Op", arg, None, new_heap)
     if isinstance(fn, SplitConst):
-        new_heap = {**heap, arg.ident: (n + 1, envelope, trace)}
+        new_heap = {**heap, arg.ident: (n + 1, envelope, trace, left)}
         return stepped("RC-Sp", Pair(True, arg, arg), None, new_heap)
     if n > 0:
-        return stepped("RC-Cl1", UNIT, None, {**heap, arg.ident: (n - 1, envelope, trace)})
+        return stepped("RC-Cl1", UNIT, None, {**heap, arg.ident: (n - 1, envelope, trace, left)})
     if not opm.droppable(left):
         return stuck("close-incomplete")
-    new_heap, rest = dict(heap), dict(cfg.left)
+    new_heap = dict(heap)
     del new_heap[arg.ident]
-    del rest[arg.ident]
-    return stepped("RC-Cl2", UNIT, None, new_heap, left=rest)
+    return stepped("RC-Cl2", UNIT, None, new_heap)
 
 
 def runtime_oracle(cfg: Config) -> list[str]:
@@ -189,7 +183,7 @@ def runtime_oracle(cfg: Config) -> list[str]:
     """
     violations: list[str] = []
     occurrences = Counter(cfg.read([]))
-    for ident, (n, _env, _trace) in sorted(cfg.heap.items()):
+    for ident, (n, *_rest) in sorted(cfg.heap.items()):
         if occurrences.get(ident, 0) != n + 1:
             violations.append(
                 f"l{ident}: refcount {n} expects {n + 1} occurrences, "

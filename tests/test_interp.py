@@ -42,10 +42,19 @@ def drop(arg):
 # -- single steps
 
 def with_left(term, heap):
-    """`Config(term, heap)` with the index each cell has left read from its
-    trace, as `step` finds it after the cell's allocation and operations."""
-    left = {loc: OPM.best_continuation(trace, env) for loc, (_, env, trace) in heap.items()}
-    return Config(term, heap, left=left)
+    """`Config(term, heap)`, each `(refcount, envelope, trace)` cell extended
+    with the index it has left, read from its trace as `step` finds it after
+    the cell's allocation and operations."""
+    return Config(term, {
+        loc: (n, env, trace, OPM.best_continuation(trace, env))
+        for loc, (n, env, trace) in heap.items()
+    })
+
+
+def cells(heap):
+    """Each cell's refcount, envelope and trace: what the reference evaluator
+    keeps, without the index left."""
+    return {loc: cell[:3] for loc, cell in heap.items()}
 
 
 def test_beta_step():
@@ -66,7 +75,7 @@ def test_alloc_step():
     out = step(Config(new(R), {}), OPM)
     assert out.rule == "RC-Ne"
     assert out.config.term == co.Loc(0)
-    assert out.config.heap == {0: (0, R, rx.EPS)}
+    assert out.config.heap == {0: (0, R, rx.EPS, R)}  # the envelope is left
     assert out.config.next_loc == 1
 
 
@@ -76,14 +85,14 @@ def test_split_step_increments_refcount_only():
     out = step(cfg, OPM)
     assert out.rule == "RC-Sp"
     assert out.config.term == co.Pair(True, co.Loc(0), co.Loc(0))
-    assert out.config.heap[0] == (1, RC, rx.EPS)  # trace untouched
+    assert cells(out.config.heap)[0] == (1, RC, rx.EPS)  # trace untouched
 
 
 def test_op_extends_trace():
     heap = {0: (0, RC, rx.EPS)}
     out = step(with_left(op(R, co.Loc(0)), heap), OPM)
     assert out.rule == "RC-Op"
-    n, env, trace = out.config.heap[0]
+    n, env, trace = cells(out.config.heap)[0]
     assert n == 0 and rx.equivalent(trace, R)
 
 
@@ -96,8 +105,8 @@ def test_op_stuck_when_inadmissible():
 def test_drop_decrements_then_removes():
     heap = {0: (1, RC, RC)}
     out = step(with_left(drop(co.Loc(0)), heap), OPM)
-    assert out.rule == "RC-Cl1" and out.config.heap[0] == (0, RC, RC)
-    out2 = step(with_left(drop(co.Loc(0)), out.config.heap), OPM)
+    assert out.rule == "RC-Cl1" and cells(out.config.heap)[0] == (0, RC, RC)
+    out2 = step(Config(drop(co.Loc(0)), out.config.heap), OPM)
     assert out2.rule == "RC-Cl2" and out2.config.heap == {}
 
 
@@ -107,23 +116,15 @@ def test_final_drop_requires_complete_trace():
     assert out.status == "stuck" and out.reason == "close-incomplete"
 
 
-@pytest.mark.parametrize("fn", [co.OpConst(R), co.SplitConst(R, rx.EPS), co.DROP])
-def test_a_heap_without_the_index_left_is_a_value_error(fn):
-    # `Config(term, heap)` leaves `left` empty: the resource rules name the
-    # location they cannot read instead of raising KeyError
-    with pytest.raises(ValueError, match="l0"):
-        step(Config(app(fn, co.Loc(0)), {0: (0, R, rx.EPS)}), OPM)
-
-
 def test_a_step_leaves_the_index_left_of_its_config_as_it_was():
     # the envelope r admits one r: stepped twice from the same state, the op
     # is admitted twice, and the state still has the envelope left
     allocated = step(Config(op(R, new(R)), {}), OPM).config
-    assert allocated.left == {0: R}
+    assert allocated.heap[0][3] == R
     for _ in range(2):
         out = step(allocated, OPM)
-        assert out.rule == "RC-Op" and out.config.heap == {0: (0, R, R)}
-    assert allocated.left == {0: R}
+        assert out.rule == "RC-Op" and cells(out.config.heap) == {0: (0, R, R)}
+    assert allocated.heap[0][3] == R
 
 
 def test_no_rule_for_nonsense_application():
@@ -424,7 +425,7 @@ def _lockstep(term, opm, label, fuel=100_000):
         assert (out.status, out.rule, out.reason) == (
             expected.status, expected.rule, expected.reason
         ), (label, steps)
-        assert out.config.heap == expected.config.heap, (label, steps)
+        assert cells(out.config.heap) == expected.config.heap, (label, steps)
         assert out.config.next_loc == expected.config.next_loc, (label, steps)
         term, redex = out.config.term, out.redex
         assert term == expected.config.term and redex == expected.redex, (label, steps)
