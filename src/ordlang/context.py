@@ -71,7 +71,6 @@ class Ctx:
         object.__setattr__(self, "_facts", facts)
 
 
-@dataclass(frozen=True)
 class Empty(Ctx):
     _facts = (frozenset(), frozenset(), True, 0)
 
@@ -93,7 +92,6 @@ class Par(Ctx):
     right: Ctx
 
 
-@dataclass(frozen=True)
 class Hole(Ctx):
     _facts = (frozenset(), frozenset(), False, 1)
 

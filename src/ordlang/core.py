@@ -31,7 +31,6 @@ class CoreType:
     pass
 
 
-@dataclass(frozen=True)
 class UnitType(CoreType):
     pass
 
@@ -129,7 +128,6 @@ class CoreTerm:
         store_fv(self, SHAPES)
 
 
-@dataclass(frozen=True)
 class UnitConst(CoreTerm):
     pass
 
@@ -150,7 +148,6 @@ class SplitConst(CoreTerm):
     rest: Any
 
 
-@dataclass(frozen=True)
 class DropConst(CoreTerm):
     pass
 

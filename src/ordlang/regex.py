@@ -95,12 +95,10 @@ class Regex:
         return show(self)
 
 
-@dataclass(frozen=True, eq=False)
 class Empty(Regex):
     """The empty language."""
 
 
-@dataclass(frozen=True, eq=False)
 class Eps(Regex):
     """The language of the empty word."""
 

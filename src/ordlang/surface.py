@@ -80,7 +80,6 @@ class SurfaceExpr:
         store_fv(self, SHAPES)
 
 
-@dataclass(frozen=True)
 class SUnit(SurfaceExpr):
     pass
 
