@@ -1,5 +1,6 @@
 import pytest
 
+from ordlang import cli
 from ordlang import context as cx
 from ordlang import core as co
 from ordlang import regex as rx
@@ -678,3 +679,181 @@ drop (!{b} b1); drop (!{*} x2)
     with pytest.raises(TypeCheckError) as exc:
         check_program(sf.parse("let x = new {*} in drop x", own), own)
     assert exc.value.kind == "opm-violation"
+
+
+# Accepted let-pairs whose header names bindings on both sides of a `,` or a
+# `∥` of the context, one for each clause of `context._decompose` that joins
+# the two sides' decompositions. A key names the former, then the pattern
+# each side's decomposition fits: the hole parallel to the rest (`pat_par`),
+# first (`pat_left`), last (`pat_right`) or between the rest (`pat_closed`).
+# Each is pinned by what `dump-core` prints and by `dump-graph --binding p`.
+LETPAIRS_ACROSS_BOTH_SIDES = {
+    "seq-right-left": (
+        "let u = unit in let v = unit in let p, q = (u, v) in p; q",
+        """
+let u = unit in
+let v = unit in
+let p ox q = u ox v in
+let s0 = p in
+q
+""",
+        """
+digraph "p" {
+  unrestricted [shape=box, label="unrestricted\\np:Unit\\nq:Unit\\nu:Unit\\nv:Unit"];
+}
+""",
+    ),
+    "par-par-par": (
+        "let a = new {r} in let b = new {r} in let p, q = (a, b) in drop (!{r} p); drop (!{r} q)",
+        """
+let° a = new_{r} @ unit in
+let° b = new_{r} @ unit in
+let p ox q = a ox b in
+let° s0 = drop @ (op_{r} @ p) in
+drop @ (op_{r} @ q)
+""",
+        """
+digraph "p" {
+  n0 [label="p:[r]"];
+  n1 [label="q:[r]"];
+}
+""",
+    ),
+    "par-left-left": (
+        "let x0 = new {r*} in let u1 = unit in let b2, y2 = split {r*} x0 in "
+        "let p, q = (b2, u1) in drop p; drop y2; q",
+        """
+let° x0 = new_{r*} @ unit in
+let° u1 = unit in
+let b2 .o y2 = split_{r*,r*} @ x0 in
+let p ox q = b2 ox u1 in
+let< s0 = drop @ p in
+let s1 = drop @ y2 in
+q
+""",
+        """
+digraph "p" {
+  n0 [label="p:[r*]"];
+  n1 [label="y2:[r*]"];
+  n0 -> n1;
+  unrestricted [shape=box, label="unrestricted\\nq:Unit\\nu1:Unit"];
+}
+""",
+    ),
+    "par-right-right": (
+        "let x0 = new {r*} in let u1 = unit in let b2, y2 = split {r*} x0 in "
+        "let p, q = (y2, u1) in drop b2; drop p; q",
+        """
+let° x0 = new_{r*} @ unit in
+let° u1 = unit in
+let b2 .o y2 = split_{r*,r*} @ x0 in
+let p ox q = y2 ox u1 in
+let< s0 = drop @ b2 in
+let s1 = drop @ p in
+q
+""",
+        """
+digraph "p" {
+  n0 [label="b2:[r*]"];
+  n1 [label="p:[r*]"];
+  n0 -> n1;
+  unrestricted [shape=box, label="unrestricted\\nq:Unit\\nu1:Unit"];
+}
+""",
+    ),
+    "par-right-left": (
+        "let x0 = new {r*} in let x1 = new {r*} in let b2, y2 = split {r*} x0 in "
+        "let b3, y3 = split {r*} x1 in let p, q = (b3, y2) in drop b2; drop p; drop q; drop y3",
+        """
+let° x0 = new_{r*} @ unit in
+let° x1 = new_{r*} @ unit in
+let b2 .o y2 = split_{r*,r*} @ x0 in
+let b3 .o y3 = split_{r*,r*} @ x1 in
+let p .o q = b3 .o y2 in
+let< s0 = drop @ b2 in
+let< s1 = drop @ p in
+let< s2 = drop @ q in
+drop @ y3
+""",
+        """
+digraph "p" {
+  n0 [label="b2:[r*]"];
+  n1 [label="p:[r*]"];
+  n2 [label="q:[r*]"];
+  n3 [label="y3:[r*]"];
+  n0 -> n1;
+  n0 -> n2;
+  n0 -> n3;
+  n1 -> n2;
+  n1 -> n3;
+  n2 -> n3;
+}
+""",
+    ),
+    "par-left-right": (
+        "let x0 = new {r*} in let x1 = new {r*} in let b2, y2 = split {r*} x0 in "
+        "let b3, y3 = split {r*} x1 in let p, q = (b2, y3) in drop b3; drop p; drop q; drop y2",
+        """
+let° x0 = new_{r*} @ unit in
+let° x1 = new_{r*} @ unit in
+let b2 .o y2 = split_{r*,r*} @ x0 in
+let b3 .o y3 = split_{r*,r*} @ x1 in
+let p .o q = b2 .o y3 in
+let< s0 = drop @ b3 in
+let< s1 = drop @ p in
+let< s2 = drop @ q in
+drop @ y2
+""",
+        """
+digraph "p" {
+  n0 [label="b3:[r*]"];
+  n1 [label="p:[r*]"];
+  n2 [label="q:[r*]"];
+  n3 [label="y2:[r*]"];
+  n0 -> n1;
+  n0 -> n2;
+  n0 -> n3;
+  n1 -> n2;
+  n1 -> n3;
+  n2 -> n3;
+}
+""",
+    ),
+    "par-closed-closed": (
+        "let x0 = new {r*} in let u1 = unit in let b2, y2 = split {r*} x0 in "
+        "let b3, y3 = split {r*} b2 in let p, q = (y3, u1) in drop b3; drop p; drop y2; q",
+        """
+let° x0 = new_{r*} @ unit in
+let° u1 = unit in
+let b2 .o y2 = split_{r*,r*} @ x0 in
+let b3 .o y3 = split_{r*,r*} @ b2 in
+let p ox q = y3 ox u1 in
+let< s0 = drop @ b3 in
+let< s1 = drop @ p in
+let s2 = drop @ y2 in
+q
+""",
+        """
+digraph "p" {
+  n0 [label="b3:[r*]"];
+  n1 [label="p:[r*]"];
+  n2 [label="y2:[r*]"];
+  n0 -> n1;
+  n0 -> n2;
+  n1 -> n2;
+  unrestricted [shape=box, label="unrestricted\\nq:Unit\\nu1:Unit"];
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", LETPAIRS_ACROSS_BOTH_SIDES)
+def test_a_let_pair_across_both_sides_of_the_context(clause, tmp_path, capsys):
+    src, core, graph = LETPAIRS_ACROSS_BOTH_SIDES[clause]
+    path = tmp_path / "letpair.ord"
+    path.write_text(src + "\n", encoding="utf-8")
+    assert cli.main(["dump-core", str(path)]) == 0
+    assert capsys.readouterr().out == core.lstrip("\n")
+    assert cli.main(["dump-graph", str(path), "--binding", "p"]) == 0
+    assert capsys.readouterr().out == graph.lstrip("\n")
