@@ -36,7 +36,7 @@ from pathlib import Path
 COMMANDS = (
     ("check",), ("check", "--json"), ("run",), ("run", "--paranoid"), ("trace",), ("dump-core",),
 )
-DIAGNOSTIC_COMMANDS = COMMANDS[:2]
+DIAGNOSTIC_COMMANDS = (("check",), ("check", "--json"))
 OPMS = ("regex", "ownership")
 WORKLOADS = ("borrow", "wide", "deep")
 ROUNDS = range(3)

@@ -2,12 +2,12 @@
 
 Resource operations perform no real effects; the heap records, per
 location, a reference count (0 meaning one live reference), the envelope
-fixed at creation, the trace so far, kept for display, and the index left,
-at first the envelope.  Admission reads the index left: an operation needs
-a best continuation there, which becomes the index left, and the final
-drop needs a droppable one.  The runtime oracle
-cross-checks heap reference counts against syntactic location occurrences,
-the executable projection of heap typing used by the soundness tests.
+fixed at creation, the trace so far (kept for display) and the index left
+(at first the envelope).  Admission reads the index left: an operation
+needs a best continuation there, which becomes the index left, and the
+final drop needs a droppable one.  The runtime oracle cross-checks heap
+reference counts against syntactic location occurrences, the executable
+projection of heap typing used by the soundness tests.
 
 The evaluator is an environment machine over closed terms, Pairs of values
 and flat closures: it takes the steps of substitution into the whole term

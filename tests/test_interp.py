@@ -85,7 +85,7 @@ def test_split_step_increments_refcount_only():
     out = step(cfg, OPM)
     assert out.rule == "RC-Sp"
     assert out.config.term == co.Pair(True, co.Loc(0), co.Loc(0))
-    assert cells(out.config.heap)[0] == (1, RC, rx.EPS)  # trace untouched
+    assert out.config.heap[0] == (1, *cfg.heap[0][1:])  # trace and index left untouched
 
 
 def test_op_extends_trace():
