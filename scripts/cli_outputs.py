@@ -4,16 +4,18 @@
     python3 scripts/cli_outputs.py [TREE] > outputs.txt
 
 TREE is a checkout of this repository (default: the one holding this
-script). Its `ordlang.cli.main` runs in this process for each of `check`,
+script); it chooses only the code, `TREE/src`. The inputs always come from
+the checkout holding this script, so two trees' code runs on the same
+programs. Its `ordlang.cli.main` runs in this process for each of `check`,
 `check --json`, `run`, `run --paranoid`, `trace` and `dump-core`, under the
-`regex` and the `ownership` OPM, on TREE's `programs/**/*.ord` and on the
-programs of seed-1 rounds 0-2 of the benchmark's `borrow`, `wide` and `deep`
-workloads, which TREE's `perfbench/workloads.py` generates into a temporary
+`regex` and the `ownership` OPM, on `programs/**/*.ord` and on the programs
+of seed-1 rounds 0-2 of the benchmark's `borrow`, `wide` and `deep`
+workloads, which `perfbench/workloads.py` generates into a temporary
 directory; then for `dump-graph --binding NAME` under both OPMs, on each
 `programs/**/*.ord` file with NAME each let binder written in it, each other
 binder whose context TREE's checker records for it under either OPM (lambda
 and pattern parameters, the names of `;`), and one name that none binds;
-then for `check` and `check --json` under both OPMs on TREE's
+then for `check` and `check --json` under both OPMs on
 `tests/diagnostics/*.ord`, each of which raises one checker diagnostic.
 That makes 6594 calls. Each call prints its arguments, exit code, stdout and
 stderr, with that directory's path replaced by `<tmp>`, so the outputs of
@@ -45,9 +47,10 @@ LET_BINDERS = re.compile(r"\blet\s+(\w+)(?:\s*,\s*(\w+))?")  # `let x` and `let 
 UNBOUND = "no_such_binding"
 
 
-def _write_rounds(tree: Path, out: Path) -> list[str]:
+def _write_rounds(inputs: Path, out: Path) -> list[str]:
     """Write the generated rounds' programs under `out`; their paths."""
-    spec = importlib.util.spec_from_file_location("workloads", tree / "perfbench" / "workloads.py")
+    spec = importlib.util.spec_from_file_location(
+        "workloads", inputs / "perfbench" / "workloads.py")
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)  # registered first: its dataclasses look it up
     paths = []
@@ -77,9 +80,9 @@ def _binders(path: str) -> list[str]:
     return list(dict.fromkeys(names))
 
 
-def _paths(tree: Path, pattern: str) -> list[str]:
-    """The files under `tree` that match `pattern`, relative to it."""
-    return [str(p.relative_to(tree)) for p in sorted(tree.glob(pattern))]
+def _paths(inputs: Path, pattern: str) -> list[str]:
+    """The files under `inputs` that match `pattern`, relative to it."""
+    return [str(p.relative_to(inputs)) for p in sorted(inputs.glob(pattern))]
 
 
 def _commands(paths: list[str], commands):
@@ -101,17 +104,17 @@ def _calls(programs: list[str], rounds: list[str], diagnostics: list[str]):
 
 
 def main() -> int:
-    tree = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
-    tree = tree.resolve()
+    inputs = Path(__file__).resolve().parent.parent
+    tree = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else inputs
     sys.path.insert(0, str(tree / "src"))
     from ordlang.cli import main as cli_main
 
-    os.chdir(tree)  # the example programs by their paths relative to the tree
+    os.chdir(inputs)  # the example programs by their paths relative to the checkout
     raised = 0
     with tempfile.TemporaryDirectory() as tmp:
-        programs = _paths(tree, "programs/**/*.ord")
-        diagnostics = _paths(tree, "tests/diagnostics/*.ord")
-        for argv in _calls(programs, _write_rounds(tree, Path(tmp)), diagnostics):
+        programs = _paths(inputs, "programs/**/*.ord")
+        diagnostics = _paths(inputs, "tests/diagnostics/*.ord")
+        for argv in _calls(programs, _write_rounds(inputs, Path(tmp)), diagnostics):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
