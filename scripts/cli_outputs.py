@@ -17,7 +17,7 @@ binder whose context TREE's checker records for it under either OPM (lambda
 and pattern parameters, the names of `;`), and one name that none binds;
 then for `check` and `check --json` under both OPMs on
 `tests/diagnostics/*.ord`, each of which raises one checker diagnostic.
-That makes 6594 calls. Each call prints its arguments, exit code, stdout and
+That makes 6626 calls. Each call prints its arguments, exit code, stdout and
 stderr, with that directory's path replaced by `<tmp>`, so the outputs of
 two trees can be compared with diff. A call that raises prints its
 exception instead of an exit code, and the script then exits 1.
