@@ -16,7 +16,8 @@ one symbol at a time with `reference_derivative`, the per-symbol recursion
 that `regex.to_dfa`'s rows replace; `reference_best_continuation`, which
 takes the quotient by a word one `reference_derivative` per letter, is the
 reference for the regex OPM's walk along a word; and the one-branch-per-former
-`reference_locations` is the reference for `core.locations`.
+`reference_locations` and `reference_types_equal` are the references for
+`core.locations` and `core.types_equal`.
 `reference_lex_counting`, the one-pattern lexer that counted lines and
 columns as it went, is the reference for the positions `surface.lex`
 computes from offsets.  The substitution evaluator
@@ -1114,6 +1115,28 @@ def is_value(m: CoreTerm) -> bool:
         return True
     if isinstance(m, Pair):
         return is_value(m.left) and is_value(m.right)
+    return False
+
+
+def reference_types_equal(a: CoreType, b: CoreType, opm: Opm) -> bool:
+    """Structural type equality with indices compared by OPM equality."""
+    if isinstance(a, co.UnitType) and isinstance(b, co.UnitType):
+        return True
+    if isinstance(a, TraceType) and isinstance(b, TraceType):
+        return opm.eq(a.index, b.index)
+    if isinstance(a, co.ArrowType) and isinstance(b, co.ArrowType):
+        return (
+            a.mode == b.mode
+            and a.effect == b.effect
+            and reference_types_equal(a.param, b.param, opm)
+            and reference_types_equal(a.result, b.result, opm)
+        )
+    if isinstance(a, co.ProdType) and isinstance(b, co.ProdType):
+        return (
+            a.ordered == b.ordered
+            and reference_types_equal(a.left, b.left, opm)
+            and reference_types_equal(a.right, b.right, opm)
+        )
     return False
 
 

@@ -857,3 +857,21 @@ def test_a_let_pair_across_both_sides_of_the_context(clause, tmp_path, capsys):
     assert capsys.readouterr().out == core.lstrip("\n")
     assert cli.main(["dump-graph", str(path), "--binding", "p"]) == 0
     assert capsys.readouterr().out == graph.lstrip("\n")
+
+
+def test_a_seq_names_its_binder_before_checking_its_first_part(tmp_path, capsys):
+    # The names of `;` and of renamed binders share one counter: the outer `;`
+    # draws s0 before its first part renames z to z1, and the inner `;` s2 after.
+    path = tmp_path / "seq.ord"
+    path.write_text(
+        "let z = new {r*} in (let z, w = split {r} z in drop (!{r} z); drop w); unit\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["dump-core", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "let° z = new_{r*} @ unit in\n"
+        "let s0 = (let z1 .o w = split_{r,r*} @ z in\n"
+        "let< s2 = drop @ (op_{r} @ z1) in\n"
+        "drop @ w) in\n"
+        "unit\n"
+    )

@@ -11,7 +11,9 @@ from ordlang.checker import TypeCheckError, check_program
 from ordlang.opm import get_opm
 
 from conftest import PROGRAMS
-from oracles import is_value, naive_surface_fv, reference_locations, reference_subst
+from oracles import (
+    is_value, naive_surface_fv, reference_locations, reference_subst, reference_types_equal,
+)
 
 OPM = get_opm("regex")
 R = rx.sym("r")
@@ -19,11 +21,8 @@ M = co.TraceType(R)
 UNIT = co.UNIT_T
 
 
-def types(max_depth=5):
-    base = st.one_of(
-        st.just(UNIT),
-        st.sampled_from([co.TraceType(rx.sym(c)) for c in "rw"]),
-    )
+def types(max_depth=5, indices=(rx.sym("r"), rx.sym("w"))):
+    base = st.one_of(st.just(UNIT), st.sampled_from([co.TraceType(i) for i in indices]))
     return st.recursive(
         base,
         lambda inner: st.one_of(
@@ -298,3 +297,56 @@ def test_types_equal_semantic_indices():
         co.ArrowType(co.LEFT, UNIT, UNIT, 0),
         OPM,
     )
+
+
+# Indices each OPM reads, with equivalent but distinct ones under the regex OPM:
+# r|w and w|r as unsorted `Alt`s, and a continuation leaf equivalent to w.
+EQ_INDICES = {
+    "regex": (
+        rx.sym("r"), rx.sym("w"),
+        rx.Alt((rx.sym("r"), rx.sym("w"))), rx.Alt((rx.sym("w"), rx.sym("r"))),
+        rx.product_derivative(rx.cat(rx.sym("r"), rx.sym("w")), rx.sym("r")),
+    ),
+    "ownership": ("eps", "b", "*"),
+}
+
+
+class RecordingOpm:
+    """An OPM whose `eq` calls are recorded, in order."""
+
+    def __init__(self, opm):
+        self.opm, self.calls = opm, []
+
+    def eq(self, x, y):
+        self.calls.append((x, y))
+        return self.opm.eq(x, y)
+
+
+def _respelled(t, indices):
+    """`t` with each index redrawn and each mode, effect and order kept or redrawn."""
+    if isinstance(t, co.TraceType):
+        return st.sampled_from([co.TraceType(i) for i in indices])
+    if isinstance(t, co.ArrowType):
+        return st.builds(
+            co.ArrowType, st.sampled_from((t.mode, *co.MODES)),
+            _respelled(t.param, indices), _respelled(t.result, indices),
+            st.sampled_from((t.effect, 0, 1)),
+        )
+    if isinstance(t, co.ProdType):
+        return st.builds(
+            co.ProdType, st.sampled_from((t.ordered, not t.ordered)),
+            _respelled(t.left, indices), _respelled(t.right, indices),
+        )
+    return st.just(t)
+
+
+@pytest.mark.parametrize("name", sorted(EQ_INDICES))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_types_equal_matches_the_reference_and_asks_the_same_eqs(name, data):
+    indices = EQ_INDICES[name]
+    a = data.draw(types(3, indices))
+    b = data.draw(st.one_of(types(3, indices), _respelled(a, indices)))
+    ours, theirs = RecordingOpm(get_opm(name)), RecordingOpm(get_opm(name))
+    assert co.types_equal(a, b, ours) == reference_types_equal(a, b, theirs)
+    assert ours.calls == theirs.calls
