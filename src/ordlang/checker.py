@@ -41,7 +41,6 @@ from .core import (
     UNIT_T,
     UNORD,
     Var,
-    ord_,
     show_type,
     types_equal,
     unr,
@@ -227,11 +226,7 @@ class Checker:
             return InferResult(e.type, eff, core)
 
         if isinstance(e, sf.SLet):
-            return self._let_ladder(ctx, e.span, e.x, e.header, e.body)
-
-        if isinstance(e, sf.SSeq):
-            name = self.fresh("s", cx.dom_vars(ctx) | surface_fv(e.rest))
-            return self._let_ladder(ctx, e.span, name, e.first, e.rest)
+            return self._let_ladder(ctx, e)
 
         if isinstance(e, sf.SLam):
             raise TypeCheckError(
@@ -279,7 +274,7 @@ class Checker:
         rr = self.infer(ctx_r, e.right)
         what = "pair components interleave resources"
         ordered = self._ordered(e.span, what, ctx, ctx_l, ctx_r)
-        if ordered and ord_(rl.type):
+        if ordered and not unr(rl.type):
             what = "second component of an ordered pair must be effect-free"
             _effect_free(rr.effect, e.right.span, f"{what} when the first carries resources")
         ty = ProdType(ordered, rl.type, rr.type)
@@ -316,22 +311,22 @@ class Checker:
         core = LetPair(rh.type.ordered, x, y, rh.core, rb.core)
         return InferResult(rb.type, rb.effect, core)
 
-    def _let_ladder(
-        self, ctx: cx.Ctx, span: Span, name: str, header: SurfaceExpr, body: SurfaceExpr
-    ) -> InferResult:
-        ctx_h = cx.restrict(ctx, surface_fv(header))
-        rh = self.infer(ctx_h, header)
-        name, body = self._freshen_binder(name, body, ctx)
+    def _let_ladder(self, ctx: cx.Ctx, e: sf.SLet) -> InferResult:
+        # `e1; e2` (x None) is named before e1 is checked
+        name = e.x or self.fresh("s", cx.dom_vars(ctx) | surface_fv(e.body))
+        ctx_h = cx.restrict(ctx, surface_fv(e.header))
+        rh = self.infer(ctx_h, e.header)
+        name, body = self._freshen_binder(name, e.body, ctx)
         ctx_b = cx.restrict(ctx, surface_fv(body) - {name})
         if name not in surface_fv(body) and not unr(rh.type):
             raise TypeCheckError(
                 "context-misuse",
-                span,
+                e.span,
                 f"binding {name!r} holds resources but is never used",
             )
         # Least to most restrictive: unrestricted, unordered-linear, ordered.
         # `,` and `∥` split an all-unrestricted ctx_b alike: one test fits both.
-        if self._ordered(span, "no binding mode fits", ctx, ctx_h, ctx_b):
+        if self._ordered(e.span, "no binding mode fits", ctx, ctx_h, ctx_b):
             mode = LEFT
         else:
             mode = PLAIN if unr(rh.type) and cx.all_unr(ctx_b) else UNORD

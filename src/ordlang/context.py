@@ -33,12 +33,6 @@ class Binding:
     name: Union[str, int]
     type: CoreType
 
-    def is_unr(self) -> bool:
-        return unr(self.type)
-
-    def is_ord(self) -> bool:
-        return not self.is_unr()
-
 
 def var_bind(name: str, t: CoreType) -> Binding:
     return Binding("var", name, t)
@@ -59,7 +53,7 @@ class Ctx:
         if isinstance(self, Bind):
             b = self.binding
             names = frozenset({b.name}) if b.kind == "var" else frozenset()
-            facts = (frozenset({b}) if b.is_ord() else frozenset(), names, bool(names), 0)
+            facts = (frozenset() if unr(b.type) else frozenset({b}), names, bool(names), 0)
         elif isinstance(self, (Seq, Par)):
             (o1, v1, t1, h1), (o2, v2, t2, h2) = self.left._facts, self.right._facts
             units = isinstance(self.left, Empty) or isinstance(self.right, Empty)
@@ -205,7 +199,7 @@ def interpret(ctx: Ctx) -> Interp:
 
     def walk(c: Ctx) -> None:
         if isinstance(c, Bind):
-            (unrs.add if c.binding.is_unr() else labels.append)(c.binding)
+            (unrs.add if unr(c.binding.type) else labels.append)(c.binding)
         elif isinstance(c, (Seq, Par)):
             first = len(labels)
             walk(c.left)
@@ -265,15 +259,12 @@ def spanning_embed(g1: GraphRep, g2: GraphRep) -> bool:
     return go(0)
 
 
-def iso(g1: GraphRep, g2: GraphRep) -> bool:
-    """Label- and edge-set-preserving bijection exists.  Embeddings both ways
-    force |E1| = |E2|, so each of them is an isomorphism."""
-    return spanning_embed(g1, g2) and spanning_embed(g2, g1)
-
-
 def equiv(c1: Ctx, c2: Ctx) -> bool:
+    """c1 ≃ c2: the same unrestricted bindings, and label-preserving spanning
+    embeddings of the graphs both ways, which force an isomorphism."""
     i1, i2 = interpret(c1), interpret(c2)
-    return i1.unrs == i2.unrs and iso(i1.graph, i2.graph)
+    g1, g2 = i1.graph, i2.graph
+    return i1.unrs == i2.unrs and spanning_embed(g1, g2) and spanning_embed(g2, g1)
 
 
 def subcontext(c1: Ctx, c2: Ctx) -> bool:
@@ -430,9 +421,9 @@ def decompose(ctx: Ctx, names: frozenset[str]) -> Optional[tuple[Ctx, Ctx]]:
 def _decompose(ctx: Ctx, names: frozenset[str]) -> Optional[tuple[Ctx, Ctx]]:
     """`decompose` for a `ctx` that binds some of `names`."""
     if isinstance(ctx, Bind):
-        if ctx.binding.is_ord():
-            return (HOLE, ctx)
-        return (par(HOLE, ctx), ctx)
+        if unr(ctx.binding.type):
+            return (par(HOLE, ctx), ctx)
+        return (HOLE, ctx)
     if not isinstance(ctx, (Seq, Par)):
         raise ValueError("cannot decompose a context pattern")
     g1, g2 = ctx.left, ctx.right

@@ -69,30 +69,17 @@ def unr(t: CoreType) -> bool:
     return False
 
 
-def ord_(t: CoreType) -> bool:
-    return not unr(t)
-
-
 def types_equal(a: CoreType, b: CoreType, opm: Opm) -> bool:
-    """Structural type equality with indices compared by OPM equality."""
-    if isinstance(a, UnitType) and isinstance(b, UnitType):
-        return True
-    if isinstance(a, TraceType) and isinstance(b, TraceType):
+    """Structural type equality, indices by OPM equality: the fields that are
+    not types (mode, effect, order) first, then the component types in order,
+    so an arrow's effect is compared before its parameter."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, TraceType):
         return opm.eq(a.index, b.index)
-    if isinstance(a, ArrowType) and isinstance(b, ArrowType):
-        return (
-            a.mode == b.mode
-            and a.effect == b.effect
-            and types_equal(a.param, b.param, opm)
-            and types_equal(a.result, b.result, opm)
-        )
-    if isinstance(a, ProdType) and isinstance(b, ProdType):
-        return (
-            a.ordered == b.ordered
-            and types_equal(a.left, b.left, opm)
-            and types_equal(a.right, b.right, opm)
-        )
-    return False
+    pairs = [(getattr(a, f), getattr(b, f)) for f in a.__match_args__]
+    return all(x == y for x, y in pairs if not isinstance(x, CoreType)) and all(
+        types_equal(x, y, opm) for x, y in pairs if isinstance(x, CoreType))
 
 
 ARROW_MARK = {PLAIN: "", UNORD: "°", RIGHT: ">", LEFT: "<"}

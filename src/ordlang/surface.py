@@ -13,7 +13,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import takewhile
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T, store_fv
 from .opm import Opm, OpmError
@@ -136,17 +136,12 @@ class SLetPair(SurfaceExpr):
 
 @dataclass(frozen=True)
 class SLet(SurfaceExpr):
-    """Value let with inferred binding mode (not part of the kernel grammar)."""
+    """Value let with inferred binding mode (not part of the kernel grammar);
+    `e1; e2` is an `SLet` with `x` None, whose binder the checker names."""
 
-    x: str
+    x: Optional[str]
     header: SurfaceExpr
     body: SurfaceExpr
-
-
-@dataclass(frozen=True)
-class SSeq(SurfaceExpr):
-    first: SurfaceExpr
-    rest: SurfaceExpr
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,6 @@ SHAPES: dict[type, Shape] = {
     SPair: (("left", ()), ("right", ())),
     SLetPair: (("header", ()), ("body", ("x", "y"))),
     SLet: (("header", ()), ("body", ("x",))),
-    SSeq: (("first", ()), ("rest", ())),
     SAnn: (("expr", ()),),
     SLam: (("body", ("var",)),),
 }
@@ -335,7 +329,7 @@ class Parser:
             if self.peek().kind != ";":
                 break
             self.next()
-            items.append(lambda rest, first=e: SSeq(first.span.cover(rest.span), first, rest))
+            items.append(lambda rest, first=e: SLet(first.span.cover(rest.span), None, first, rest))
         for build in reversed(items):
             e = build(e)
         return e

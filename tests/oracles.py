@@ -574,7 +574,7 @@ def well_formed(ctx: cx.Ctx) -> bool:
             return False
         seen[b.name] = b.type
         counts[b] = counts.get(b, 0) + 1
-        if b.is_ord() and counts[b] > 1:
+        if not co.unr(b.type) and counts[b] > 1:
             return False
     return True
 
@@ -749,7 +749,7 @@ def _unr_extractions(c: cx.Ctx):
     """(c', b) for each unrestricted leaf b of c, with that leaf blanked:
     instances of the law  G[x:T] ≡ G[·] ∥ x:T  for unr T."""
     if isinstance(c, cx.Bind):
-        if c.binding.is_unr():
+        if co.unr(c.binding.type):
             yield cx.EMPTY, c.binding
     elif isinstance(c, (cx.Seq, cx.Par)):
         builder = cx.Seq if isinstance(c, cx.Seq) else cx.Par
@@ -788,7 +788,7 @@ def _one_step(c: cx.Ctx) -> set[cx.Ctx]:
             out.add(cx.Par(cx.Par(l, r.left), r.right))
         if isinstance(l, cx.Par):
             out.add(cx.Par(l.left, cx.Par(l.right, r)))
-        if l == r and isinstance(l, cx.Bind) and l.binding.is_unr():
+        if l == r and isinstance(l, cx.Bind) and co.unr(l.binding.type):
             out.add(l)  # contraction
         for sub in _one_step(l):
             out.add(cx.Par(sub, r))
@@ -1015,7 +1015,7 @@ class ReferenceParser(sf.Parser):
         if self.peek().kind == ";":
             self.next()
             rest = self.parse_expr()
-            return sf.SSeq(first.span.cover(rest.span), first, rest)
+            return sf.SLet(first.span.cover(rest.span), None, first, rest)
         return first
 
     def parse_let(self) -> sf.SurfaceExpr:

@@ -373,7 +373,7 @@ def test_decompose_postconditions_hold_on_every_checker_call(monkeypatch):
             assert cx.subcontext(ctx, cx.fill(pattern, inner))
             assert cx.dom_vars(inner) <= names
             for b in bindings(pattern):
-                if b.kind == "var" and b.is_ord():
+                if b.kind == "var" and not co.unr(b.type):
                     assert b.name not in names
             calls.append(ctx)
         return got
@@ -393,7 +393,7 @@ def test_checker_contexts_stay_in_unit_normal_form(monkeypatch):
     def checked_split_violation(ctx, first, second, former):
         for c in (ctx, first, second):
             assert in_unit_normal_form(c), (ctx, first, second)
-        ords = [b for b in bindings(ctx) if b.is_ord()]
+        ords = [b for b in bindings(ctx) if not co.unr(b.type)]
         assert len(ords) == len(set(ords)), ctx
         calls.append(ctx)
         return real(ctx, first, second, former)

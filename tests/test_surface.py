@@ -58,9 +58,9 @@ def test_param_pattern_desugars_to_letpair():
 
 def test_sequence_is_right_associative():
     prog = parse("unit; unit; unit")
-    assert isinstance(prog, sf.SSeq)
-    assert isinstance(prog.rest, sf.SSeq)
-    assert isinstance(prog.first, sf.SUnit)
+    assert isinstance(prog, sf.SLet) and prog.x is None
+    assert isinstance(prog.body, sf.SLet) and prog.body.x is None
+    assert isinstance(prog.header, sf.SUnit)
 
 
 def test_application_is_left_associative():
@@ -409,9 +409,9 @@ def test_parser_reads_5000_item_spines():
     assert isinstance(e, sf.SDrop) and e.span.line == e.span.end_line == n + 2
     e = parse(";\n".join(["unit"] * n))
     for i in range(n - 1):
-        assert isinstance(e, sf.SSeq) and e.span == sf.Span(i + 1, 1, n, 5)
-        assert isinstance(e.first, sf.SUnit)
-        e = e.rest
+        assert isinstance(e, sf.SLet) and e.x is None and e.span == sf.Span(i + 1, 1, n, 5)
+        assert isinstance(e.header, sf.SUnit)
+        e = e.body
     assert isinstance(e, sf.SUnit) and e.span == sf.Span(n, 1, n, 5)
 
 
@@ -449,7 +449,7 @@ def surface_terms():
             inner.map(lambda a: sf.SAnn(SPAN, a, co.UNIT_T)),
             st.builds(lambda a, b: sf.SApp(SPAN, a, b), inner, inner),
             st.builds(lambda a, b: sf.SPair(SPAN, a, b), inner, inner),
-            st.builds(lambda a, b: sf.SSeq(SPAN, a, b), inner, inner),
+            st.builds(lambda a, b: sf.SLet(SPAN, None, a, b), inner, inner),
             st.builds(lambda x, a: sf.SLam(SPAN, x, a), names, inner),
             st.builds(lambda x, a, b: sf.SLet(SPAN, x, a, b), names, inner, inner),
             st.builds(
@@ -503,6 +503,6 @@ def test_rename_rebuilds_only_the_path_to_free_occurrences():
     out = sf.rename_var(prog, "x", "y")
     assert out == parse("let a = unit in let b = y in (a, b); y")
     assert out.header is prog.header  # `let a = unit`: no x below
-    assert out.body.body.first is prog.body.body.first  # `(a, b)`
+    assert out.body.body.header is prog.body.body.header  # `(a, b)`
     assert sf.rename_var(prog, "a", "q") is prog  # bound, not free
     assert sf.rename_var(prog.body, "a", "q") is not prog.body  # free there
