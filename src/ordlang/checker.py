@@ -312,7 +312,7 @@ class Checker:
         return InferResult(rb.type, rb.effect, core)
 
     def _let_ladder(self, ctx: cx.Ctx, e: sf.SLet) -> InferResult:
-        # `e1; e2` (x None) is named before e1 is checked
+        # `e1; e2` (x None) is named before e1 renames its binders: they share the counter
         name = e.x or self.fresh("s", cx.dom_vars(ctx) | surface_fv(e.body))
         ctx_h = cx.restrict(ctx, surface_fv(e.header))
         rh = self.infer(ctx_h, e.header)
