@@ -16,9 +16,13 @@ directory; then for `dump-graph --binding NAME` under both OPMs, on each
 binder whose context TREE's checker records for it under either OPM (lambda
 and pattern parameters, the names of `;`), and one name that none binds;
 then for `check` and `check --json` under both OPMs on
-`tests/diagnostics/*.ord`, each of which raises one checker diagnostic.
-That makes 6626 calls. Each call prints its arguments, exit code, stdout and
-stderr, with that directory's path replaced by `<tmp>`, so the outputs of
+`tests/diagnostics/*.ord`, each of which raises one checker diagnostic;
+then for `check`, `run` and `dump-core` under both OPMs on
+`tests/letpairs/*.ord`, accepted let-pairs that split their context across
+both sides of a `,` or a `∥`; last for `run --fuel 3` and
+`run --json --fuel 3` under both OPMs on `programs/copy.ord`, which runs out
+of fuel. That makes 6672 calls. Each call prints its arguments, exit code,
+stdout and stderr, with that directory's path replaced by `<tmp>`, so the outputs of
 two trees can be compared with diff. A call that raises prints its
 exception instead of an exit code, and the script then exits 1.
 """
@@ -39,6 +43,9 @@ COMMANDS = (
     ("check",), ("check", "--json"), ("run",), ("run", "--paranoid"), ("trace",), ("dump-core",),
 )
 DIAGNOSTIC_COMMANDS = (("check",), ("check", "--json"))
+LETPAIR_COMMANDS = (("check",), ("run",), ("dump-core",))
+FUEL_COMMANDS = (("run", "--fuel", "3"), ("run", "--json", "--fuel", "3"))
+FUEL_PROGRAM = "programs/copy.ord"  # 22 steps to its value
 OPMS = ("regex", "ownership")
 WORKLOADS = ("borrow", "wide", "deep")
 ROUNDS = range(3)
@@ -93,7 +100,7 @@ def _commands(paths: list[str], commands):
                 yield [command[0], path, "--opm", opm, *command[1:]]
 
 
-def _calls(programs: list[str], rounds: list[str], diagnostics: list[str]):
+def _calls(programs: list[str], rounds: list[str], diagnostics: list[str], letpairs: list[str]):
     """The argument lists of every call, in the order they are printed."""
     yield from _commands(programs + rounds, COMMANDS)
     for path in programs:
@@ -101,6 +108,8 @@ def _calls(programs: list[str], rounds: list[str], diagnostics: list[str]):
             for opm in OPMS:
                 yield ["dump-graph", path, "--opm", opm, "--binding", name]
     yield from _commands(diagnostics, DIAGNOSTIC_COMMANDS)
+    yield from _commands(letpairs, LETPAIR_COMMANDS)
+    yield from _commands([FUEL_PROGRAM], FUEL_COMMANDS)
 
 
 def main() -> int:
@@ -114,7 +123,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         programs = _paths(inputs, "programs/**/*.ord")
         diagnostics = _paths(inputs, "tests/diagnostics/*.ord")
-        for argv in _calls(programs, _write_rounds(inputs, Path(tmp)), diagnostics):
+        letpairs = _paths(inputs, "tests/letpairs/*.ord")
+        rounds = _write_rounds(inputs, Path(tmp))
+        for argv in _calls(programs, rounds, diagnostics, letpairs):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:

@@ -14,7 +14,6 @@ context side conditions hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import context as cx
@@ -46,6 +45,7 @@ from .core import (
     unr,
 )
 from .opm import Opm
+from .record import Field, Record
 from .surface import Span, SurfaceExpr, surface_fv
 
 
@@ -88,8 +88,7 @@ def _placed(mode: str, ctx: cx.Ctx, new: cx.Ctx):
     return (former, new, ctx) if mode == LEFT else (former, ctx, new)
 
 
-@dataclass
-class InferResult:
+class InferResult(Record):
     type: CoreType
     effect: Effect
     core: CoreTerm
@@ -364,9 +363,8 @@ class Checker:
         return result.effect, result.core
 
 
-@dataclass
 class CheckedProgram(InferResult):
-    binding_trees: dict[str, cx.Ctx] = field(default_factory=dict)
+    binding_trees: dict[str, cx.Ctx] = Field(default_factory=dict)
 
     @cached_property
     def binding_contexts(self) -> dict[str, cx.Interp]:

@@ -17,18 +17,17 @@ the bindings a subterm needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from .core import CoreType, TraceType, show_type, unr
 from .opm import Opm
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # Bindings and context trees
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Record, frozen=True):
     kind: str  # "var" | "loc"
     name: Union[str, int]
     type: CoreType
@@ -42,10 +41,9 @@ def loc_bind(ident: int, index: Any) -> Binding:
     return Binding("loc", ident, TraceType(index))
 
 
-@dataclass(frozen=True)
-class Ctx:
+class Ctx(Record, frozen=True):
     # (ordered bindings, variable names, tidy, holes), stored when the node
-    # is built, from its binding or its sides'; not a dataclass field, so
+    # is built, from its binding or its sides'; not a record field, so
     # equality, hashing and repr ignore it.  A tidy context binds only
     # variables, has no hole and is in unit normal form.
 
@@ -69,18 +67,15 @@ class Empty(Ctx):
     _facts = (frozenset(), frozenset(), True, 0)
 
 
-@dataclass(frozen=True)
 class Bind(Ctx):
     binding: Binding
 
 
-@dataclass(frozen=True)
 class Seq(Ctx):
     left: Ctx
     right: Ctx
 
 
-@dataclass(frozen=True)
 class Par(Ctx):
     left: Ctx
     right: Ctx
@@ -174,15 +169,13 @@ def show_ctx(ctx: Ctx, opm: Opm, prec: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # Graph representations and interpretation
 
-@dataclass(frozen=True)
-class GraphRep:
+class GraphRep(Record, frozen=True):
     n: int
     labels: tuple[Binding, ...]
     edges: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Interp:
+class Interp(Record, frozen=True):
     graph: GraphRep
     unrs: frozenset[Binding]
 

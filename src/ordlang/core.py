@@ -8,10 +8,10 @@ or by test builders; there is no core parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 from .opm import Opm
+from .record import Record, replace
 
 # Abstraction/application/arrow modes.
 PLAIN = "u"
@@ -26,8 +26,7 @@ Effect = int  # 0 or 1; join is max
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class CoreType:
+class CoreType(Record, frozen=True):
     pass
 
 
@@ -35,12 +34,10 @@ class UnitType(CoreType):
     pass
 
 
-@dataclass(frozen=True)
 class TraceType(CoreType):
     index: Any  # OPM element
 
 
-@dataclass(frozen=True)
 class ArrowType(CoreType):
     mode: str
     param: CoreType
@@ -48,7 +45,6 @@ class ArrowType(CoreType):
     effect: Effect
 
 
-@dataclass(frozen=True)
 class ProdType(CoreType):
     ordered: bool
     left: CoreType
@@ -104,10 +100,9 @@ def show_type(t: CoreType, opm: Opm, prec: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class CoreTerm:
+class CoreTerm(Record, frozen=True):
     # Free variables, stored when the node is built, and locations, stored by
-    # `locations` on first use; not dataclass fields, so equality, hashing
+    # `locations` on first use; not record fields, so equality, hashing
     # and repr ignore them.
     _locs = None
 
@@ -119,17 +114,14 @@ class UnitConst(CoreTerm):
     pass
 
 
-@dataclass(frozen=True)
 class NewConst(CoreTerm):
     index: Any
 
 
-@dataclass(frozen=True)
 class OpConst(CoreTerm):
     index: Any
 
 
-@dataclass(frozen=True)
 class SplitConst(CoreTerm):
     head: Any
     rest: Any
@@ -139,12 +131,10 @@ class DropConst(CoreTerm):
     pass
 
 
-@dataclass(frozen=True)
 class Loc(CoreTerm):
     ident: int
 
 
-@dataclass(frozen=True)
 class Var(CoreTerm):
     name: str
 
@@ -152,28 +142,24 @@ class Var(CoreTerm):
         object.__setattr__(self, "_fv", frozenset({self.name}))
 
 
-@dataclass(frozen=True)
 class Lam(CoreTerm):
     mode: str
     var: str
     body: CoreTerm
 
 
-@dataclass(frozen=True)
 class App(CoreTerm):
     mode: str
     fn: CoreTerm
     arg: CoreTerm
 
 
-@dataclass(frozen=True)
 class Pair(CoreTerm):
     ordered: bool
     left: CoreTerm
     right: CoreTerm
 
 
-@dataclass(frozen=True)
 class LetPair(CoreTerm):
     ordered: bool
     x: str
@@ -261,7 +247,7 @@ def close(m: CoreTerm, env: dict, locs: Optional[list[int]] = None) -> CoreTerm:
         fields[field] = close(getattr(m, field), inner, locs)
     if locs is not None:
         return m
-    return type(m)(*[fields[f] if f in fields else getattr(m, f) for f in m.__match_args__])
+    return replace(m, **fields)
 
 
 def readback(v: Any, locs: Optional[list[int]] = None) -> CoreTerm:

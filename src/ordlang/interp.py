@@ -18,7 +18,6 @@ and flat closures: it takes the steps of substitution into the whole term
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -26,19 +25,19 @@ from .core import (
     Pair, SplitConst, UnitConst, Var, capture, close, pretty, readback,
 )
 from .opm import Opm
+from .record import Field, Record, replace
 
 HeapCell = tuple[int, object, object, object]  # refcount, envelope, trace, index left
 Heap = dict[int, HeapCell]
 
 
-@dataclass
-class Config:
+class Config(Record):
     """A machine state; `Config(term, {})` starts evaluating `term`."""
 
     focus: Any  # code under `env`, or a value when `env` is None
     heap: Heap
     next_loc: int = 0
-    env: Optional[dict] = field(default_factory=dict)
+    env: Optional[dict] = Field(default_factory=dict)
     stack: Optional[tuple] = None  # (frame, rest): former, its env, values so far
 
     def read(self, locs: Optional[list] = None) -> CoreTerm:
@@ -54,8 +53,7 @@ class Config:
     term = property(read)
 
 
-@dataclass
-class StepOutcome:
+class StepOutcome(Record):
     status: str  # "value" | "stepped" | "stuck"
     config: Config
     rule: Optional[str] = None
@@ -194,22 +192,20 @@ def runtime_oracle(cfg: Config) -> list[str]:
     return violations
 
 
-@dataclass
-class TraceStep:
+class TraceStep(Record):
     index: int
     rule: str
     redex: Optional[str] = None  # rendered only by run(..., trace=True)
     heap_delta: Optional[str] = None
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     outcome: str  # "value" | "stuck" | "fuel-exhausted"
     config: Config
-    steps: list[TraceStep] = field(default_factory=list)
+    steps: list[TraceStep] = Field(default_factory=list)
     stuck_reason: Optional[str] = None
     stuck_redex: Optional[CoreTerm] = None
-    violations: list[tuple[int, str]] = field(default_factory=list)
+    violations: list[tuple[int, str]] = Field(default_factory=list)
 
     @property
     def gamma_rules(self) -> list[str]:

@@ -15,11 +15,11 @@ the reference in `tests/oracles.py`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
 from .opm import Opm, OpmError, register_opm
+from .record import Field, Record
 
 
 class StateBudgetExceeded(Exception):
@@ -29,9 +29,8 @@ class StateBudgetExceeded(Exception):
 # ---------------------------------------------------------------------------
 # Syntax and smart constructors
 
-@dataclass(frozen=True, eq=False)
-class Regex:
-    # Hash (a generated dataclass hash: that of the field tuple), alphabet and
+class Regex(Record, frozen=True, eq=False):
+    # Hash (that of the field tuple, as a generated record hash), alphabet and
     # nullability, stored when the node is built from those of its fields
     # (a continuation's hash and alphabet on first use); prec-0 `show` string,
     # stored on first use. Not fields, so repr ignores them.
@@ -103,29 +102,24 @@ class Eps(Regex):
     """The language of the empty word."""
 
 
-@dataclass(frozen=True, eq=False)
 class Sym(Regex):
     ch: str
 
 
-@dataclass(frozen=True, eq=False)
 class Cat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False)
 class Alt(Regex):
     # Canonically sorted, deduplicated, flattened; never empty or singleton.
     items: tuple[Regex, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Star(Regex):
     inner: Regex
 
 
-@dataclass(frozen=True, eq=False)
 class Auto(Regex):
     """A continuation: the language of a DFA with some accepting state,
     read back to a regex (state elimination) only when it is printed."""
@@ -293,8 +287,7 @@ def _row(r: Regex, alphabet: tuple[str, ...], memo: dict) -> tuple[Regex, ...]:
     return row
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record, frozen=True):
     alphabet: tuple[str, ...]
     n_states: int
     start: int
@@ -303,7 +296,7 @@ class Dfa:
     trans: tuple[tuple[int, ...], ...]
     # The states that can reach acceptance, whatever the start: stored by
     # `_coreachable` on first use, and passed on when the start moves.
-    coreach: Optional[frozenset[int]] = field(default=None, compare=False, repr=False)
+    coreach: Optional[frozenset[int]] = Field(default=None, compare=False)
 
 
 DEFAULT_STATE_BUDGET = 512

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from itertools import takewhile
 from typing import Callable, NamedTuple, Optional, Union
 
 from .core import ArrowType, CoreType, ProdType, Shape, TraceType, UNIT_T, store_fv
 from .opm import Opm, OpmError
+from .record import Record, replace
 
 
 class Span(NamedTuple):
@@ -70,10 +70,9 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Surface AST
 
-@dataclass(frozen=True)
-class SurfaceExpr:
+class SurfaceExpr(Record, frozen=True):
     span: Span
-    # Free variables, stored when the node is built; not a dataclass field,
+    # Free variables, stored when the node is built; not a record field,
     # so equality, hashing and repr ignore it.
 
     def __post_init__(self) -> None:
@@ -84,29 +83,24 @@ class SUnit(SurfaceExpr):
     pass
 
 
-@dataclass(frozen=True)
 class SNew(SurfaceExpr):
     index: object
 
 
-@dataclass(frozen=True)
 class SOp(SurfaceExpr):
     index: object
     arg: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SSplit(SurfaceExpr):
     index: object
     arg: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SDrop(SurfaceExpr):
     arg: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SVar(SurfaceExpr):
     name: str
 
@@ -114,19 +108,16 @@ class SVar(SurfaceExpr):
         object.__setattr__(self, "_fv", frozenset({self.name}))
 
 
-@dataclass(frozen=True)
 class SApp(SurfaceExpr):
     fn: SurfaceExpr
     arg: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SPair(SurfaceExpr):
     left: SurfaceExpr
     right: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SLetPair(SurfaceExpr):
     x: str
     y: str
@@ -134,7 +125,6 @@ class SLetPair(SurfaceExpr):
     body: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SLet(SurfaceExpr):
     """Value let with inferred binding mode (not part of the kernel grammar);
     `e1; e2` is an `SLet` with `x` None, whose binder the checker names."""
@@ -144,13 +134,11 @@ class SLet(SurfaceExpr):
     body: SurfaceExpr
 
 
-@dataclass(frozen=True)
 class SAnn(SurfaceExpr):
     expr: SurfaceExpr
     type: CoreType
 
 
-@dataclass(frozen=True)
 class SLam(SurfaceExpr):
     var: str
     body: SurfaceExpr

@@ -10,6 +10,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
 SMOKE = PROGRAMS / "smoke"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+LETPAIRS = pathlib.Path(__file__).resolve().parent / "letpairs"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SCALING = ROOT / "perfbench" / "scaling.py"
 

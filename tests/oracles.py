@@ -31,7 +31,6 @@ The one-sided pattern extractors `reference_pat_right` and
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import re
 from functools import lru_cache
@@ -980,8 +979,8 @@ def naive_surface_fv(e: sf.SurfaceExpr) -> frozenset[str]:
     if isinstance(e, sf.SLetPair):
         return naive_surface_fv(e.header) | (naive_surface_fv(e.body) - {e.x, e.y})
     out: frozenset[str] = frozenset()
-    for f in dataclasses.fields(e):
-        child = getattr(e, f.name)
+    for name in e.__match_args__:
+        child = getattr(e, name)
         if isinstance(child, sf.SurfaceExpr):
             out |= naive_surface_fv(child)
     return out
@@ -995,12 +994,12 @@ def naive_rename_var(e: sf.SurfaceExpr, old: str, new: str) -> sf.SurfaceExpr:
     bound = {sf.SLam: ("var",), sf.SLet: ("x",), sf.SLetPair: ("x", "y")}
     shadowed = any(getattr(e, b) == old for b in bound.get(type(e), ()))
     fields = {}
-    for f in dataclasses.fields(e):
-        child = getattr(e, f.name)
+    for name in e.__match_args__:
+        child = getattr(e, name)
         if isinstance(child, sf.SurfaceExpr):
-            scoped_old = "" if shadowed and f.name == "body" else old
+            scoped_old = "" if shadowed and name == "body" else old
             child = naive_rename_var(child, scoped_old, new)
-        fields[f.name] = child
+        fields[name] = child
     return type(e)(**fields)
 
 

@@ -9,7 +9,7 @@ from ordlang.checker import Checker, TypeCheckError, check_program
 from ordlang.interp import run
 from ordlang.opm import get_opm
 
-from conftest import PROGRAMS, program_source, smoke_programs
+from conftest import LETPAIRS, PROGRAMS, program_source, smoke_programs
 from oracles import bindings, in_unit_normal_form
 
 OPM = get_opm("regex")
@@ -686,10 +686,11 @@ drop (!{b} b1); drop (!{*} x2)
 # the two sides' decompositions. A key names the former, then the pattern
 # each side's decomposition fits: the hole parallel to the rest (`pat_par`),
 # first (`pat_left`), last (`pat_right`) or between the rest (`pat_closed`).
-# Each is pinned by what `dump-core` prints and by `dump-graph --binding p`.
+# Each program is `tests/letpairs/KEY.ord`, which `scripts/cli_outputs.py`
+# also runs; it is pinned by what `dump-core` prints and by
+# `dump-graph --binding p`.
 LETPAIRS_ACROSS_BOTH_SIDES = {
     "seq-right-left": (
-        "let u = unit in let v = unit in let p, q = (u, v) in p; q",
         """
 let u = unit in
 let v = unit in
@@ -704,7 +705,6 @@ digraph "p" {
 """,
     ),
     "par-par-par": (
-        "let a = new {r} in let b = new {r} in let p, q = (a, b) in drop (!{r} p); drop (!{r} q)",
         """
 let° a = new_{r} @ unit in
 let° b = new_{r} @ unit in
@@ -720,8 +720,6 @@ digraph "p" {
 """,
     ),
     "par-left-left": (
-        "let x0 = new {r*} in let u1 = unit in let b2, y2 = split {r*} x0 in "
-        "let p, q = (b2, u1) in drop p; drop y2; q",
         """
 let° x0 = new_{r*} @ unit in
 let° u1 = unit in
@@ -741,8 +739,6 @@ digraph "p" {
 """,
     ),
     "par-right-right": (
-        "let x0 = new {r*} in let u1 = unit in let b2, y2 = split {r*} x0 in "
-        "let p, q = (y2, u1) in drop b2; drop p; q",
         """
 let° x0 = new_{r*} @ unit in
 let° u1 = unit in
@@ -762,8 +758,6 @@ digraph "p" {
 """,
     ),
     "par-right-left": (
-        "let x0 = new {r*} in let x1 = new {r*} in let b2, y2 = split {r*} x0 in "
-        "let b3, y3 = split {r*} x1 in let p, q = (b3, y2) in drop b2; drop p; drop q; drop y3",
         """
 let° x0 = new_{r*} @ unit in
 let° x1 = new_{r*} @ unit in
@@ -791,8 +785,6 @@ digraph "p" {
 """,
     ),
     "par-left-right": (
-        "let x0 = new {r*} in let x1 = new {r*} in let b2, y2 = split {r*} x0 in "
-        "let b3, y3 = split {r*} x1 in let p, q = (b2, y3) in drop b3; drop p; drop q; drop y2",
         """
 let° x0 = new_{r*} @ unit in
 let° x1 = new_{r*} @ unit in
@@ -820,8 +812,6 @@ digraph "p" {
 """,
     ),
     "par-closed-closed": (
-        "let x0 = new {r*} in let u1 = unit in let b2, y2 = split {r*} x0 in "
-        "let b3, y3 = split {r*} b2 in let p, q = (y3, u1) in drop b3; drop p; drop y2; q",
         """
 let° x0 = new_{r*} @ unit in
 let° u1 = unit in
@@ -849,14 +839,17 @@ digraph "p" {
 
 
 @pytest.mark.parametrize("clause", LETPAIRS_ACROSS_BOTH_SIDES)
-def test_a_let_pair_across_both_sides_of_the_context(clause, tmp_path, capsys):
-    src, core, graph = LETPAIRS_ACROSS_BOTH_SIDES[clause]
-    path = tmp_path / "letpair.ord"
-    path.write_text(src + "\n", encoding="utf-8")
+def test_a_let_pair_across_both_sides_of_the_context(clause, capsys):
+    core, graph = LETPAIRS_ACROSS_BOTH_SIDES[clause]
+    path = LETPAIRS / f"{clause}.ord"
     assert cli.main(["dump-core", str(path)]) == 0
     assert capsys.readouterr().out == core.lstrip("\n")
     assert cli.main(["dump-graph", str(path), "--binding", "p"]) == 0
     assert capsys.readouterr().out == graph.lstrip("\n")
+
+
+def test_the_let_pair_directory_holds_the_pinned_programs():
+    assert sorted(p.stem for p in LETPAIRS.glob("*.ord")) == sorted(LETPAIRS_ACROSS_BOTH_SIDES)
 
 
 def test_a_seq_names_its_binder_before_checking_its_first_part(tmp_path, capsys):

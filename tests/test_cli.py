@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from ordlang import cli
 from ordlang.cli import main
+from ordlang.record import replace
 from ordlang.regex import READBACK_BUDGET, StateBudgetExceeded
 
 from conftest import PROGRAMS, scaling_families, smoke_programs
@@ -491,7 +491,7 @@ def test_limits_met_while_printing_are_limit_exceeded(
 
     def failing_run(term, opm, **kwargs):
         result = real_run(term, opm, **{**kwargs, "fuel": 3})
-        return dataclasses.replace(result, stuck_redex=result.config.term, **failure)
+        return replace(result, stuck_redex=result.config.term, **failure)
 
     if failure is not None:
         monkeypatch.setattr(cli, "run", failing_run)
@@ -553,7 +553,7 @@ def test_other_run_time_failures_are_json_lines(failure, kinds, monkeypatch, cap
 
     def failing_run(term, opm, **kwargs):
         result = real_run(term, opm, **{**kwargs, "fuel": 3})
-        return dataclasses.replace(result, stuck_redex=result.config.term, **failure)
+        return replace(result, stuck_redex=result.config.term, **failure)
 
     monkeypatch.setattr(cli, "run", failing_run)
     path = str(PROGRAMS / "copy.ord")

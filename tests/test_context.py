@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -326,7 +325,7 @@ def test_ctx_repr_and_fields_ignore_stored_facts():
     assert repr(ctx).startswith("Seq(left=Bind(binding=Binding(kind='var', name='x'")
     assert "_facts" not in repr(ctx)
     for cls, names in FIELDS.items():
-        assert [f.name for f in dataclasses.fields(cls)] == names
+        assert list(cls.__match_args__) == names
 
 
 @given(unique_label_contexts(), split_names)
@@ -335,8 +334,8 @@ def test_stored_facts_leave_equality_hash_and_repr_alone(ctx, names):
     before, fresh = repr(ctx), rebuild_ctx(ctx)
     assert ctx == fresh and fresh == ctx and hash(ctx) == hash(fresh)
     assert repr(ctx) == repr(fresh) == before
-    # the hash the generated dataclass hash gives: that of the field tuple
-    assert hash(ctx) == hash(tuple(getattr(ctx, f.name) for f in dataclasses.fields(ctx)))
+    # the hash the generated record hash gives: that of the field tuple
+    assert hash(ctx) == hash(tuple(getattr(ctx, f) for f in ctx.__match_args__))
     # the stored facts agree with a walk over the leaves
     leaves = bindings(ctx)
     assert cx.dom_vars(ctx) == {b.name for b in leaves if b.kind == "var"}

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,7 +232,8 @@ def test_every_former_is_a_leaf_or_in_its_shape_table(base, shapes):
     formers = base.__subclasses__()
     assert len(formers) >= 10 and set(shapes) <= set(formers)
     for former in formers:
-        fields = {f.name: f.type for f in dataclasses.fields(former)}
+        declared = {k: v for c in former.__mro__[-2::-1] for k, v in c.__annotations__.items()}
+        fields = {f: declared[f] for f in former.__match_args__}
         subterms = [name for name, ann in fields.items() if ann == base.__name__]
         if not subterms:
             assert former not in shapes, former

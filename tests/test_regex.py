@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import pickle
@@ -553,7 +552,7 @@ def test_repr_and_fields_ignore_stored_attributes():
         "Cat(left=Sym(ch='r'), right=Star(inner=Alt(items=(Sym(ch='c'), Sym(ch='w')))))"
     )
     for cls, names in FIELDS.items():
-        assert [f.name for f in dataclasses.fields(cls)] == names
+        assert list(cls.__match_args__) == names
 
 
 @given(regexes(), regexes(), st.sampled_from(["none", "show"]), st.booleans())
@@ -566,8 +565,8 @@ def test_stored_hash_and_show_match_a_fresh_copy(r, other, warm, warm_original):
     assert copy is not r
     assert copy == r and r == copy and not copy != r
     assert hash(copy) == hash(r)
-    # the hash the generated dataclass hash gives: that of the field tuple
-    assert hash(r) == hash(tuple(getattr(r, f.name) for f in dataclasses.fields(r)))
+    # the hash the generated record hash gives: that of the field tuple
+    assert hash(r) == hash(tuple(getattr(r, f) for f in r.__match_args__))
     assert (r == other) == (repr(r) == repr(other)) == (copy == other)
     for p in (0, 1, 2):
         assert rx.show(r, p) == naive_show(r, p) == rx.show(copy, p)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from collections import Counter
@@ -12,6 +11,7 @@ from ordlang import regex as rx
 from ordlang import surface as sf
 from ordlang.cli import main
 from ordlang.opm import get_opm
+from ordlang.record import Record
 
 from conftest import PROGRAMS, program_source, workload_round
 from oracles import (
@@ -318,11 +318,11 @@ def _indices(e: sf.SurfaceExpr) -> list:
     out, stack = [], [e]
     while stack:
         node = stack.pop()
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            if field.name == "index":
+        for name in node.__match_args__:
+            value = getattr(node, name)
+            if name == "index":
                 out.append(value)
-            elif dataclasses.is_dataclass(value):
+            elif isinstance(value, Record):
                 stack.append(value)
     return out
 
