@@ -24,7 +24,8 @@ both sides of a `,` or a `∥`; last for `run --fuel 3` and
 of fuel. That makes 6672 calls. Each call prints its arguments, exit code,
 stdout and stderr, with that directory's path replaced by `<tmp>`, so the outputs of
 two trees can be compared with diff. A call that raises prints its
-exception instead of an exit code, and the script then exits 1.
+exception instead of an exit code, and the script then exits 1. Last, the
+script prints `N calls` on its own stderr, outside the compared output.
 """
 
 from __future__ import annotations
@@ -119,13 +120,14 @@ def main() -> int:
     from ordlang.cli import main as cli_main
 
     os.chdir(inputs)  # the example programs by their paths relative to the checkout
-    raised = 0
+    raised = calls = 0
     with tempfile.TemporaryDirectory() as tmp:
         programs = _paths(inputs, "programs/**/*.ord")
         diagnostics = _paths(inputs, "tests/diagnostics/*.ord")
         letpairs = _paths(inputs, "tests/letpairs/*.ord")
         rounds = _write_rounds(inputs, Path(tmp))
         for argv in _calls(programs, rounds, diagnostics, letpairs):
+            calls += 1
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
@@ -139,6 +141,7 @@ def main() -> int:
                 "--- stdout", stdout.getvalue(), "--- stderr", stderr.getvalue(),
             ])
             print(text.replace(tmp, "<tmp>"))
+    print(f"{calls} calls", file=sys.stderr)
     return 1 if raised else 0
 
 

@@ -45,7 +45,7 @@ from .core import (
     unr,
 )
 from .opm import Opm
-from .record import Field, Record
+from .record import Record
 from .surface import Span, SurfaceExpr, surface_fv
 
 
@@ -364,7 +364,7 @@ class Checker:
 
 
 class CheckedProgram(InferResult):
-    binding_trees: dict[str, cx.Ctx] = Field(default_factory=dict)
+    binding_trees: dict[str, cx.Ctx]
 
     @cached_property
     def binding_contexts(self) -> dict[str, cx.Interp]:

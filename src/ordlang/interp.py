@@ -18,6 +18,7 @@ and flat closures: it takes the steps of substitution into the whole term
 from __future__ import annotations
 
 from collections import Counter
+from types import MappingProxyType
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     Pair, SplitConst, UnitConst, Var, capture, close, pretty, readback,
 )
 from .opm import Opm
-from .record import Field, Record, replace
+from .record import Record, replace
 
 HeapCell = tuple[int, object, object, object]  # refcount, envelope, trace, index left
 Heap = dict[int, HeapCell]
@@ -37,7 +38,7 @@ class Config(Record):
     focus: Any  # code under `env`, or a value when `env` is None
     heap: Heap
     next_loc: int = 0
-    env: Optional[dict] = Field(default_factory=dict)
+    env: Optional[dict] = MappingProxyType({})  # one read-only default; no step writes
     stack: Optional[tuple] = None  # (frame, rest): former, its env, values so far
 
     def read(self, locs: Optional[list] = None) -> CoreTerm:
@@ -202,10 +203,10 @@ class TraceStep(Record):
 class RunResult(Record):
     outcome: str  # "value" | "stuck" | "fuel-exhausted"
     config: Config
-    steps: list[TraceStep] = Field(default_factory=list)
+    steps: list[TraceStep]
+    violations: list[tuple[int, str]]
     stuck_reason: Optional[str] = None
     stuck_redex: Optional[CoreTerm] = None
-    violations: list[tuple[int, str]] = Field(default_factory=list)
 
     @property
     def gamma_rules(self) -> list[str]:
@@ -262,16 +263,9 @@ def run(
         if paranoid or out.status == "value":
             violations.extend((i, v) for v in runtime_oracle(cfg))
         if out.status == "value":
-            return RunResult("value", cfg, steps, violations=violations)
+            return RunResult("value", cfg, steps, violations)
         if out.status == "stuck":
-            return RunResult(
-                "stuck",
-                cfg,
-                steps,
-                stuck_reason=out.reason,
-                stuck_redex=out.redex,
-                violations=violations,
-            )
+            return RunResult("stuck", cfg, steps, violations, out.reason, out.redex)
         assert out.rule is not None
         record = TraceStep(len(steps), out.rule)
         if trace:
@@ -279,4 +273,4 @@ def run(
             record.heap_delta = _heap_delta(cfg.heap, out.config.heap, opm)
         steps.append(record)
         cfg = out.config
-    return RunResult("fuel-exhausted", cfg, steps, violations=violations)
+    return RunResult("fuel-exhausted", cfg, steps, violations)

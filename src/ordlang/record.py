@@ -1,22 +1,16 @@
 """Record classes, built without `dataclasses`, whose import pulls in `inspect`.
 
-A record's fields are its class body's annotated names, after its bases'.
-`frozen` and `eq`, given where a class subclasses `Record`, hold for its
-subclasses. Each class gets its own `__init__`, `__repr__` and, with `eq`,
-`__eq__` and `__hash__` (None when mutable), compiled from source text as
-`dataclasses.dataclass` compiles them. A frozen record refuses to set or
-delete any attribute.
+A record's fields are its class body's annotated names, after its bases';
+a value written there is the field's default. `frozen` and `eq`, given
+where a class subclasses `Record`, hold for its subclasses. Each class gets
+its own `__init__`, `__repr__` and, with `eq`, `__eq__` and `__hash__`
+(None when mutable), compiled from source text as `dataclasses.dataclass`
+compiles them. A frozen record refuses to set or delete any attribute.
 """
 
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 MISSING = object()  # the default of a field that has none
-
-
-class Field(NamedTuple):  # a field's options, written as its default in the class body
-    default: Any = MISSING
-    default_factory: Any = None  # called for each instance's default instead
-    compare: bool = True  # and hashed and shown by repr
 
 
 class FrozenInstanceError(AttributeError):
@@ -29,37 +23,30 @@ def _refuse(self, name: str, *value: Any) -> None:
 
 class Record:
     __match_args__: tuple[str, ...] = ()
-    _record: tuple = False, True, {}  # frozen, eq, and each field's `Field` by name, in order
+    _record: tuple = False, True, {}  # frozen, eq, and each field's default by name, in order
 
     def __init_subclass__(cls, frozen: Optional[bool] = None, eq: Optional[bool] = None) -> None:
         frozen = cls._record[0] if frozen is None else frozen  # else its base's
         eq = cls._record[1] if eq is None else eq
         fields = dict(cls._record[2])
         for name in cls.__dict__.get("__annotations__", {}):
-            value = cls.__dict__.get(name, MISSING)
-            fields[name] = value if isinstance(value, Field) else Field(value)
-            if isinstance(value, Field):  # only an instance holds it
-                delattr(cls, name)
+            fields[name] = cls.__dict__.get(name, MISSING)
         cls._record, cls.__match_args__ = (frozen, eq, fields), tuple(fields)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
-        keys = "".join(f"self.{n}," for n, f in fields.items() if f.compare)
-        shown = ", ".join(f"{n}={{self.{n}!r}}" for n, f in fields.items() if f.compare)
+        keys = "".join(f"self.{n}," for n in fields)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
         lines = [f"def __init__(self{''.join(', ' + n for n in fields)}):"]
-        for n, f in fields.items():
-            value = f"_{n}() if {n} is MISSING else {n}" if f.default_factory else n
-            lines.append(f"  _set(self, {n!r}, {value})" if frozen else f"  self.{n} = {value}")
+        lines += [f"  _set(self, {n!r}, {n})" if frozen else f"  self.{n} = {n}" for n in fields]
         lines += ["  self.__post_init__()" if hasattr(cls, "__post_init__") else "  pass",
                   f"def __repr__(self): return self.__class__.__qualname__ + f'({shown})'",
                   "def __eq__(self, other):",
                   "  if other.__class__ is not self.__class__: return NotImplemented",
                   f"  return ({keys}) == ({keys.replace('self.', 'other.')})",
                   f"def __hash__(self): return hash(({keys}))" if frozen else "__hash__ = None"]
-        namespace = {"_set": object.__setattr__, "MISSING": MISSING,
-                     **{f"_{n}": f.default_factory for n, f in fields.items()}}
+        namespace = {"_set": object.__setattr__}
         exec("\n".join(lines), namespace)
-        namespace["__init__"].__defaults__ = tuple(
-            f.default for f in fields.values() if f.default is not MISSING or f.default_factory)
+        namespace["__init__"].__defaults__ = tuple(d for d in fields.values() if d is not MISSING)
         cls.__init__, cls.__repr__ = namespace["__init__"], namespace["__repr__"]
         if eq:
             cls.__eq__, cls.__hash__ = namespace["__eq__"], namespace["__hash__"]

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from .opm import Opm, OpmError, register_opm
-from .record import Field, Record
+from .record import Record
 
 
 class StateBudgetExceeded(Exception):
@@ -52,7 +52,7 @@ class Regex(Record, frozen=True, eq=False):
         elif cls is Star:
             facts = hash((self.inner,)), self.inner._symbols, True
         elif cls is Auto:  # its hash and alphabet on first use
-            stored["_nullable"] = self.dfa.start in self.dfa.accepting
+            stored["_nullable"] = self.start in self.dfa.accepting
             return
         else:  # Empty, Eps
             facts = hash(()), frozenset(), cls is Eps
@@ -121,18 +121,23 @@ class Star(Regex):
 
 
 class Auto(Regex):
-    """A continuation: the language of a DFA with some accepting state,
-    read back to a regex (state elimination) only when it is printed."""
+    """A continuation: the language of an automaton from its state `start`,
+    which reaches some accepting state, read back to a regex (state
+    elimination) only when it is printed. Moving the start shares the
+    automaton, and with it the states that can reach acceptance."""
 
     dfa: Dfa
+    start: int
 
     @cached_property
     def live(self) -> frozenset[int]:
-        return _live(self.dfa)
+        """The states reachable from the start that can reach acceptance."""
+        reach, _ = _explore(self.start, self.dfa.trans.__getitem__, self.dfa.n_states + 1, None)
+        return self.dfa.coreach.intersection(reach)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dfa,))
+        return hash((self.dfa, self.start))
 
     @cached_property
     def _symbols(self) -> frozenset[str]:  # the labels between live states
@@ -275,12 +280,9 @@ def _row(r: Regex, alphabet: tuple[str, ...], memo: dict) -> tuple[Regex, ...]:
         row = tuple(map(alt, *[_row(p, alphabet, memo) for p in r.items]))
     elif isinstance(r, Star):
         row = tuple([cat(d, r) for d in _row(r.inner, alphabet, memo)])
-    elif isinstance(r, Auto):  # the start moved; the table and its co-reachable states shared
-        d, co = r.dfa, _coreachable(r.dfa)
-        step = dict(zip(d.alphabet, d.trans[d.start]))
-        row = tuple([EMPTY if (q := step.get(a)) not in co
-                     else Auto(Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co))
-                     for a in alphabet])
+    elif isinstance(r, Auto):  # the start moved along the shared automaton
+        d, step = r.dfa, dict(zip(r.dfa.alphabet, r.dfa.trans[r.start]))
+        row = tuple([Auto(d, q) if (q := step.get(a)) in d.coreach else EMPTY for a in alphabet])
     else:  # Empty, Eps
         row = (EMPTY,) * len(alphabet)
     memo[r] = row
@@ -288,15 +290,25 @@ def _row(r: Regex, alphabet: tuple[str, ...], memo: dict) -> tuple[Regex, ...]:
 
 
 class Dfa(Record, frozen=True):
+    """A total automaton whose start is state 0, from which `_explore`, which
+    numbers every automaton built here, reaches every state."""
+
     alphabet: tuple[str, ...]
-    n_states: int
-    start: int
     accepting: frozenset[int]
     # trans[state][symbol index] -> state; total over the alphabet
     trans: tuple[tuple[int, ...], ...]
-    # The states that can reach acceptance, whatever the start: stored by
-    # `_coreachable` on first use, and passed on when the start moves.
-    coreach: Optional[frozenset[int]] = Field(default=None, compare=False)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.trans)
+
+    @cached_property
+    def coreach(self) -> frozenset[int]:
+        """The states that can reach acceptance, whatever the start."""
+        co, trans = set(self.accepting), self.trans
+        while grown := {q for q, t in enumerate(trans) if q not in co and not co.isdisjoint(t)}:
+            co |= grown
+        return frozenset(co)
 
 
 DEFAULT_STATE_BUDGET = 512
@@ -334,8 +346,7 @@ def to_dfa(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
         r, lambda cur: _row(cur, alphabet, memo), DEFAULT_STATE_BUDGET,
         lambda: f"more than {DEFAULT_STATE_BUDGET} derivative classes for {show(r)}",
     )
-    accepting = frozenset(ix for ix, cls in enumerate(order) if nullable(cls))
-    return Dfa(alphabet, len(order), 0, accepting, trans)
+    return Dfa(alphabet, frozenset(ix for ix, cls in enumerate(order) if nullable(cls)), trans)
 
 
 def _joint_alphabet(*rs: Regex) -> tuple[str, ...]:
@@ -354,13 +365,12 @@ def _dfa_over(r: Regex, alphabet: tuple[str, ...]) -> Dfa:
     d, live, dead = r.dfa, r.live, -1
     cols = [d.alphabet.index(a) if a in d.alphabet else None for a in alphabet]
     order, trans = _explore(
-        d.start,
+        r.start,
         lambda q: (dead if q == dead or k is None or d.trans[q][k] not in live
                    else d.trans[q][k] for k in cols),
         d.n_states + 1, None,  # never met: at most every state and the dead one
     )
-    accepting = frozenset(ix for ix, q in enumerate(order) if q in d.accepting)
-    return Dfa(alphabet, len(order), 0, accepting, trans)
+    return Dfa(alphabet, frozenset(ix for ix, q in enumerate(order) if q in d.accepting), trans)
 
 
 def _reached(num: Regex, den: Regex) -> tuple[Dfa, set[int]]:
@@ -368,9 +378,7 @@ def _reached(num: Regex, den: Regex) -> tuple[Dfa, set[int]]:
     words of L(den) reach from its start (a search of the product automaton)."""
     alphabet = _joint_alphabet(num, den)
     dn, dd = _dfa_over(num, alphabet), _dfa_over(den, alphabet)
-    seen = {(dd.start, dn.start)}
-    work = [(dd.start, dn.start)]
-    reached: set[int] = set()
+    seen, work, reached = {(0, 0)}, [(0, 0)], set()
     while work:
         qd, qn = work.pop()
         if qd in dd.accepting:
@@ -395,29 +403,14 @@ def equivalent(a: Regex, b: Regex) -> bool:
 READBACK_BUDGET = 100_000  # characters per arc; printed continuations have some hundreds
 
 
-def _coreachable(dfa: Dfa) -> frozenset[int]:
-    """The states that can reach acceptance, computed once per transition table."""
-    if dfa.coreach is None:
-        co = set(dfa.accepting)
-        while grown := {q for q, t in enumerate(dfa.trans) if q not in co and not co.isdisjoint(t)}:
-            co |= grown
-        object.__setattr__(dfa, "coreach", frozenset(co))
-    return dfa.coreach
-
-
-def _live(dfa: Dfa) -> frozenset[int]:
-    """The states reachable from the start that can reach acceptance."""
-    reach, _ = _explore(dfa.start, dfa.trans.__getitem__, dfa.n_states + 1, None)
-    return _coreachable(dfa).intersection(reach)
-
-
 def regex_from_dfa(dfa: Dfa) -> Regex:
-    """Read a regex back from a DFA by state elimination over its live states.
+    """Read a regex back from a DFA by state elimination over its live states:
+    those that can reach acceptance, as the start reaches every state.
 
     A path from the start to acceptance passes through live states only, so
     leaving the others out changes no arc between live ones.  An arc that
     prints longer than READBACK_BUDGET raises StateBudgetExceeded."""
-    n, live = dfa.n_states, _live(dfa)
+    n, live = dfa.n_states, dfa.coreach
     # Arc labels between virtual start (n) and accept (n+1) nodes.
     arcs: dict[tuple[int, int], Regex] = {}
 
@@ -433,7 +426,7 @@ def regex_from_dfa(dfa: Dfa) -> Regex:
             if t in live:
                 add(s, t, sym(a))
     if live:  # then the start is live
-        add(n, dfa.start, EPS)
+        add(n, 0, EPS)
     for s in dfa.accepting & live:
         add(s, n + 1, EPS)
 
@@ -455,7 +448,7 @@ def regex_from_dfa(dfa: Dfa) -> Regex:
 def product_derivative(num: Regex, den: Regex) -> Regex:
     """The largest z with L(den)·z ⊆ L(num), as its DFA; the empty language if none."""
     dfa = _continuation_dfa(num, den)
-    return Auto(dfa) if dfa is not None and dfa.accepting else EMPTY
+    return Auto(dfa, 0) if dfa is not None and dfa.accepting else EMPTY
 
 
 def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:
@@ -479,7 +472,7 @@ def _continuation_dfa(num: Regex, den: Regex) -> Optional[Dfa]:
         DEFAULT_STATE_BUDGET, lambda: "product derivative state budget",
     )
     accepting = frozenset(ix for ix, st in enumerate(order) if dn.accepting.issuperset(st))
-    return Dfa(dn.alphabet, len(order), 0, accepting, trans)
+    return Dfa(dn.alphabet, accepting, trans)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +580,15 @@ class RegexOpm(Opm):
             return None if is_empty_language(pd) else pd
         # The quotient by a word: y's automaton with its start moved along it,
         # stopping where no word leads to acceptance; one leaf where it ends.
-        d = y.dfa if isinstance(y, Auto) else to_dfa(y, _joint_alphabet(y))
-        q, co = d.start, _coreachable(d)
+        d, q = (y.dfa, y.start) if isinstance(y, Auto) else (to_dfa(y, _joint_alphabet(y)), 0)
+        co = d.coreach
         for a in word:
             if q not in co or a not in d.alphabet:
                 return None
             q = d.trans[q][d.alphabet.index(a)]
         if q not in co or not word and isinstance(y, Auto):
             return y if q in co else None
-        return Auto(Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co))
+        return Auto(d, q)
 
     def droppable(self, x: Regex) -> bool:
         return nullable(x)

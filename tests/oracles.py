@@ -159,9 +159,9 @@ def random_regex(rng, alphabet: str, depth: int) -> rx.Regex:
     return random_regex(rng, alphabet, depth - 1)
 
 
-def dfa_accepts(dfa: rx.Dfa, word) -> bool:
-    """Run a total DFA on `word`; a symbol outside its alphabet rejects."""
-    s = dfa.start
+def dfa_accepts(dfa: rx.Dfa, word, start: int = 0) -> bool:
+    """Run a total DFA on `word` from `start`; a symbol outside its alphabet rejects."""
+    s = start
     for ch in word:
         if ch not in dfa.alphabet:
             return False
@@ -229,13 +229,10 @@ def reference_derivative(r: rx.Regex, a: str) -> rx.Regex:
         return rx.alt(*(reference_derivative(p, a) for p in r.items))
     if isinstance(r, rx.Star):
         return rx.cat(reference_derivative(r.inner, a), r)
-    if isinstance(r, rx.Auto):  # the start moved; the table and its co-reachable states shared
+    if isinstance(r, rx.Auto):  # the start moved along the shared automaton
         d = r.dfa
-        q = d.trans[d.start][d.alphabet.index(a)] if a in d.alphabet else None
-        co = rx._coreachable(d)
-        if q not in co:
-            return rx.EMPTY
-        return rx.Auto(rx.Dfa(d.alphabet, d.n_states, q, d.accepting, d.trans, co))
+        q = d.trans[r.start][d.alphabet.index(a)] if a in d.alphabet else None
+        return rx.Auto(d, q) if q in d.coreach else rx.EMPTY
     raise AssertionError(r)
 
 
@@ -263,15 +260,15 @@ def reference_to_dfa(
         trans.append(row)
         i += 1
     accepting = frozenset(ix for r_, ix in states.items() if rx.nullable(r_))
-    return rx.Dfa(alphabet, len(order), 0, accepting, tuple(tuple(row) for row in trans))
+    return rx.Dfa(alphabet, accepting, tuple(tuple(row) for row in trans))
 
 
 def reference_includes(big: rx.Regex, small: rx.Regex) -> bool:
     """Decide L(small) ⊆ L(big) via product-automaton emptiness."""
     alphabet = rx._joint_alphabet(big, small)
     db, ds = reference_to_dfa(big, alphabet), reference_to_dfa(small, alphabet)
-    seen = {(ds.start, db.start)}
-    work = [(ds.start, db.start)]
+    seen = {(0, 0)}
+    work = [(0, 0)]
     while work:
         qs, qb = work.pop()
         if qs in ds.accepting and qb not in db.accepting:
@@ -297,8 +294,8 @@ def reference_continuation_dfa(num: rx.Regex, den: rx.Regex) -> Optional[rx.Dfa]
     dn, dd = reference_to_dfa(num, alphabet), reference_to_dfa(den, alphabet)
 
     # S: num-states reached by words of L(den).
-    seen = {(dd.start, dn.start)}
-    work = [(dd.start, dn.start)]
+    seen = {(0, 0)}
+    work = [(0, 0)]
     s_set: set[int] = set()
     while work:
         qd, qn = work.pop()
@@ -334,7 +331,7 @@ def reference_continuation_dfa(num: rx.Regex, den: rx.Regex) -> Optional[rx.Dfa]
     accepting = frozenset(
         ix for st, ix in states.items() if all(q in dn.accepting for q in st)
     )
-    return rx.Dfa(tuple(alphabet), len(order), 0, accepting, tuple(tuple(r) for r in trans))
+    return rx.Dfa(tuple(alphabet), accepting, tuple(tuple(r) for r in trans))
 
 
 def reference_best_continuation(x: rx.Regex, y: rx.Regex) -> Optional[rx.Regex]:
@@ -344,15 +341,15 @@ def reference_best_continuation(x: rx.Regex, y: rx.Regex) -> Optional[rx.Regex]:
     if word is None:
         pd = rx.product_derivative(y, x)
         return None if rx.is_empty_language(pd) else pd
-    z = y if isinstance(y, rx.Auto) else rx.Auto(reference_to_dfa(y, rx._joint_alphabet(y)))
+    z = y if isinstance(y, rx.Auto) else rx.Auto(reference_to_dfa(y, rx._joint_alphabet(y)), 0)
     for a in word:
         z = reference_derivative(z, a)
-    return z if isinstance(z, rx.Auto) and z.dfa.start in rx._coreachable(z.dfa) else None
+    return z if isinstance(z, rx.Auto) and z.start in z.dfa.coreach else None
 
 
-def reference_regex_from_dfa(dfa: rx.Dfa) -> rx.Regex:
-    """Read a regex back from a DFA by state elimination over all its states,
-    dead and unreachable ones included."""
+def reference_regex_from_dfa(dfa: rx.Dfa, start: int = 0) -> rx.Regex:
+    """Read a regex back from a DFA, from its state `start`, by state
+    elimination over all its states, dead and unreachable ones included."""
     n = dfa.n_states
     # Arc labels between virtual start (n) and accept (n+1) nodes.
     arcs: dict[tuple[int, int], rx.Regex] = {}
@@ -369,7 +366,7 @@ def reference_regex_from_dfa(dfa: rx.Dfa) -> rx.Regex:
     for s in range(n):
         for k, a in enumerate(dfa.alphabet):
             add(s, dfa.trans[s][k], rx.sym(a))
-    add(n, dfa.start, rx.EPS)
+    add(n, start, rx.EPS)
     for s in dfa.accepting:
         add(s, n + 1, rx.EPS)
 

@@ -13,6 +13,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -51,13 +52,10 @@ OPTIONS = {
     interp.TraceStep: {},
     interp.RunResult: {},
 }
-# The fields whose default is not a plain value on the class.
+# The fields whose default a dataclass cannot take as a plain value: an
+# unhashable one. The record shares its one default among all instances.
 SPECIAL_FIELDS = {
-    (interp.Config, "env"): dataclasses.field(default_factory=dict),
-    (interp.RunResult, "steps"): dataclasses.field(default_factory=list),
-    (interp.RunResult, "violations"): dataclasses.field(default_factory=list),
-    (checker.CheckedProgram, "binding_trees"): dataclasses.field(default_factory=dict),
-    (rx.Dfa, "coreach"): dataclasses.field(default=None, compare=False, repr=False),
+    (interp.Config, "env"): dataclasses.field(default_factory=lambda: MappingProxyType({})),
 }
 
 
@@ -238,8 +236,10 @@ def test_defaults_match_dataclasses(cls):
         assert type(value) is type(getattr(theirs, f.name)) and value == getattr(theirs, f.name)
         if f.default_factory is dataclasses.MISSING:
             assert value is f.default
-        else:  # a new one for each instance
-            assert value is not getattr(again, f.name)
+        else:  # one read-only default, shared by every instance
+            assert value is getattr(again, f.name)
+            with pytest.raises(TypeError):
+                value["x"] = None
 
 
 def test_replace_refuses_a_name_that_is_not_a_field():

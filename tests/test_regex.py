@@ -365,6 +365,7 @@ def test_carried_continuations_match_the_references(num, den, other):
     for k in walk:
         if not isinstance(k, rx.Auto):  # the empty language
             continue
+        assert k.start == 0  # so its automaton reads back as the continuation
         copy = rx.regex_from_dfa(k.dfa)
         assert rx.show(copy) == rx.show(k) and not isinstance(copy, rx.Auto)
         alphabet = rx._joint_alphabet(k, other)
@@ -408,6 +409,7 @@ def test_continuation_leaf_matches_its_readback(num, den):
     if not isinstance(leaf, rx.Auto):  # the empty language
         assert leaf is rx.EMPTY
         return
+    assert leaf.start == 0  # so its automaton reads back as the leaf
     back = _budget_outcome(rx.regex_from_dfa, leaf.dfa)
     if not isinstance(back, rx.Regex):  # the leaf prints by the same readback
         assert _budget_outcome(rx.show, leaf) == back
@@ -429,25 +431,93 @@ def test_continuation_leaf_matches_its_readback(num, den):
 @settings(max_examples=150, deadline=None)
 def test_readback_over_live_states_matches_the_all_states_reference(num, den):
     # A continuation's DFA reaches every state; its derivatives start further
-    # in, so the states before their start are unreachable.
+    # in, so the states before their start are unreachable. Each is read back
+    # from the automaton renumbered from its start, dead state included.
     if rx.is_empty_language(den):
         return
     walk = [rx.product_derivative(num, den)]
     walk += [rx.derivative(walk[0], a) for a in "rwcdab"]
     for k in walk:
         if isinstance(k, rx.Auto):
-            got = _budget_outcome(rx.regex_from_dfa, k.dfa)
-            want = _budget_outcome(reference_regex_from_dfa, k.dfa)
+            renumbered = rx._dfa_over(k, k.dfa.alphabet)
+            for word in words_upto(k.dfa.alphabet, 4):
+                assert dfa_accepts(renumbered, word) == dfa_accepts(k.dfa, word, k.start)
+            got = _budget_outcome(rx.regex_from_dfa, renumbered)
+            want = _budget_outcome(reference_regex_from_dfa, renumbered)
             assert got == want
             if isinstance(got, rx.Regex):
-                assert rx.show(got) == rx.show(want)
+                assert rx.show(got) == rx.show(want) == rx.show(k)
 
 
 def test_readback_of_a_derivative_leaves_out_unreachable_states():
     leaf = rx.product_derivative(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"))
     d = rx.derivative(rx.derivative(leaf, "c"), "a")
-    assert isinstance(d, rx.Auto) and 0 not in d.live  # the leaf's start, now unreachable
-    assert rx.show(rx.regex_from_dfa(d.dfa)) == rx.show(reference_regex_from_dfa(d.dfa))
+    assert isinstance(d, rx.Auto) and d.dfa is leaf.dfa and d.start != 0
+    assert 0 not in d.live  # the leaf's start, now unreachable
+    assert rx.show(d) == rx.show(reference_regex_from_dfa(rx._dfa_over(d, d.dfa.alphabet)))
+    # d's language is that from its start, not from the automaton's state 0
+    want = reference_regex_from_dfa(d.dfa, d.start)
+    assert reference_includes(d, want) and reference_includes(want, d)
+
+
+@given(regexes(), regexes())
+@example(rx.parse_regex("(w|rw|wr)*c(ab|ba)*d"), rx.parse_regex("w"))
+@settings(max_examples=100, deadline=None)
+def test_every_automaton_reaches_all_its_states_from_state_0(num, den):
+    # `regex_from_dfa` keeps the states that can reach acceptance, and counts
+    # on state 0 reaching every state; derivatives and renumbering included
+    alphabet = rx._joint_alphabet(num, den)
+    dfas = [_budget_outcome(rx.to_dfa, r, alphabet) for r in (num, den)]
+    if not rx.is_empty_language(den):
+        dfas.append(_budget_outcome(rx._continuation_dfa, num, den))
+        leaf = _budget_outcome(rx.product_derivative, num, den)
+        if isinstance(leaf, rx.Auto):
+            leaves = [leaf, *[rx.derivative(leaf, a) for a in alphabet]]
+            dfas += [rx._dfa_over(k, (*alphabet, "x")) for k in leaves if isinstance(k, rx.Auto)]
+    for dfa in dfas:
+        if not isinstance(dfa, rx.Dfa):  # none, or past the budget
+            continue
+        reached, stack = {0}, [0]
+        while stack:
+            for t in dfa.trans[stack.pop()]:
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        assert reached == set(range(dfa.n_states))
+
+
+def test_a_moved_leaf_shares_its_operands_automaton(regex_opm, monkeypatch):
+    # A word walk and a derivative move the start along their operand's own
+    # automaton, and no leaf copies it: over a round, each automaton whose
+    # co-reachable states are computed is one that the package built, once.
+    y = rx.parse_regex("(w|rw|wr)*c(ab|ba)*d")
+    walked = regex_opm.best_continuation(rx.parse_regex("wrw"), y)
+    assert walked.dfa is rx.to_dfa(y, rx._joint_alphabet(y)) and walked.start != 0
+    leaf = rx.product_derivative(y, rx.star(W))
+    for moved in (rx.derivative(leaf, "c"), regex_opm.best_continuation(rx.parse_regex("rw"), leaf)):
+        assert isinstance(moved, rx.Auto) and moved.dfa is leaf.dfa and moved.start != 0
+    built, computed = {}, Counter()
+    for name in ("to_dfa", "_dfa_over", "_continuation_dfa"):
+        def recorded(*args, _unrecorded=getattr(rx, name)):
+            dfa = _unrecorded(*args)
+            built[id(dfa)] = dfa  # held, so that no id is reused
+            return dfa
+
+        monkeypatch.setattr(rx, name, recorded)
+    coreach = rx.Dfa.__dict__["coreach"]  # a cached property
+
+    def counted(dfa, _uncounted=coreach.func):
+        computed[id(dfa)] += 1
+        return _uncounted(dfa)
+
+    monkeypatch.setattr(coreach, "func", counted)
+    for job in workload_round("borrow"):
+        try:
+            checked = check_program(sf.parse(job.source, regex_opm), regex_opm)
+        except TypeCheckError:  # the round's defects: checked up to the bad op
+            continue
+        assert run(checked.core, regex_opm).outcome == "value"
+    assert computed and set(computed.values()) == {1} and computed.keys() <= built.keys()
 
 
 def test_seeded_oracle_agreement_200_pairs(regex_opm):
@@ -732,14 +802,17 @@ def _product_calls(monkeypatch):
     """Count word ops, and the product searches made inside and outside them."""
     calls = Counter()
     inside = []
-    for name in ("_reached", "_continuation_dfa", "_live"):
-        uncounted = getattr(rx, name)
+    live = rx.Auto.__dict__["live"]  # a cached property: its function runs once per leaf
+    for owner, attr, name in ((rx, "_reached", "_reached"),
+                              (rx, "_continuation_dfa", "_continuation_dfa"),
+                              (live, "func", "Auto.live")):
+        uncounted = getattr(owner, attr)
 
         def counted(*args, _name=name, _uncounted=uncounted):
             calls[_name + (" in a word op" if inside else "")] += 1
             return _uncounted(*args)
 
-        monkeypatch.setattr(rx, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     uncounted_op = rx.RegexOpm.best_continuation
 
     def best_continuation(self, x, y):
