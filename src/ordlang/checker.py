@@ -217,15 +217,12 @@ class Checker:
         if isinstance(e, sf.SPair):
             return self._infer_pair(ctx, e)
 
-        if isinstance(e, sf.SLetPair):
-            return self._infer_letpair(ctx, e)
-
         if isinstance(e, sf.SAnn):
             eff, core = self.check(ctx, e.expr, e.type)
             return InferResult(e.type, eff, core)
 
-        if isinstance(e, sf.SLet):
-            return self._let_ladder(ctx, e)
+        if isinstance(e, (sf.SLet, sf.SLetPair)):
+            return self._infer_spine(ctx, e)
 
         if isinstance(e, sf.SLam):
             raise TypeCheckError(
@@ -279,7 +276,23 @@ class Checker:
         ty = ProdType(ordered, rl.type, rr.type)
         return InferResult(ty, max(rl.effect, rr.effect), Pair(ordered, rl.core, rr.core))
 
-    def _infer_letpair(self, ctx: cx.Ctx, e: sf.SLetPair) -> InferResult:
+    def _infer_spine(self, ctx: cx.Ctx, e: sf.SLet | sf.SLetPair) -> InferResult:
+        """A spine of lets, `;`s and let-pairs in one loop rather than frames
+        nested per item: each item's header and body context top-down, then
+        the tail, then each item's core around the one below it, bottom-up."""
+        frames = []
+        while isinstance(e, (sf.SLet, sf.SLetPair)):
+            head = self._let_head if isinstance(e, sf.SLet) else self._letpair_head
+            frame, ctx, e = head(ctx, e)
+            frames.append(frame)
+        result = self.infer(ctx, e)
+        for build, *args in reversed(frames):
+            result = build(*args, result)
+        return result
+
+    def _letpair_head(self, ctx: cx.Ctx, e: sf.SLetPair):
+        """(frame, body context, body) of a let-pair: its pattern filled with
+        the header's components."""
         if e.x == e.y:
             raise TypeCheckError(
                 "context-misuse", e.span, "pair binders must be distinct"
@@ -306,11 +319,15 @@ class Checker:
         body_ctx = cx.fill(pattern, plug)
         self.binding_trees.setdefault(x, body_ctx)
         self.binding_trees.setdefault(y, body_ctx)
-        rb = self.infer(body_ctx, body)
-        core = LetPair(rh.type.ordered, x, y, rh.core, rb.core)
-        return InferResult(rb.type, rb.effect, core)
+        return (self._letpair, x, y, rh), body_ctx, body
 
-    def _let_ladder(self, ctx: cx.Ctx, e: sf.SLet) -> InferResult:
+    def _letpair(self, x: str, y: str, rh: InferResult, rb: InferResult) -> InferResult:
+        """A let-pair's result from its header's and its body's."""
+        return InferResult(rb.type, rb.effect, LetPair(rh.type.ordered, x, y, rh.core, rb.core))
+
+    def _let_head(self, ctx: cx.Ctx, e: sf.SLet):
+        """(frame, body context, body) of a let or `;`: its binder placed by
+        the first mode of the ladder whose side conditions hold."""
         # `e1; e2` (x None) is named before e1 renames its binders: they share the counter
         name = e.x or self.fresh("s", cx.dom_vars(ctx) | surface_fv(e.body))
         ctx_h = cx.restrict(ctx, surface_fv(e.header))
@@ -329,7 +346,11 @@ class Checker:
             mode = LEFT
         else:
             mode = PLAIN if unr(rh.type) and cx.all_unr(ctx_b) else UNORD
-        rb = self.infer(self._bind(name, rh.type, ctx_b, mode), body)
+        return (self._let_ladder, mode, name, rh), self._bind(name, rh.type, ctx_b, mode), body
+
+    def _let_ladder(self, mode: str, name: str, rh: InferResult, rb: InferResult) -> InferResult:
+        """A let's result, given the mode its ladder chose: the application of
+        an abstraction of that mode to the header."""
         core = App(mode, Lam(mode, name, rb.core), rh.core)
         return InferResult(rb.type, max(rh.effect, rb.effect), core)
 

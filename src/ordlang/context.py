@@ -289,29 +289,32 @@ def split_violation(ctx: Ctx, first: Ctx, second: Ctx, former) -> Optional[Viola
         return ("shared", _leftmost(ctx, a & b), None)
     if len(a) + len(b) != len(ords):
         return ("discarded", _leftmost(ctx, ords - a - b), None)
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    small = a if len(a) <= len(b) else b
     if not small:
         return None
     # (before, after) sides that no `,` of ctx may order that way
-    bad = [(b, a)] if former is seq else [(a, b), (b, a)]
+    bad = ((b, a),) if former is seq else ((a, b), (b, a))
+    return _ordering_violation(ctx, small, bad)
 
-    def has(o: frozenset[Binding], side: frozenset[Binding]) -> bool:
-        # every binding is on exactly one side, so test against the smaller
-        return not o.isdisjoint(small) if side is small else not o <= small
 
-    def go(node: Ctx) -> Optional[Violation]:
-        o = _facts(node)[0]
-        if not has(o, small) or not has(o, large):
-            return None
-        if isinstance(node, Seq):
-            left, right = _facts(node.left)[0], _facts(node.right)[0]
-            for before, after in bad:
-                if has(left, before) and has(right, after):
-                    x, y = _leftmost(node.left, before), _leftmost(node.right, after)
-                    return ("ordered", x, y)
-        return go(node.left) or go(node.right)
+def _has(o: frozenset[Binding], side: frozenset[Binding], small: frozenset[Binding]) -> bool:
+    """Whether `o` meets `side`, one of two sides that partition the ordered
+    bindings, tested against `small`, the smaller of them."""
+    return not o.isdisjoint(small) if side is small else not o <= small
 
-    return go(ctx)
+
+def _ordering_violation(node: Ctx, small: frozenset[Binding], bad) -> Optional[Violation]:
+    """`split_violation`'s ("ordered", x, y) in `node`, skipping every subtree
+    whose ordered bindings lie on one side (`small` or the rest)."""
+    o = _facts(node)[0]
+    if o.isdisjoint(small) or o <= small:
+        return None
+    if isinstance(node, Seq):
+        left, right = _facts(node.left)[0], _facts(node.right)[0]
+        for before, after in bad:
+            if _has(left, before, small) and _has(right, after, small):
+                return ("ordered", _leftmost(node.left, before), _leftmost(node.right, after))
+    return _ordering_violation(node.left, small, bad) or _ordering_violation(node.right, small, bad)
 
 
 def _leftmost(ctx: Ctx, among: frozenset[Binding]) -> Binding:

@@ -296,25 +296,30 @@ def _pp(m: CoreTerm, opm: Opm, prec: int) -> str:
     if isinstance(m, Lam):
         s = f"λ{ARROW_MARK[m.mode]}{m.var}. {_pp(m.body, opm, 0)}"
         return f"({s})" if prec > 0 else s
-    if isinstance(m, App):
-        # A β-redex shaped like a derived value-let prints as one.
-        if isinstance(m.fn, Lam) and m.fn.mode == m.mode:
-            s = (
-                f"{LET_KW[m.mode]} {m.fn.var} = {_pp(m.arg, opm, 1)} in\n"
-                f"{_pp(m.fn.body, opm, 0)}"
-            )
-            return f"({s})" if prec > 0 else s
+    if isinstance(m, App) and not _prints_as_let(m):
         s = f"{_pp(m.fn, opm, 2)} {APP_OP[m.mode]} {_pp(m.arg, opm, 3)}"
         return f"({s})" if prec > 2 else s
     if isinstance(m, Pair):
         op = ".o" if m.ordered else "ox"
         s = f"{_pp(m.left, opm, 2)} {op} {_pp(m.right, opm, 2)}"
         return f"({s})" if prec > 1 else s
-    if isinstance(m, LetPair):
-        kw = ".o" if m.ordered else "ox"
-        s = (
-            f"let {m.x} {kw} {m.y} = {_pp(m.header, opm, 1)} in\n"
-            f"{_pp(m.body, opm, 0)}"
-        )
-        return f"({s})" if prec > 0 else s
-    raise AssertionError(m)
+    if not _prints_as_let(m):
+        raise AssertionError(m)
+    # A spine of lets prints one line per let in a loop; each body is at 0.
+    lines = []
+    while _prints_as_let(m):
+        if isinstance(m, LetPair):
+            kw = ".o" if m.ordered else "ox"
+            lines.append(f"let {m.x} {kw} {m.y} = {_pp(m.header, opm, 1)} in")
+            m = m.body
+        else:
+            lines.append(f"{LET_KW[m.mode]} {m.fn.var} = {_pp(m.arg, opm, 1)} in")
+            m = m.fn.body
+    s = "\n".join(lines + [_pp(m, opm, 0)])
+    return f"({s})" if prec > 0 else s
+
+
+def _prints_as_let(m: CoreTerm) -> bool:
+    """A let-pair, or a β-redex shaped like a derived value-let."""
+    return isinstance(m, LetPair) or (
+        isinstance(m, App) and isinstance(m.fn, Lam) and m.fn.mode == m.mode)

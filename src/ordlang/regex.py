@@ -489,50 +489,58 @@ def parse_regex(text: str) -> Regex:
     juxtaposition concatenation, postfix `*`, parentheses, `eps` empty word.
     Precedence: star > concatenation > alternation."""
     toks = _REGEX_TOKEN.findall(text)[::-1]  # the next token last
-
-    def peek() -> Optional[str]:
-        return toks[-1] if toks else None
-
-    def parse_alt() -> Regex:
-        parts = [parse_cat()]
-        while peek() == "|":
-            toks.pop()
-            parts.append(parse_cat())
-        return alt(*parts)
-
-    def parse_cat() -> Regex:
-        parts = []
-        while peek() not in (None, "|", ")"):
-            parts.append(parse_star())
-        if not parts:
-            raise OpmError(f"empty regex fragment in {text!r}")
-        return seq(*parts)
-
-    def parse_star() -> Regex:
-        r = parse_atom()
-        while peek() == "*":
-            toks.pop()
-            r = star(r)
-        return r
-
-    def parse_atom() -> Regex:
-        c = toks.pop()
-        if c == "(":
-            r = parse_alt()
-            if peek() != ")":
-                raise OpmError(f"unbalanced parenthesis in regex {text!r}")
-            toks.pop()
-            return r
-        if c == "eps":
-            return EPS
-        if c.isalpha():
-            return sym(c)
-        raise OpmError(f"unexpected character {c!r} in regex {text!r}")
-
-    r = parse_alt()
+    r = _parse_alt(toks, text)
     if toks:
         raise OpmError(f"trailing characters in regex {text!r}")
     return r
+
+
+# The parser's levels take the tokens left (the next last) and the payload,
+# for messages, as arguments: nested functions sharing them would each make
+# a reference cycle per parse.
+
+def _peek(toks: list[str]) -> Optional[str]:
+    return toks[-1] if toks else None
+
+
+def _parse_alt(toks: list[str], text: str) -> Regex:
+    parts = [_parse_cat(toks, text)]
+    while _peek(toks) == "|":
+        toks.pop()
+        parts.append(_parse_cat(toks, text))
+    return alt(*parts)
+
+
+def _parse_cat(toks: list[str], text: str) -> Regex:
+    parts = []
+    while _peek(toks) not in (None, "|", ")"):
+        parts.append(_parse_star(toks, text))
+    if not parts:
+        raise OpmError(f"empty regex fragment in {text!r}")
+    return seq(*parts)
+
+
+def _parse_star(toks: list[str], text: str) -> Regex:
+    r = _parse_atom(toks, text)
+    while _peek(toks) == "*":
+        toks.pop()
+        r = star(r)
+    return r
+
+
+def _parse_atom(toks: list[str], text: str) -> Regex:
+    c = toks.pop()
+    if c == "(":
+        r = _parse_alt(toks, text)
+        if _peek(toks) != ")":
+            raise OpmError(f"unbalanced parenthesis in regex {text!r}")
+        toks.pop()
+        return r
+    if c == "eps":
+        return EPS
+    if c.isalpha():
+        return sym(c)
+    raise OpmError(f"unexpected character {c!r} in regex {text!r}")
 
 
 def _word(x: Regex) -> Optional[list[str]]:

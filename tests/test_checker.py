@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from ordlang import cli
@@ -868,3 +870,25 @@ def test_a_seq_names_its_binder_before_checking_its_first_part(tmp_path, capsys)
         "drop @ w) in\n"
         "unit\n"
     )
+
+
+def test_checking_and_running_leave_no_reference_cycles():
+    # Cyclic garbage waits for the collector; the check and run path makes
+    # none, so with the collector off nothing is left for it to find.
+    accepted = []
+    for path in sorted(PROGRAMS.glob("**/*.ord")) + sorted(LETPAIRS.glob("*.ord")):
+        for opm in (get_opm("regex"), get_opm("ownership")):
+            try:
+                check_program(sf.parse(path.read_text(), opm), opm)
+            except (sf.ParseError, TypeCheckError):
+                continue
+            accepted.append((path.read_text(), opm))
+    assert len(accepted) >= 20
+    gc.collect()
+    gc.disable()
+    try:
+        for source, opm in accepted:
+            assert run(check_program(sf.parse(source, opm), opm).core, opm).outcome == "value"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

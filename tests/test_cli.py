@@ -413,9 +413,11 @@ def test_state_budget_is_limit_exceeded(tmp_path, capsys):
 
 
 def test_recursion_depth_is_limit_exceeded(tmp_path, capsys):
-    prog = tmp_path / "spine.ord"
-    lets = "".join(f"let x{i + 1} = !{{r}} x{i} in\n" for i in range(2000))
-    prog.write_text(f"let x0 = new {{r*c}} in\n{lets}drop (!{{c}} x2000)\n")
+    # A long let spine checks in a loop; lets nested 2000 deep in each
+    # other's headers still recurse, one level per header.
+    prog = tmp_path / "nested.ord"
+    heads = "".join(f"let y{i} = " for i in range(2000))
+    prog.write_text(heads + "unit" + "".join(f" in y{i}" for i in reversed(range(2000))) + "\n")
     assert invoke("check", str(prog), "--json") == 1
     assert _one_diagnostic(capsys)["kind"] == "limit-exceeded"
 
