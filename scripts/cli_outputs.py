@@ -16,12 +16,13 @@ directory; then for `dump-graph --binding NAME` under both OPMs, on each
 binder whose context TREE's checker records for it under either OPM (lambda
 and pattern parameters, the names of `;`), and one name that none binds;
 then for `check` and `check --json` under both OPMs on
-`tests/diagnostics/*.ord`, each of which raises one checker diagnostic;
+`tests/diagnostics/*.ord`, each of which raises one checker diagnostic,
+and on `tests/parse_errors/*.ord`, each of which raises one parse error;
 then for `check`, `run` and `dump-core` under both OPMs on
 `tests/letpairs/*.ord`, accepted let-pairs that split their context across
 both sides of a `,` or a `∥`; last for `run --fuel 3` and
 `run --json --fuel 3` under both OPMs on `programs/copy.ord`, which runs out
-of fuel. That makes 6672 calls. Each call prints its arguments, exit code,
+of fuel. That makes 6748 calls. Each call prints its arguments, exit code,
 stdout and stderr, with that directory's path replaced by `<tmp>`, so the outputs of
 two trees can be compared with diff. A call that raises prints its
 exception instead of an exit code, and the script then exits 1. Last, the
@@ -123,7 +124,8 @@ def main() -> int:
     raised = calls = 0
     with tempfile.TemporaryDirectory() as tmp:
         programs = _paths(inputs, "programs/**/*.ord")
-        diagnostics = _paths(inputs, "tests/diagnostics/*.ord")
+        diagnostics = [*_paths(inputs, "tests/diagnostics/*.ord"),
+                       *_paths(inputs, "tests/parse_errors/*.ord")]
         letpairs = _paths(inputs, "tests/letpairs/*.ord")
         rounds = _write_rounds(inputs, Path(tmp))
         for argv in _calls(programs, rounds, diagnostics, letpairs):

@@ -207,12 +207,23 @@ def fv(m: CoreTerm) -> frozenset[str]:
 
 
 def locations(m: CoreTerm) -> tuple[int, ...]:
-    """All location occurrences, with multiplicity, stored on the node."""
-    if m._locs is None:
-        out = (m.ident,) if isinstance(m, Loc) else ()
-        for field, _binders in SHAPES.get(type(m), ()):
-            out += locations(getattr(m, field))
-        object.__setattr__(m, "_locs", out)
+    """All location occurrences, with multiplicity, stored on the node.
+
+    Stored bottom-up from an explicit stack of nodes, so that no term is too
+    deep: a node is stored once its subterms are."""
+    stack = [m]
+    while m._locs is None:
+        node = stack[-1]
+        subs = [getattr(node, field) for field, _binders in SHAPES.get(type(node), ())]
+        todo = [sub for sub in subs if sub._locs is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        out = (node.ident,) if isinstance(node, Loc) else ()
+        for sub in subs:
+            out += sub._locs
+        object.__setattr__(node, "_locs", out)
+        stack.pop()
     return m._locs
 
 

@@ -487,60 +487,41 @@ _REGEX_TOKEN = re.compile(r"\s*(eps(?![^\W_])|\S)")
 def parse_regex(text: str) -> Regex:
     """Parse the `{...}` payload: symbols are single letters, `|` alternation,
     juxtaposition concatenation, postfix `*`, parentheses, `eps` empty word.
-    Precedence: star > concatenation > alternation."""
-    toks = _REGEX_TOKEN.findall(text)[::-1]  # the next token last
-    r = _parse_alt(toks, text)
-    if toks:
-        raise OpmError(f"trailing characters in regex {text!r}")
-    return r
+    Precedence: star > concatenation > alternation.
 
-
-# The parser's levels take the tokens left (the next last) and the payload,
-# for messages, as arguments: nested functions sharing them would each make
-# a reference cycle per parse.
-
-def _peek(toks: list[str]) -> Optional[str]:
-    return toks[-1] if toks else None
-
-
-def _parse_alt(toks: list[str], text: str) -> Regex:
-    parts = [_parse_cat(toks, text)]
-    while _peek(toks) == "|":
-        toks.pop()
-        parts.append(_parse_cat(toks, text))
-    return alt(*parts)
-
-
-def _parse_cat(toks: list[str], text: str) -> Regex:
-    parts = []
-    while _peek(toks) not in (None, "|", ")"):
-        parts.append(_parse_star(toks, text))
-    if not parts:
-        raise OpmError(f"empty regex fragment in {text!r}")
-    return seq(*parts)
-
-
-def _parse_star(toks: list[str], text: str) -> Regex:
-    r = _parse_atom(toks, text)
-    while _peek(toks) == "*":
-        toks.pop()
-        r = star(r)
-    return r
-
-
-def _parse_atom(toks: list[str], text: str) -> Regex:
-    c = toks.pop()
-    if c == "(":
-        r = _parse_alt(toks, text)
-        if _peek(toks) != ")":
-            raise OpmError(f"unbalanced parenthesis in regex {text!r}")
-        toks.pop()
-        return r
-    if c == "eps":
-        return EPS
-    if c.isalpha():
-        return sym(c)
-    raise OpmError(f"unexpected character {c!r} in regex {text!r}")
+    One loop over the tokens and an end marker (""): `alts` holds the closed
+    alternatives of the innermost open group, `factors` the current one's
+    factors, and `groups` both of each enclosing group, saved at its `(`."""
+    alts: list[Regex] = []
+    factors: list[Regex] = []
+    groups: list[tuple[list[Regex], list[Regex]]] = []
+    for tok in _REGEX_TOKEN.findall(text) + [""]:
+        if tok == "*" and factors:
+            factors[-1] = star(factors[-1])
+        elif tok == "(":
+            groups.append((alts, factors))
+            alts, factors = [], []
+        elif tok in ("|", ")", ""):
+            if not factors:
+                raise OpmError(f"empty regex fragment in {text!r}")
+            alts.append(seq(*factors))
+            factors = []
+            if tok == ")":
+                if not groups:
+                    raise OpmError(f"trailing characters in regex {text!r}")
+                group = alt(*alts)
+                alts, factors = groups.pop()
+                factors.append(group)
+            elif not tok:
+                if groups:
+                    raise OpmError(f"unbalanced parenthesis in regex {text!r}")
+                return alt(*alts)
+        elif tok == "eps":
+            factors.append(EPS)
+        elif tok.isalpha():
+            factors.append(sym(tok))
+        else:
+            raise OpmError(f"unexpected character {tok!r} in regex {text!r}")
 
 
 def _word(x: Regex) -> Optional[list[str]]:
@@ -602,10 +583,7 @@ class RegexOpm(Opm):
         return nullable(x)
 
     def parse_element(self, text: str) -> Regex:
-        r = parse_regex(text)
-        if is_empty_language(r):
-            raise OpmError(f"regex {text!r} denotes the empty language")
-        return r
+        return parse_regex(text)
 
     def show_element(self, x: Regex) -> str:
         return show(x)

@@ -167,17 +167,27 @@ def rename_var(e: SurfaceExpr, old: str, new: str) -> SurfaceExpr:
     """Rename free occurrences of `old` to `new` (stops at shadowing binders).
 
     A subtree in which `old` is not free is returned as it is, so only the
-    paths down to the free occurrences are rebuilt.
+    paths down to the free occurrences are rebuilt. A spine of lets and
+    let-pairs whose bodies use `old` is walked in a loop and rebuilt bottom-up.
     """
+    spine = []
+    while (isinstance(e, (SLet, SLetPair)) and old in e.body._fv
+           and old not in (e.x, getattr(e, "y", None))):
+        spine.append(e)
+        e = e.body
     if old not in surface_fv(e):
-        return e
-    if isinstance(e, SVar):
-        return SVar(e.span, new)
-    renamed = {}
-    for field, binders in SHAPES[type(e)]:
-        if all(getattr(e, b) != old for b in binders):  # else shadowed there
-            renamed[field] = rename_var(getattr(e, field), old, new)
-    return replace(e, **renamed)
+        out = e
+    elif isinstance(e, SVar):
+        out = SVar(e.span, new)
+    else:
+        renamed = {}
+        for field, binders in SHAPES[type(e)]:
+            if all(getattr(e, b) != old for b in binders):  # else shadowed there
+                renamed[field] = rename_var(getattr(e, field), old, new)
+        out = replace(e, **renamed)
+    for let in reversed(spine):
+        out = replace(let, header=rename_var(let.header, old, new), body=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

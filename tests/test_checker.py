@@ -688,6 +688,8 @@ drop (!{b} b1); drop (!{*} x2)
 # the two sides' decompositions. A key names the former, then the pattern
 # each side's decomposition fits: the hole parallel to the rest (`pat_par`),
 # first (`pat_left`), last (`pat_right`) or between the rest (`pat_closed`).
+# A last part `via-par` or `via-seq` names the clause of `pat_par` that its
+# left side reaches: a `∥` with the hole on its right, or a `,`.
 # Each program is `tests/letpairs/KEY.ord`, which `scripts/cli_outputs.py`
 # also runs; it is pinned by what `dump-core` prints and by
 # `dump-graph --binding p`.
@@ -718,6 +720,42 @@ drop @ (op_{r} @ q)
 digraph "p" {
   n0 [label="p:[r]"];
   n1 [label="q:[r]"];
+}
+""",
+    ),
+    "par-par-par-via-par": (
+        """
+let° u = new_{r} @ unit in
+let° x = new_{r} @ unit in
+let° y = new_{r} @ unit in
+let p ox q = x ox y in
+let° s0 = drop @ (op_{r} @ p) in
+let° s1 = drop @ (op_{r} @ q) in
+drop @ (op_{r} @ u)
+""",
+        """
+digraph "p" {
+  n0 [label="u:[r]"];
+  n1 [label="p:[r]"];
+  n2 [label="q:[r]"];
+}
+""",
+    ),
+    "par-par-par-via-seq": (
+        """
+let g = (λz. z) in
+let f = (λx. let° y = new_{r} @ unit in
+let p ox q = x ox y in
+let° s0 = g @ unit in
+let° s1 = drop @ (op_{r} @ p) in
+drop @ (op_{r} @ q)) in
+f @ (new_{r} @ unit)
+""",
+        """
+digraph "p" {
+  n0 [label="p:[r]"];
+  n1 [label="q:[r]"];
+  unrestricted [shape=box, label="unrestricted\\ng:(Unit -[u 0]-> Unit)"];
 }
 """,
     ),

@@ -158,6 +158,7 @@ DIAGNOSED = {
         "type-mismatch", 1, 1,
         "a whole program must have an unrestricted type (expected an unrestricted type, got [r*])",
     ),
+    "unbound_variable": ("unbound-variable", 2, 1, "unbound variable 'undefined_var'"),
 }
 
 
@@ -165,14 +166,51 @@ def test_every_diagnostic_program_is_pinned():
     assert sorted(p.stem for p in DIAGNOSTICS.glob("*.ord")) == sorted(DIAGNOSED)
 
 
-@pytest.mark.parametrize("name", sorted(DIAGNOSED))
-def test_checker_diagnostics(name, capsys):
-    kind, line, col, message = DIAGNOSED[name]
-    prog = str(DIAGNOSTICS / f"{name}.ord")
+def _assert_check_prints(prog, kind, line, col, message, capsys):
     assert invoke("check", "--json", prog) == 1
     assert _one_diagnostic(capsys) == {"kind": kind, "line": line, "col": col, "message": message}
     assert invoke("check", prog) == 1
     assert capsys.readouterr().err == f"{prog}:{line}:{col}: {kind}: {message}\n"
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSED))
+def test_checker_diagnostics(name, capsys):
+    _assert_check_prints(str(DIAGNOSTICS / f"{name}.ord"), *DIAGNOSED[name], capsys)
+
+
+# One program in tests/parse_errors/ per `ParseError` message of the surface
+# parser and per `OpmError` message of the regex literal parser, with the
+# position and message `check` prints for it under the regex OPM.
+PARSE_ERRORS = pathlib.Path(__file__).resolve().parent / "parse_errors"
+PARSE_FAILURES = {
+    "unsupported_character": (1, 25, "unsupported character '@'"),
+    "unterminated_literal": (1, 13, "unterminated `{` resource literal"),
+    "expected_token": (2, 1, "expected ')', found 'end of input'"),
+    "unexpected_token": (1, 20, "unexpected ')'"),
+    "definition_mismatch": (1, 28, "definition of 'g' does not match declaration of 'f'"),
+    "let_binder": (1, 7, "expected ',', ':' or '=' after let binder, found 'unit'"),
+    "bare_let_argument": (
+        1, 22, "prefix operator argument cannot be a bare let; parenthesize it",
+    ),
+    "expected_expression": (2, 1, "expected an expression, found 'end of input'"),
+    "arrow_mode": (1, 16, "arrow mode must be one of u, o, r, l; found 'q'"),
+    "latent_effect": (1, 18, "latent effect must be 0 or 1"),
+    "expected_type": (1, 9, "expected a type, found '-['"),
+    "regex_empty_fragment": (1, 13, "empty regex fragment in 'r||w'"),
+    "regex_trailing_characters": (1, 13, "trailing characters in regex 'r)w'"),
+    "regex_unbalanced_parenthesis": (1, 13, "unbalanced parenthesis in regex '(r|w'"),
+    "regex_unexpected_character": (1, 13, "unexpected character '+' in regex 'r*w+'"),
+}
+
+
+def test_every_parse_error_program_is_pinned():
+    assert sorted(p.stem for p in PARSE_ERRORS.glob("*.ord")) == sorted(PARSE_FAILURES)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_FAILURES))
+def test_parse_errors(name, capsys):
+    prog = str(PARSE_ERRORS / f"{name}.ord")
+    _assert_check_prints(prog, "parse-error", *PARSE_FAILURES[name], capsys)
 
 
 def test_run_prints_value_and_checks_heap(capsys):

@@ -578,6 +578,13 @@ def test_parse_regex_matches_the_reference(text):
     assert _parsed_regex(rx.parse_regex, text) == _parsed_regex(reference_parse_regex, text)
 
 
+def test_parse_regex_reads_a_literal_nested_3000_deep():
+    deep = "(" * 3000 + "r|w" + ")" * 3000 + "c"
+    assert rx.parse_regex(deep) == rx.parse_regex("(r|w)c")
+    with pytest.raises(OpmError, match="unbalanced parenthesis"):
+        rx.parse_regex("(" + deep)
+
+
 def test_regex_token_classes_are_the_str_predicates():
     # the token pattern's classes, over every code point
     every = "".join(map(chr, range(sys.maxunicode + 1)))

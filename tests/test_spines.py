@@ -1,7 +1,8 @@
 """Long let spines: the checker walks a spine of lets, `;`s and let-pairs in
 one loop, and the core printer prints one in a loop, so neither takes a
-stack frame per item. These programs are longer than the default recursion
-limit."""
+stack frame per item; nor do a renamed binder's spine below it, nor the
+locations that a paranoid run counts. These programs are longer than the
+default recursion limit."""
 
 import os
 import pathlib
@@ -56,6 +57,24 @@ def test_a_5000_item_spine_checks_runs_and_prints(family):
     assert result.outcome == "value" and result.config.term == UNIT
     assert result.config.heap == {} and result.violations == []
     assert pretty(checked.core, OPM).count(" in\n") >= 5000
+
+
+@pytest.mark.parametrize("family", [ops, splits])
+def test_a_3000_let_spine_runs_paranoid(family):
+    # the runtime oracle counts the locations of the whole term at each step
+    checked = check_program(sf.parse(family(3000), OPM), OPM)
+    result = run(checked.core, OPM, paranoid=True)
+    assert result.outcome == "value" and result.config.term == UNIT
+    assert result.violations == []
+
+
+def test_a_renamed_binder_used_3000_lets_below_checks():
+    # the shadowing `let v` renames `v` through every let down to the last line
+    lets = "".join(f"let u{i} = unit in\n" for i in range(3000))
+    source = f"let v = unit in let w = v in let v = v in\n{lets}v\n"
+    printed = pretty(check_program(sf.parse(source, OPM), OPM).core, OPM)
+    assert printed.startswith("let v = unit in\nlet w = v in\nlet v0 = v in\n")
+    assert printed.endswith("\nlet u2999 = unit in\nv0")
 
 
 # Run with a recursion limit a little above the depth it starts at: each
